@@ -1,130 +1,112 @@
-"""Lowered exact arithmetic for bulk verification.
+"""Exact integer-vector kernel of the group algebra.
 
-Verifying a multiplication table means forming thousands of products of
-operators that each touch most of the group algebra's permutation basis.
-The generic sparse representation pays a large constant per coefficient, so
-for bulk work each element is lowered once to a handful of integer vectors
-indexed by the canonical permutation ordering:
+Every ``AlgebraElement`` is stored as one exact integer vector per squarefree
+radicand, indexed by the lexicographic order of S_m:
 
     element  =  sum over radicands d of  sqrt(d)/denom_d * vector_d
 
-with ``vector_d`` holding exact integers.  Convolution then reduces to
-scattered integer vector operations driven by a precomputed composition
-table.  Everything stays exact: results are compared by cross-multiplied
-integers, and vectors fall back from machine integers to arbitrary
-precision whenever a bound check says an overflow could occur.
+This module holds what that form needs beyond plain numpy: the position of
+each permutation, the composition and inverse tables, the cycle counts, and
+the exact sum and product of two such forms.  Vectors are int64 while a
+bound computed in Python integers shows that no entry can reach 2**62, and
+arrays of Python integers (dtype object) otherwise.  Every result is in
+canonical form (see ``reduce``), so equal elements have equal vectors.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
-from .algebra import AlgebraElement
-from .coefficients import PolyN, Surd, squarefree_decompose
-from .permutations import all_permutations, compose
+from .coefficients import squarefree_decompose
+from .permutations import all_permutations
 
 # radicand -> (denominator, integer numerator vector over the permutation basis)
-Lowered = dict[int, tuple[int, np.ndarray]]
+Parts = dict[int, tuple[int, np.ndarray]]
 
 _INT64_GUARD = 2**62
+# entries of one gathered block in a product, to bound its memory at m = 7
+_GATHER_LIMIT = 2**20
 
 
 @cache
-def permutation_index(m: int) -> dict:
-    """Map each degree-``m`` permutation to its canonical position."""
-    return {p: i for i, p in enumerate(all_permutations(m))}
+def permutation_index(m: int) -> dict[tuple[int, ...], int]:
+    """Map each degree-``m`` permutation's one-line images to its position."""
+    return {p.images: i for i, p in enumerate(all_permutations(m))}
 
 
 @cache
 def composition_table(m: int) -> np.ndarray:
     """``table[i, j]`` is the index of ``p_i`` after ``p_j``."""
-    perms = all_permutations(m)
-    index = permutation_index(m)
-    table = np.empty((len(perms), len(perms)), dtype=np.int32)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[compose(p, q)]
+    perms = np.array([p.images for p in all_permutations(m)], dtype=np.intp) - 1
+    n = len(perms)
+    # a permutation's images read as base-m digits key its position
+    weights = m ** np.arange(m - 1, -1, -1)
+    position = np.zeros(m**m, dtype=np.intp)
+    position[perms @ weights] = np.arange(n)
+    # native indices gather fastest; int16 halves the 5040 x 5040 table at m = 7
+    table = np.empty((n, n), dtype=np.intp if m <= 6 else np.int16)
+    step = max(1, _GATHER_LIMIT // (n * m))
+    for lo in range(0, n, step):
+        # composed[i, j] = perms[lo + i] after perms[j], as image rows
+        composed = perms[lo : lo + step][:, perms]
+        table[lo : lo + step] = position[composed @ weights]
     return table
 
 
 @cache
 def inverse_table(m: int) -> np.ndarray:
     """``table[i]`` is the index of the inverse of ``p_i``."""
-    index = permutation_index(m)
-    return np.array([index[p.inverse()] for p in all_permutations(m)], dtype=np.int32)
+    # p_i after p_j is the identity, position 0, exactly when p_j inverts p_i
+    return np.nonzero(composition_table(m) == 0)[1]
 
 
 @cache
-def cycle_count_vector(m: int) -> tuple[int, ...]:
+def cycle_count_vector(m: int) -> np.ndarray:
     """Cycle counts (fixed points included) per canonical permutation."""
-    return tuple(p.cycle_count() for p in all_permutations(m))
+    return np.array([p.cycle_count() for p in all_permutations(m)], dtype=np.intp)
 
 
-def _vector(values: list[int]) -> np.ndarray:
-    if all(abs(v) < _INT64_GUARD for v in values):
-        return np.array(values, dtype=np.int64)
-    return np.array(values, dtype=object)
-
-
-def lower(a: AlgebraElement) -> Lowered:
-    """Split an element into one integer vector per squarefree radicand."""
-    index = permutation_index(a.m)
-    size = len(index)
-    parts: dict[int, list[Fraction]] = {}
-    for p, coeff in a.items():
-        pos = index[p]
-        for d, q in coeff.terms():
-            part = parts.get(d)
-            if part is None:
-                part = parts[d] = [Fraction(0)] * size
-            part[pos] += q
-    out: Lowered = {}
-    for d, fracs in parts.items():
-        denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        values = [int(f * denom) for f in fracs]
-        if any(values):
-            out[d] = (denom, _vector(values))
-    return out
-
-
-def raise_element(m: int, x: Lowered) -> AlgebraElement:
-    """Inverse of :func:`lower`; used to cross-check the two engines."""
-    perms = all_permutations(m)
-    terms: dict = {}
-    for d, (denom, vec) in x.items():
-        for pos, v in enumerate(vec.tolist()):
-            if v:
-                coeff = Surd({d: Fraction(int(v), denom)})
-                p = perms[pos]
-                terms[p] = terms[p] + coeff if p in terms else coeff
-    return AlgebraElement(m, terms)
-
-
-def _abs_sum(vec: np.ndarray) -> int:
-    return sum(abs(int(v)) for v in vec.tolist())
+# -- overflow guards -----------------------------------------------------------
 
 
 def _abs_max(vec: np.ndarray) -> int:
-    return max((abs(int(v)) for v in vec.tolist()), default=0)
+    return int(np.abs(vec).max()) if vec.size else 0
 
 
-def _scatter(table: np.ndarray, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """Exact convolution ``c[table[i, j]] += va[i] * vb[j]``."""
-    if va.dtype == np.int64 and vb.dtype == np.int64:
-        if _abs_sum(va) * _abs_max(vb) >= _INT64_GUARD:
-            va = va.astype(object)
-            vb = vb.astype(object)
-    elif va.dtype != vb.dtype:
-        va = va.astype(object)
-        vb = vb.astype(object)
-    out = np.zeros(table.shape[0], dtype=va.dtype)
-    for i in np.nonzero(va)[0]:
-        out[table[i]] += va[i] * vb
-    return out
+def _fits(*bound: int) -> bool:
+    """Whether the product of the Python-int factors stays below the guard."""
+    return prod(bound) < _INT64_GUARD
+
+
+def _objects(*vecs: np.ndarray) -> tuple[np.ndarray, ...]:
+    return tuple(v.astype(object) for v in vecs)
+
+
+def vector(values: list[int]) -> np.ndarray:
+    """Exact vector of Python ints, int64 where they fit; ``reduce`` fixes the dtype."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def reduce(denom: int, vec: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """Canonical form of ``vec / denom``, or None when it is zero.
+
+    The denominator is positive and has no factor common to all entries,
+    and the vector is int64 exactly when all entries lie below the guard.
+    """
+    g = int(np.gcd.reduce(vec)) if vec.size else 0
+    if not g:
+        return None
+    g = gcd(g, denom)
+    if g != 1:
+        vec = vec // g
+        denom //= g
+    return denom, vec.astype(np.int64 if _fits(_abs_max(vec)) else object, copy=False)
 
 
 def _accumulate(acc: dict, d: int, denom: int, vec: np.ndarray) -> None:
@@ -134,94 +116,74 @@ def _accumulate(acc: dict, d: int, denom: int, vec: np.ndarray) -> None:
     denom0, vec0 = acc[d]
     common = lcm(denom0, denom)
     s0, s1 = common // denom0, common // denom
-    if vec0.dtype == np.int64 and vec.dtype == np.int64:
-        if max(_abs_max(vec0) * s0, _abs_max(vec) * s1) * 2 >= _INT64_GUARD:
-            vec0 = vec0.astype(object)
-            vec = vec.astype(object)
-    elif vec0.dtype != vec.dtype:
-        vec0 = vec0.astype(object)
-        vec = vec.astype(object)
+    if vec0.dtype != vec.dtype or (
+        vec0.dtype == np.int64
+        and not _fits(2, max(_abs_max(vec0) * s0, _abs_max(vec) * s1))
+    ):
+        vec0, vec = _objects(vec0, vec)
     acc[d] = (common, vec0 * s0 + vec * s1)
 
 
-def _strip(acc: dict) -> Lowered:
-    return {d: (denom, vec) for d, (denom, vec) in acc.items() if vec.any()}
+def canonical(acc: dict[int, tuple[int, np.ndarray]]) -> Parts:
+    """Canonical form of (denominator, vector) pairs keyed by squarefree radicand."""
+    out: Parts = {}
+    for d in sorted(acc):
+        part = reduce(*acc[d])
+        if part is not None:
+            out[d] = part
+    return out
 
 
-def convolve(m: int, x: Lowered, y: Lowered) -> Lowered:
-    """Exact product of two lowered elements."""
+def add(x: Parts, y: Parts) -> Parts:
+    """Exact sum of two elements' vectors."""
+    acc = dict(x)
+    for d, (denom, vec) in y.items():
+        _accumulate(acc, d, denom, vec)
+    return canonical(acc)
+
+
+# -- product -------------------------------------------------------------------
+
+
+def _product(m: int, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Exact convolution: ``out[k]`` sums ``va[i] * vb[j]`` over ``p_i p_j = p_k``.
+
+    For fixed ``k`` each index of the sparser factor fixes the other, so the
+    sum runs over that factor's nonzeros and gathers the partner entries.
+    """
     table = composition_table(m)
+    inv = inverse_table(m)
+    n = table.shape[0]
+    nza, nzb = np.flatnonzero(va), np.flatnonzero(vb)
+    terms = min(len(nza), len(nzb))
+    if va.dtype != np.int64 or vb.dtype != np.int64 or not _fits(
+        terms, _abs_max(va), _abs_max(vb)
+    ):
+        va, vb = _objects(va, vb)
+    out = np.zeros(n, dtype=va.dtype)
+    step = max(1, _GATHER_LIMIT // n)
+    for lo in range(0, terms, step):
+        if len(nza) <= len(nzb):
+            # p_j = p_i^-1 p_k
+            rows = nza[lo : lo + step]
+            out = out + va[rows] @ vb[table[inv[rows]]]
+        else:
+            # p_i = p_k p_j^-1
+            cols = nzb[lo : lo + step]
+            out = out + va[table[:, inv[cols]]] @ vb[cols]
+    return out
+
+
+def convolve(m: int, x: Parts, y: Parts) -> Parts:
+    """Exact product of two elements' vectors; the right factor acts first."""
     acc: dict = {}
     for da, (la, va) in x.items():
         for db, (lb, vb) in y.items():
             root, whole = squarefree_decompose(da * db)
-            vec = _scatter(table, va, vb)
+            vec = _product(m, va, vb)
             if whole != 1:
-                if vec.dtype == np.int64 and _abs_max(vec) * whole >= _INT64_GUARD:
-                    vec = vec.astype(object)
+                if vec.dtype == np.int64 and not _fits(_abs_max(vec), whole):
+                    (vec,) = _objects(vec)
                 vec = vec * whole
             _accumulate(acc, root, la * lb, vec)
-    return _strip(acc)
-
-
-def dagger_lowered(m: int, x: Lowered) -> Lowered:
-    """Coefficient-wise transport onto inverse permutations."""
-    inv = inverse_table(m)
-    out: Lowered = {}
-    for d, (denom, vec) in x.items():
-        moved = np.zeros_like(vec)
-        moved[inv] = vec
-        out[d] = (denom, moved)
-    return out
-
-
-def is_zero(x: Lowered) -> bool:
-    return not x
-
-
-def equal(x: Lowered, y: Lowered) -> bool:
-    """Exact equality; radicand components are independent, so compare each."""
-    if x.keys() != y.keys():
-        return False
-    for d, (la, va) in x.items():
-        lb, vb = y[d]
-        if la == lb:
-            if not all(int(a) == int(b) for a, b in zip(va.tolist(), vb.tolist())):
-                return False
-        elif not all(
-            int(a) * lb == int(b) * la for a, b in zip(va.tolist(), vb.tolist())
-        ):
-            return False
-    return True
-
-
-def scale(x: Lowered, factor: Fraction) -> Lowered:
-    """Rational rescaling, exact."""
-    if not factor:
-        return {}
-    out: Lowered = {}
-    for d, (denom, vec) in x.items():
-        num = factor.numerator
-        if vec.dtype == np.int64 and _abs_max(vec) * abs(num) >= _INT64_GUARD:
-            vec = vec.astype(object)
-        out[d] = (denom * factor.denominator, vec * num)
-    return out
-
-
-def trace_lowered(m: int, x: Lowered) -> PolyN:
-    """Symbolic trace: each permutation contributes N**cycle_count."""
-    cc = cycle_count_vector(m)
-    by_power: dict[int, Surd] = {}
-    for d, (denom, vec) in x.items():
-        for pos, v in enumerate(vec.tolist()):
-            if not v:
-                continue
-            term = Surd({d: Fraction(int(v), denom)})
-            k = cc[pos]
-            by_power[k] = by_power[k] + term if k in by_power else term
-    return PolyN(by_power)
-
-
-def scalar_product_lowered(m: int, x: Lowered, y: Lowered) -> PolyN:
-    """Exact ⟨x, y⟩ = trace(dagger(x) · y)."""
-    return trace_lowered(m, convolve(m, dagger_lowered(m, x), y))
+    return canonical(acc)

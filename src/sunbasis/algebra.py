@@ -1,53 +1,93 @@
 """The group algebra of S_m over the surd field, with an N-dependent trace.
 
 An ``AlgebraElement`` is a finite formal sum of permutations of a common
-degree m with ``Surd`` coefficients.  The product is the convolution induced
-by group multiplication (right factor acts first, matching
-``permutations.compose``).  ``dagger`` maps every permutation to its inverse
-and is an anti-automorphism; ``trace`` weights each permutation by
+degree m with ``Surd`` coefficients.  It is stored as one exact integer
+vector per squarefree radicand d, indexed by the lexicographic order of S_m:
+
+    element  =  sum over d of  sqrt(d) / denom_d * vector_d
+
+In canonical form every vector is nonzero, its denominator shares no factor
+with all of its entries, and it is int64 exactly when every entry lies below
+2**62 (Python integers otherwise), so equal elements have equal vectors.
+Coefficients, supports and term counts are views derived from the vectors.
+
+The product is the convolution induced by group multiplication (right factor
+acts first, matching ``permutations.compose``), computed by
+``_fast.convolve``.  ``dagger`` maps every permutation to its inverse and is
+an anti-automorphism; ``trace`` weights each permutation by
 N^(cycle count), producing a polynomial in the symbolic dimension N.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from functools import cache
+from math import factorial, lcm
+from typing import Iterator, Optional, Union
 
+import numpy as np
+
+from . import _fast
 from .coefficients import (
     PolyN,
     Surd,
     SurdLike,
-    surd_from_json,
+    rational_from_json,
+    squarefree_decompose,
     surd_to_json,
 )
-from .permutations import Permutation
+from .permutations import Permutation, all_permutations
 
 _Scalar = Union[int, Fraction, Surd]
+
+# A dense vector has m! entries and a product needs an (m!)^2 table.
+_MAX_DEGREE = 7
+
+
+def _check_degree(m: int) -> None:
+    if not 1 <= m <= _MAX_DEGREE:
+        raise ValueError(f"degree must be between 1 and {_MAX_DEGREE}, got {m}")
+
+
+def _parts_from_rows(m: int, rows: dict[int, list[tuple[int, int, int]]]) -> _fast.Parts:
+    """Canonical vectors from (position, numerator, denominator) terms per radicand."""
+    size = factorial(m)
+    acc: dict = {}
+    for d, terms in rows.items():
+        denom = lcm(*(q for _, _, q in terms))
+        values = [0] * size
+        for pos, num, q in terms:
+            values[pos] += num * (denom // q)
+        acc[d] = (denom, _fast.vector(values))
+    return _fast.canonical(acc)
 
 
 class AlgebraElement:
     """A Q(sqrt)-linear combination of permutations of fixed degree."""
 
-    __slots__ = ("m", "_terms")
+    __slots__ = ("m", "_parts")
 
     def __init__(self, m: int, terms: dict[Permutation, SurdLike] | None = None):
-        if m < 1:
-            raise ValueError(f"degree must be >= 1, got {m}")
-        canon: dict[Permutation, Surd] = {}
+        _check_degree(m)
+        rows: dict[int, list[tuple[int, int, int]]] = {}
         if terms:
+            index = _fast.permutation_index(m)
             for p, c in terms.items():
                 if p.degree != m:
                     raise ValueError(f"term degree {p.degree} != element degree {m}")
-                c = Surd._coerce(c)
-                if c:
-                    prev = canon.get(p)
-                    c = prev + c if prev is not None else c
-                    if c:
-                        canon[p] = c
-                    else:
-                        del canon[p]
+                pos = index[p.images]
+                for d, q in Surd._coerce(c).terms():
+                    rows.setdefault(d, []).append((pos, q.numerator, q.denominator))
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_terms", canon)
+        object.__setattr__(self, "_parts", _parts_from_rows(m, rows))
+
+    @classmethod
+    def _raw(cls, m: int, parts: _fast.Parts) -> "AlgebraElement":
+        """Trusted constructor: vectors already canonical."""
+        el = object.__new__(cls)
+        object.__setattr__(el, "m", m)
+        object.__setattr__(el, "_parts", parts)
+        return el
 
     # -- constructors ----------------------------------------------------
 
@@ -65,23 +105,38 @@ class AlgebraElement:
 
     # -- inspection --------------------------------------------------------
 
+    def _positions(self) -> np.ndarray:
+        """Canonical positions with a nonzero coefficient, ascending."""
+        mask = np.zeros(factorial(self.m), dtype=bool)
+        for _, vec in self._parts.values():
+            mask |= vec != 0
+        return np.flatnonzero(mask)
+
+    def _coefficient_at(self, pos: int) -> Surd:
+        return Surd(
+            {d: Fraction(int(vec[pos]), denom) for d, (denom, vec) in self._parts.items()}
+        )
+
     def coefficient(self, p: Permutation) -> Surd:
-        return self._terms.get(p, Surd())
+        pos = _fast.permutation_index(self.m).get(p.images)
+        return Surd() if pos is None else self._coefficient_at(pos)
 
     def support(self) -> tuple[Permutation, ...]:
-        return tuple(sorted(self._terms))
+        perms = all_permutations(self.m)
+        return tuple(perms[pos] for pos in self._positions().tolist())
 
     def items(self) -> Iterator[tuple[Permutation, Surd]]:
-        return iter(self._terms.items())
+        perms = all_permutations(self.m)
+        return ((perms[pos], self._coefficient_at(pos)) for pos in self._positions().tolist())
 
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._positions())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._parts
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._parts)
 
     # -- linear structure -------------------------------------------------
 
@@ -91,40 +146,24 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same_degree(other)
-        out = dict(self._terms)
-        for p, c in other._terms.items():
-            prev = out.get(p)
-            s = prev + c if prev is not None else c
-            if s:
-                out[p] = s
-            else:
-                del out[p]
-        return AlgebraElement._raw(self.m, out)
+        return AlgebraElement._raw(self.m, _fast.add(self._parts, other._parts))
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement._raw(self.m, {p: -c for p, c in self._terms.items()})
+        return AlgebraElement._raw(
+            self.m, {d: (denom, -vec) for d, (denom, vec) in self._parts.items()}
+        )
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def scale(self, c: _Scalar) -> "AlgebraElement":
-        c = Surd._coerce(c)
-        if not c:
-            return AlgebraElement.zero(self.m)
-        return AlgebraElement._raw(self.m, {p: x * c for p, x in self._terms.items()})
+        scalar = AlgebraElement(self.m, {Permutation.identity(self.m): Surd._coerce(c)})
+        return AlgebraElement._raw(self.m, _fast.convolve(self.m, scalar._parts, self._parts))
 
     def __rmul__(self, c):  # scalar * element
         if isinstance(c, (int, Fraction, Surd)):
             return self.scale(c)
         return NotImplemented
-
-    @classmethod
-    def _raw(cls, m: int, terms: dict[Permutation, Surd]) -> "AlgebraElement":
-        """Trusted constructor: terms already canonical (no zeros, right degree)."""
-        el = object.__new__(cls)
-        object.__setattr__(el, "m", m)
-        object.__setattr__(el, "_terms", terms)
-        return el
 
     # -- multiplicative structure ------------------------------------------
 
@@ -147,27 +186,39 @@ class AlgebraElement:
         """View as an element of the S_m algebra (each permutation padded)."""
         if m < self.m:
             raise ValueError(f"cannot embed degree {self.m} into degree {m}")
-        return AlgebraElement._raw(m, {p.embed(m): c for p, c in self._terms.items()})
+        _check_degree(m)
+        where = _embedding(self.m, m)
+        parts = {}
+        for d, (denom, vec) in self._parts.items():
+            padded = np.zeros(factorial(m), dtype=vec.dtype)
+            padded[where] = vec
+            parts[d] = (denom, padded)
+        return AlgebraElement._raw(m, parts)
 
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.m == other.m and self._terms == other._terms
+        if self.m != other.m or self._parts.keys() != other._parts.keys():
+            return False
+        return all(
+            denom == other._parts[d][0] and np.array_equal(vec, other._parts[d][1])
+            for d, (denom, vec) in self._parts.items()
+        )
 
     def __hash__(self) -> int:
-        return hash((self.m, tuple(sorted(self._terms.items()))))
+        vectors = tuple((d, denom, tuple(vec.tolist())) for d, (denom, vec) in self._parts.items())
+        return hash((self.m, vectors))
 
     def __repr__(self) -> str:
         return f"AlgebraElement(m={self.m}, {self})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._parts:
             return "0"
         parts = []
-        for p in self.support():
-            c = self._terms[p]
+        for p, c in self.items():
             cs = str(c)
             if "+" in cs or "-" in cs[1:] or " " in cs:
                 cs = f"({cs})"
@@ -175,43 +226,44 @@ class AlgebraElement:
         return " + ".join(parts)
 
 
+@cache
+def _embedding(k: int, m: int) -> np.ndarray:
+    """Positions in S_m of the degree-k permutations padded with fixed points."""
+    index = _fast.permutation_index(m)
+    return np.array([index[p.embed(m).images] for p in all_permutations(k)], dtype=np.intp)
+
+
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Convolution product; the right factor acts first."""
     a._require_same_degree(b)
-    out: dict[Permutation, Surd] = {}
-    for p, cp in a._terms.items():
-        pi = p.images
-        for q, cq in b._terms.items():
-            r = Permutation(tuple(pi[qi - 1] for qi in q.images))
-            c = cp * cq
-            prev = out.get(r)
-            s = prev + c if prev is not None else c
-            if s:
-                out[r] = s
-            else:
-                del out[r]
-    return AlgebraElement._raw(a.m, out)
+    return AlgebraElement._raw(a.m, _fast.convolve(a.m, a._parts, b._parts))
 
 
 def dagger(a: AlgebraElement) -> AlgebraElement:
     """The linear anti-automorphism sending each permutation to its inverse."""
-    return AlgebraElement._raw(a.m, {p.inverse(): c for p, c in a._terms.items()})
+    inv = _fast.inverse_table(a.m)
+    return AlgebraElement._raw(
+        a.m, {d: (denom, vec[inv]) for d, (denom, vec) in a._parts.items()}
+    )
 
 
 def trace(a: AlgebraElement) -> PolyN:
     """Sum of coeff * N^(cycle count) over all terms, as a polynomial in N."""
-    coeffs: dict[int, Surd] = {}
-    for p, c in a._terms.items():
-        k = p.cycle_count()
-        prev = coeffs.get(k)
-        coeffs[k] = prev + c if prev is not None else c
-    return PolyN({k: c for k, c in coeffs.items() if c})
+    cycles = _fast.cycle_count_vector(a.m)
+    poly = PolyN()
+    for d, (denom, vec) in a._parts.items():
+        if not _fast._fits(len(vec), _fast._abs_max(vec)):
+            vec = vec.astype(object)
+        sums = np.zeros(a.m + 1, dtype=vec.dtype)
+        np.add.at(sums, cycles, vec)
+        poly = poly + PolyN({k: Surd({d: Fraction(s, denom)}) for k, s in enumerate(sums.tolist())})
+    return poly
 
 
 def scalar_product(a: AlgebraElement, b: AlgebraElement) -> PolyN:
     """<a, b> = trace(dagger(a) * b); symmetric and positive definite for N >= m."""
     a._require_same_degree(b)
-    return trace(multiply(dagger(a), b))
+    return trace(AlgebraElement._raw(a.m, _fast.convolve(a.m, dagger(a)._parts, b._parts)))
 
 
 def proportionality(a: AlgebraElement, b: AlgebraElement) -> Optional[Surd]:
@@ -224,13 +276,8 @@ def proportionality(a: AlgebraElement, b: AlgebraElement) -> Optional[Surd]:
         return None
     if a.is_zero():
         return Surd()
-    probe = Permutation.identity(b.m)
-    if not b.coefficient(probe):
-        probe = next(iter(b._terms))
-    cb = b.coefficient(probe)
-    if not cb:
-        return None
-    c = a.coefficient(probe) / cb
+    pos = int(b._positions()[0])  # the identity is position 0
+    c = a._coefficient_at(pos) / b._coefficient_at(pos)
     return c if a == b.scale(c) else None
 
 
@@ -244,20 +291,28 @@ def element_to_json(a: AlgebraElement) -> dict:
     return {
         "m": a.m,
         "terms": [
-            {"perm": list(p.images), "coeff": surd_to_json(a.coefficient(p))}
-            for p in a.support()
+            {"perm": list(p.images), "coeff": surd_to_json(c)} for p, c in a.items()
         ],
     }
 
 
 def element_from_json(obj: dict) -> AlgebraElement:
+    """Parse the wire format straight into vectors; malformed input raises ValueError."""
     if not isinstance(obj, dict) or "m" not in obj or "terms" not in obj:
         raise ValueError("operator JSON must have 'm' and 'terms'")
     m = int(obj["m"])
-    terms: dict[Permutation, Surd] = {}
+    _check_degree(m)
+    index = _fast.permutation_index(m)
+    rows: dict[int, list[tuple[int, int, int]]] = {}
     for t in obj["terms"]:
-        p = Permutation(tuple(int(i) for i in t["perm"]))
-        c = surd_from_json(t["coeff"])
-        prev = terms.get(p)
-        terms[p] = prev + c if prev is not None else c
-    return AlgebraElement(m, terms)
+        pos = index.get(tuple(t["perm"]))
+        if pos is None:  # not one-line ints of degree m: say what is wrong
+            p = Permutation(tuple(int(i) for i in t["perm"]))
+            if p.degree != m:
+                raise ValueError(f"term degree {p.degree} != element degree {m}")
+            pos = index[p.images]
+        for d, c in t["coeff"]:
+            s, g = squarefree_decompose(int(d))
+            q = rational_from_json(c)
+            rows.setdefault(s, []).append((pos, q.numerator * g, q.denominator))
+    return AlgebraElement._raw(m, _parts_from_rows(m, rows))

@@ -15,17 +15,15 @@ identity was checked and held.
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
 from . import _fast
 from ._linalg import surd_rank
-from .algebra import AlgebraElement, multiply
+from .algebra import AlgebraElement, scalar_product, trace
 from .coefficients import PolyN
 from .permutations import all_permutations
 from .projectors import hermitian_projector, young_projector
@@ -220,81 +218,63 @@ def _spans(total: int, jobs: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
+def _first_difference(expected: AlgebraElement, got: AlgebraElement) -> str:
+    """Name the first permutation, in canonical order, whose coefficients differ."""
+    p = (got - expected).support()[0]
+    return (
+        f"first differing permutation {p}: "
+        f"expected {expected.coefficient(p)}, got {got.coefficient(p)}"
+    )
+
+
 def _table_worker(span: tuple[int, int]) -> list[CheckFailure]:
     state = _WORKER_STATE
     m = state["m"]
     labels = state["labels"]
-    lowered = state["lowered"]
+    ops = state["ops"]
     position = state["position"]
     names = state["names"]
+    zero = AlgebraElement.zero(m)
     n = len(labels)
     failures = []
     for flat in range(*span):
         a, c = divmod(flat, n)
         ba, ia, ja = labels[a]
         bc, kc, lc = labels[c]
-        prod = _fast.convolve(m, lowered[a], lowered[c])
+        got = AlgebraElement._raw(m, _fast.convolve(m, ops[a]._parts, ops[c]._parts))
         if ba == bc and ja == kc:
-            expected = lowered[position[(ba, ia, lc)]]
-            ok = _fast.equal(prod, expected)
-            rhs = names[position[(ba, ia, lc)]]
+            k = position[(ba, ia, lc)]
+            expected, rhs = ops[k], names[k]
         else:
-            ok = _fast.is_zero(prod)
-            rhs = "0"
-        if not ok:
+            expected, rhs = zero, "0"
+        if got != expected:
             failures.append(
                 CheckFailure(
                     identity=f"{names[a]} * {names[c]} == {rhs}",
-                    witness=f"product has {len(prod)} radicand component(s), expected {rhs}",
+                    witness=_first_difference(expected, got),
                 )
             )
     return failures
 
 
 def verify_multiplication_table(
-    b: BasisMatrix, *, jobs: int | None = None, engine: str = "fast"
+    b: BasisMatrix, *, jobs: int | None = None
 ) -> VerificationReport:
     """Check the matrix-unit law over every ordered pair of basis operators.
 
     A product keeps only chains whose inner endpoints agree — block and
     tableau both — and then equals the outer-endpoint operator; everything
-    else must vanish.  ``engine="core"`` repeats the check with the generic
-    sparse arithmetic and exists to cross-validate the lowered fast path.
+    else must vanish.  A failure names the first permutation whose
+    coefficient differs, with the expected and the actual coefficient.
     """
     labels = b.labels()
-    names = [b.describe(label) for label in labels]
     n = len(labels)
-    if engine == "core":
-        failures = []
-        ops = [b.operator(label) for label in labels]
-        position = {label: k for k, label in enumerate(labels)}
-        for (a, (ba, ia, ja)), (c, (bc, kc, lc)) in itertools.product(
-            enumerate(labels), repeat=2
-        ):
-            prod = multiply(ops[a], ops[c])
-            if ba == bc and ja == kc:
-                expected = ops[position[(ba, ia, lc)]]
-                rhs = names[position[(ba, ia, lc)]]
-                ok = prod == expected
-            else:
-                ok = prod.is_zero()
-                rhs = "0"
-            if not ok:
-                failures.append(
-                    CheckFailure(
-                        identity=f"{names[a]} * {names[c]} == {rhs}",
-                        witness=f"got {prod}",
-                    )
-                )
-        return VerificationReport("multiplication_table", n * n, tuple(failures))
-    if engine != "fast":
-        raise ValueError(f"unknown engine: {engine!r}")
     _WORKER_STATE.clear()
     _WORKER_STATE.update(
         m=b.m,
         labels=labels,
-        names=names,
-        lowered=[_fast.lower(b.operator(label)) for label in labels],
+        names=[b.describe(label) for label in labels],
+        ops=[b.operator(label) for label in labels],
         position={label: k for k, label in enumerate(labels)},
     )
     failures = _run_spans(_table_worker, n * n, resolve_jobs(jobs))
@@ -303,9 +283,8 @@ def verify_multiplication_table(
 
 def _orthonormality_worker(span: tuple[int, int]) -> list[CheckFailure]:
     state = _WORKER_STATE
-    m = state["m"]
     labels = state["labels"]
-    lowered = state["lowered"]
+    ops = state["ops"]
     names = state["names"]
     dims = state["dims"]
     pairs = state["pairs"]
@@ -314,7 +293,7 @@ def _orthonormality_worker(span: tuple[int, int]) -> list[CheckFailure]:
         a, c = pairs[flat]
         ba, ia, ja = labels[a]
         bc, kc, lc = labels[c]
-        value = _fast.scalar_product_lowered(m, lowered[a], lowered[c])
+        value = scalar_product(ops[a], ops[c])
         if ba == bc and ia == kc and ja == lc:
             expected = dims[ba]
             rhs = f"dim({names[a]})"
@@ -355,14 +334,13 @@ def verify_orthonormality(
     else:
         rng = random.Random(seed)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(sample)]
-    lowered = [_fast.lower(b.operator(label)) for label in labels]
-    dims = [
-        _fast.trace_lowered(b.m, _fast.lower(block.operators[0][0]))
-        for block in b.blocks
-    ]
     _WORKER_STATE.clear()
     _WORKER_STATE.update(
-        m=b.m, labels=labels, names=names, lowered=lowered, dims=dims, pairs=pairs
+        labels=labels,
+        names=names,
+        ops=[b.operator(label) for label in labels],
+        dims=[trace(block.operators[0][0]) for block in b.blocks],
+        pairs=pairs,
     )
     failures = _run_spans(_orthonormality_worker, len(pairs), resolve_jobs(jobs))
     return VerificationReport("orthonormality", len(pairs), tuple(failures))

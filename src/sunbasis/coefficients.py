@@ -351,7 +351,10 @@ def rational_to_json(x: RationalLike) -> str:
 def rational_from_json(s: str) -> Fraction:
     if not isinstance(s, str):
         raise ValueError(f"rational must be a 'p/q' string, got {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {s!r} has a zero denominator") from None
 
 
 def surd_to_json(x: SurdLike) -> list:

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sunbasis import _fast
 from sunbasis.algebra import (
     AlgebraElement,
     dagger,
@@ -16,11 +18,12 @@ from sunbasis.algebra import (
     trace,
 )
 from sunbasis.coefficients import PolyN, Surd
-from sunbasis.permutations import Permutation, all_permutations
+from sunbasis.permutations import Permutation, all_permutations, compose
 
 
-# -- independent oracle: permutations as plain dicts, coefficients as plain
-#    Fractions, so library convolution can be checked against first principles
+# -- independent oracle: elements as plain dicts from one-line tuples to
+#    Fraction or Surd coefficients, so the vector engine can be checked
+#    against first principles
 
 
 def oracle_compose(p: tuple, q: tuple) -> tuple:
@@ -32,8 +35,32 @@ def oracle_multiply(a: dict, b: dict) -> dict:
     for p, cp in a.items():
         for q, cq in b.items():
             r = oracle_compose(p, q)
-            out[r] = out.get(r, Fraction(0)) + cp * cq
+            c = cp * cq
+            out[r] = out[r] + c if r in out else c
     return {k: v for k, v in out.items() if v}
+
+
+def oracle_cycle_count(p: tuple) -> int:
+    seen, count = set(), 0
+    for start in range(1, len(p) + 1):
+        if start not in seen:
+            count += 1
+            while start not in seen:
+                seen.add(start)
+                start = p[start - 1]
+    return count
+
+
+def oracle_trace(a: dict) -> dict:
+    out = {}
+    for p, c in a.items():
+        k = oracle_cycle_count(p)
+        out[k] = out[k] + c if k in out else c
+    return {k: v for k, v in out.items() if v}
+
+
+def as_dict(a: AlgebraElement) -> dict:
+    return {p.images: c for p, c in a.items()}
 
 
 def to_element(m: int, d: dict) -> AlgebraElement:
@@ -204,3 +231,185 @@ def test_identity_element_is_neutral():
         a = AlgebraElement.from_permutation(p, Surd.sqrt(3))
         assert e * a == a
         assert a * e == a
+
+
+# -- the vector engine against the oracle ---------------------------------------
+
+
+def surd_elements(m, max_terms=6):
+    """Elements whose coefficients mix sqrt(2), sqrt(3) and sqrt(6)."""
+    perm = st.permutations(list(range(1, m + 1))).map(tuple)
+    rational = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+    coeff = st.dictionaries(st.sampled_from([1, 2, 3, 6]), rational, min_size=1, max_size=2).map(Surd)
+    return st.dictionaries(perm, coeff, max_size=max_terms)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_multiply_matches_oracle_on_basis_operators(m):
+    from sunbasis.basis import assemble
+
+    ops = [op for _, op in assemble(m, "hermitian").flat()]
+    for a in ops:
+        for b in ops:
+            assert as_dict(multiply(a, b)) == oracle_multiply(as_dict(a), as_dict(b))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_multiply_matches_oracle_with_surds(data):
+    da = data.draw(surd_elements(4))
+    db = data.draw(surd_elements(4))
+    got = multiply(to_element(4, da), to_element(4, db))
+    assert as_dict(got) == oracle_multiply(da, db)
+    assert got == to_element(4, oracle_multiply(da, db))
+
+
+# -- int64 overflow guards at their boundaries ----------------------------------
+
+BOUNDARIES = (2**31, 2**61, 2**62, 2**70)
+
+
+def dtypes(a: AlgebraElement) -> set:
+    return {vec.dtype for _, vec in a._parts.values()}
+
+
+def big_integers():
+    near = st.sampled_from(BOUNDARIES).flatmap(lambda b: st.integers(b - 2, b + 2))
+    return st.tuples(near, st.sampled_from([1, -1])).map(lambda t: t[0] * t[1])
+
+
+def big_elements(m):
+    perm = st.permutations(list(range(1, m + 1))).map(tuple)
+    rational = st.tuples(big_integers(), st.sampled_from([1, 3, 5])).map(
+        lambda t: Fraction(t[0], t[1])
+    )
+    coeff = st.one_of(
+        rational,
+        st.tuples(rational, st.sampled_from([2, 3, 6])).map(lambda t: Surd({t[1]: t[0]})),
+    )
+    return st.dictionaries(perm, coeff, min_size=1, max_size=4)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_big_coefficients_match_oracle(data):
+    m = data.draw(st.integers(2, 4))
+    da, db = data.draw(big_elements(m)), data.draw(big_elements(m))
+    a, b = to_element(m, da), to_element(m, db)
+    assert as_dict(multiply(a, b)) == oracle_multiply(da, db)
+    total = dict(da)
+    for p, c in db.items():
+        total[p] = total[p] + c if p in total else c
+    assert as_dict(a + b) == {p: c for p, c in total.items() if c}
+    factor = data.draw(big_integers())
+    assert as_dict(a.scale(factor)) == {p: c * factor for p, c in da.items()}
+    assert trace(a) == PolyN(oracle_trace(da))
+
+
+def test_vectors_promote_exactly_at_the_guard():
+    p, q = Permutation.identity(3), Permutation.transposition(3, 1, 2)
+    below = AlgebraElement(3, {p: 2**62 - 1})
+    at = AlgebraElement(3, {p: 2**62})
+    assert dtypes(below) == {np.dtype(np.int64)}
+    assert dtypes(at) == {np.dtype(object)}
+    # a sum reaching 2**62 promotes, and its value is exact
+    half = AlgebraElement(3, {p: 2**61, q: 1})
+    doubled = half + half
+    assert dtypes(doubled) == {np.dtype(object)}
+    assert doubled.coefficient(p) == Surd.rational(2**62)
+    # a product whose terms pass 2**62 promotes
+    x = AlgebraElement(3, {p: 2**31, q: 2**31})
+    square = multiply(x, x)
+    assert dtypes(square) == {np.dtype(object)}
+    assert square == AlgebraElement(3, {p: 2**63, q: 2**63})
+    # a sum over a common denominator passes the guard
+    third = AlgebraElement(3, {p: Fraction(2**61, 3)})
+    fifth = AlgebraElement(3, {p: Fraction(1, 5)})
+    assert dtypes(third + fifth) == {np.dtype(object)}
+    assert (third + fifth).coefficient(p) == Surd.rational(Fraction(5 * 2**61 + 3, 15))
+    # an int64 product whose radicands fold a square factor into it promotes
+    r = AlgebraElement(3, {p: Surd({6: Fraction(2**31)})})
+    s = AlgebraElement(3, {p: Surd({6: Fraction(2**30)})})
+    assert multiply(r, s) == AlgebraElement(3, {p: 6 * 2**61})
+    assert dtypes(multiply(r, s)) == {np.dtype(object)}
+    # scaling past the guard promotes
+    assert dtypes(x.scale(2**40)) == {np.dtype(object)}
+    assert x.scale(2**40).coefficient(q) == Surd.rational(2**71)
+    # the trace sums six transpositions of weight 2**61 exactly
+    transpositions = [t for t in all_permutations(4) if t.cycle_count() == 3]
+    y = AlgebraElement(4, {t: 2**61 for t in transpositions})
+    assert dtypes(y) == {np.dtype(np.int64)}
+    assert trace(y) == PolyN({3: 6 * 2**61})
+
+
+def test_equal_values_have_one_canonical_form():
+    p, q = Permutation.identity(3), Permutation.transposition(3, 1, 2)
+    small = AlgebraElement(3, {p: 1, q: Fraction(1, 3)})
+    big = AlgebraElement(3, {p: 2**70})
+    via_objects = (small + big) - big
+    assert dtypes(big) == {np.dtype(object)}
+    assert dtypes(via_objects) == {np.dtype(np.int64)}
+    assert via_objects == small
+    assert hash(via_objects) == hash(small)
+    # denominators are reduced by the gcd of the vector
+    halves = AlgebraElement(3, {p: Fraction(2, 4), q: Fraction(6, 4)})
+    ((denom, vec),) = halves._parts.values()
+    assert denom == 2 and vec.tolist()[:2] == [1, 0] and sum(map(abs, vec.tolist())) == 4
+    scaled = AlgebraElement(3, {p: 1, q: 3}).scale(Fraction(1, 2))
+    assert scaled == halves and hash(scaled) == hash(halves)
+
+
+def test_degree_above_the_dense_limit_is_rejected():
+    with pytest.raises(ValueError, match="between 1 and 7"):
+        AlgebraElement.identity(8)
+    with pytest.raises(ValueError, match="between 1 and 7"):
+        AlgebraElement.identity(3).embed(8)
+    with pytest.raises(ValueError, match="between 1 and 7"):
+        element_from_json({"m": 9, "terms": []})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"m": 3, "terms": [{"perm": [1, 2], "coeff": [[1, "1/1"]]}]},
+        {"m": 3, "terms": [{"perm": [1, 1, 2], "coeff": [[1, "1/1"]]}]},
+        {"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[1, "x"]]}]},
+        {"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[1, "1/0"]]}]},
+        {"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[0, "1/1"]]}]},
+        {"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[1, 1]]}]},
+        {"m": 0, "terms": []},
+        {"terms": []},
+    ],
+)
+def test_malformed_json_raises_value_error(obj):
+    with pytest.raises(ValueError):
+        element_from_json(obj)
+
+
+def test_json_accepts_non_canonical_input():
+    obj = {
+        "m": 2,
+        "terms": [
+            {"perm": [2, 1], "coeff": [[8, "1/2"], [2, "1/1"]]},
+            {"perm": [1, 2], "coeff": [[1, "2/4"]]},
+            {"perm": [2, 1], "coeff": [[1, "0/1"]]},
+        ],
+    }
+    a = element_from_json(obj)
+    # sqrt(8)/2 + sqrt(2) = 2 sqrt(2)
+    assert a == AlgebraElement(
+        2, {Permutation.identity(2): Fraction(1, 2), Permutation.transposition(2, 1, 2): Surd({2: 2})}
+    )
+
+
+# -- the kernel's tables ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_composition_table_matches_compose(m):
+    perms = all_permutations(m)
+    index = {p: i for i, p in enumerate(perms)}
+    reference = np.array([[index[compose(p, q)] for q in perms] for p in perms])
+    assert np.array_equal(_fast.composition_table(m), reference)
+    inverses = np.array([index[p.inverse()] for p in perms])
+    assert np.array_equal(_fast.inverse_table(m), inverses)

@@ -1,0 +1,104 @@
+"""Golden-output tests: CLI stdout pinned byte for byte.
+
+Each run in ``RUNS`` replays one CLI invocation in-process and compares its
+stdout with the file ``tests/golden/<name>.out``; outputs above
+``INLINE_LIMIT`` bytes are pinned by their sha256 in
+``tests/golden/sha256.json`` instead.  Any change to the arithmetic that
+alters a coefficient, a term order or a JSON layout fails here.
+
+To re-capture after a deliberate output change, run from the repository
+root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from sunbasis.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SHA_FILE = GOLDEN / "sha256.json"
+INLINE_LIMIT = 50_000
+
+# one transition with sqrt(3) coefficients, as `transition --m 3 --from 2 --to 3` prints it
+OP_FILE = GOLDEN / "transition_m3_2_3.json"
+
+# (first, last) tableau index of every m = 4 shape
+_M4_PAIRS = ((1, 1), (2, 4), (5, 6), (7, 9), (10, 10))
+
+
+def _runs() -> dict[str, list[str]]:
+    runs: dict[str, list[str]] = {}
+    for t in range(1, 11):
+        for kind in ("young", "staircase", "mold", "hermitian"):
+            runs[f"projector_m4_t{t}_{kind}"] = [
+                "projector", "--m", "4", "--tableau", str(t), "--kind", kind,
+            ]
+    for src, dst in _M4_PAIRS:
+        for method in ("young", "general", "compact"):
+            runs[f"transition_m4_{src}_{dst}_{method}"] = [
+                "transition", "--m", "4", "--from", str(src), "--to", str(dst),
+                "--method", method,
+            ]
+    for kind in ("hermitian", "young"):
+        runs[f"basis_m4_{kind}"] = ["basis", "--m", "4", "--kind", kind]
+    for fmt in ("text", "latex"):
+        runs[f"basis_m3_{fmt}"] = ["basis", "--m", "3", "--format", fmt]
+    runs["verify_m4"] = ["verify", "--m", "4"]
+    runs["dims_m5"] = ["dims", "--m", "5"]
+    runs["represent_n3_rank"] = [
+        "represent", "--N", "3", "--op", f"@{OP_FILE}", "--rank",
+    ]
+    return runs
+
+
+RUNS = _runs()
+
+
+def _stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, argv
+    return out.getvalue()
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_output_matches_golden(name):
+    got = _stdout(RUNS[name])
+    path = GOLDEN / f"{name}.out"
+    if path.exists():
+        assert got == path.read_text()
+    else:
+        assert _sha(got) == json.loads(SHA_FILE.read_text())[name]
+
+
+def _capture() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    OP_FILE.write_text(_stdout(["transition", "--m", "3", "--from", "2", "--to", "3"]))
+    for old in GOLDEN.glob("*.out"):
+        old.unlink()
+    hashes = {}
+    for name, argv in sorted(RUNS.items()):
+        text = _stdout(argv)
+        if len(text.encode()) > INLINE_LIMIT:
+            hashes[name] = _sha(text)
+        else:
+            (GOLDEN / f"{name}.out").write_text(text)
+    SHA_FILE.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _capture()
