@@ -15,14 +15,13 @@ identity was checked and held.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
 from . import _fast
-from ._linalg import surd_rank
+from ._linalg import fraction_rank, surd_rank
 from .algebra import AlgebraElement, scalar_product, trace
 from .coefficients import PolyN
 from .permutations import all_permutations
@@ -49,7 +48,6 @@ __all__ = [
     "verify_completeness_and_nesting",
     "verify_linear_independence",
     "run_suite",
-    "resolve_jobs",
     "basis_to_json",
     "basis_from_json",
 ]
@@ -169,55 +167,6 @@ def assemble(m: int, kind: str = "hermitian") -> BasisMatrix:
     return matrix
 
 
-def resolve_jobs(jobs: int | None = None) -> int:
-    """Worker count: explicit argument, then SUNBASIS_JOBS, then all cores."""
-    if jobs is not None:
-        return max(1, jobs)
-    env = os.environ.get("SUNBASIS_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-# -- parallel execution ------------------------------------------------------
-#
-# Work is split into contiguous spans of a flat index space; each span maps
-# to a list of failures and the spans are concatenated in order, so the
-# report is identical whatever the worker count.  Workers read their inputs
-# from a module global installed before the fork.
-
-_WORKER_STATE: dict = {}
-
-
-def _run_spans(worker, total: int, jobs: int) -> list:
-    spans = _spans(total, jobs)
-    if len(spans) <= 1:
-        out = []
-        for span in spans:
-            out.extend(worker(span))
-        return out
-    import multiprocessing
-
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        out = []
-        for span in spans:
-            out.extend(worker(span))
-        return out
-    with ctx.Pool(min(jobs, len(spans))) as pool:
-        chunks = pool.map(worker, spans)
-    return [f for chunk in chunks for f in chunk]
-
-
-def _spans(total: int, jobs: int) -> list[tuple[int, int]]:
-    if total == 0:
-        return []
-    jobs = max(1, min(jobs, total))
-    step = -(-total // jobs)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
 def _first_difference(expected: AlgebraElement, got: AlgebraElement) -> str:
     """Name the first permutation, in canonical order, whose coefficients differ."""
     p = (got - expected).support()[0]
@@ -225,36 +174,6 @@ def _first_difference(expected: AlgebraElement, got: AlgebraElement) -> str:
         f"first differing permutation {p}: "
         f"expected {expected.coefficient(p)}, got {got.coefficient(p)}"
     )
-
-
-def _table_worker(span: tuple[int, int]) -> list[CheckFailure]:
-    state = _WORKER_STATE
-    m = state["m"]
-    labels = state["labels"]
-    ops = state["ops"]
-    position = state["position"]
-    names = state["names"]
-    zero = AlgebraElement.zero(m)
-    n = len(labels)
-    failures = []
-    for flat in range(*span):
-        a, c = divmod(flat, n)
-        ba, ia, ja = labels[a]
-        bc, kc, lc = labels[c]
-        got = AlgebraElement._raw(m, _fast.convolve(m, ops[a]._parts, ops[c]._parts))
-        if ba == bc and ja == kc:
-            k = position[(ba, ia, lc)]
-            expected, rhs = ops[k], names[k]
-        else:
-            expected, rhs = zero, "0"
-        if got != expected:
-            failures.append(
-                CheckFailure(
-                    identity=f"{names[a]} * {names[c]} == {rhs}",
-                    witness=_first_difference(expected, got),
-                )
-            )
-    return failures
 
 
 def verify_multiplication_table(
@@ -266,48 +185,32 @@ def verify_multiplication_table(
     tableau both — and then equals the outer-endpoint operator; everything
     else must vanish.  A failure names the first permutation whose
     coefficient differs, with the expected and the actual coefficient.
+    ``jobs`` is accepted for compatibility and ignored: the check runs in
+    this process.
     """
+    m = b.m
     labels = b.labels()
-    n = len(labels)
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(
-        m=b.m,
-        labels=labels,
-        names=[b.describe(label) for label in labels],
-        ops=[b.operator(label) for label in labels],
-        position={label: k for k, label in enumerate(labels)},
-    )
-    failures = _run_spans(_table_worker, n * n, resolve_jobs(jobs))
-    return VerificationReport("multiplication_table", n * n, tuple(failures))
-
-
-def _orthonormality_worker(span: tuple[int, int]) -> list[CheckFailure]:
-    state = _WORKER_STATE
-    labels = state["labels"]
-    ops = state["ops"]
-    names = state["names"]
-    dims = state["dims"]
-    pairs = state["pairs"]
+    names = [b.describe(label) for label in labels]
+    ops = [b.operator(label) for label in labels]
+    position = {label: k for k, label in enumerate(labels)}
+    zero = AlgebraElement.zero(m)
     failures = []
-    for flat in range(*span):
-        a, c = pairs[flat]
-        ba, ia, ja = labels[a]
-        bc, kc, lc = labels[c]
-        value = scalar_product(ops[a], ops[c])
-        if ba == bc and ia == kc and ja == lc:
-            expected = dims[ba]
-            rhs = f"dim({names[a]})"
-        else:
-            expected = PolyN()
-            rhs = "0"
-        if value != expected:
-            failures.append(
-                CheckFailure(
-                    identity=f"<{names[a]}, {names[c]}> == {rhs}",
-                    witness=f"got {value}",
+    for a, (ba, ia, ja) in enumerate(labels):
+        for c, (bc, kc, lc) in enumerate(labels):
+            got = AlgebraElement._raw(m, _fast.convolve(m, ops[a]._parts, ops[c]._parts))
+            if ba == bc and ja == kc:
+                k = position[(ba, ia, lc)]
+                expected, rhs = ops[k], names[k]
+            else:
+                expected, rhs = zero, "0"
+            if got != expected:
+                failures.append(
+                    CheckFailure(
+                        identity=f"{names[a]} * {names[c]} == {rhs}",
+                        witness=_first_difference(expected, got),
+                    )
                 )
-            )
-    return failures
+    return VerificationReport("multiplication_table", len(labels) ** 2, tuple(failures))
 
 
 def verify_orthonormality(
@@ -322,27 +225,35 @@ def verify_orthonormality(
     Distinct operators must pair to zero; an operator against itself gives
     the dimension polynomial of its block's diagram.  With ``sample`` the
     pairs are drawn uniformly (seeded) instead of exhaustively — the pair
-    count grows with the fourth power of the block sizes.
+    count grows with the fourth power of the block sizes.  ``jobs`` is
+    accepted for compatibility and ignored: the check runs in this process.
     """
     if b.kind != "hermitian":
         raise ValueError("orthonormality holds only for the hermitian basis kind")
     labels = b.labels()
     names = [b.describe(label) for label in labels]
+    ops = [b.operator(label) for label in labels]
+    dims = [trace(block.operators[0][0]) for block in b.blocks]
     n = len(labels)
     if sample is None:
         pairs = [(a, c) for a in range(n) for c in range(n)]
     else:
         rng = random.Random(seed)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(sample)]
-    _WORKER_STATE.clear()
-    _WORKER_STATE.update(
-        labels=labels,
-        names=names,
-        ops=[b.operator(label) for label in labels],
-        dims=[trace(block.operators[0][0]) for block in b.blocks],
-        pairs=pairs,
-    )
-    failures = _run_spans(_orthonormality_worker, len(pairs), resolve_jobs(jobs))
+    failures = []
+    for a, c in pairs:
+        value = scalar_product(ops[a], ops[c])
+        if labels[a] == labels[c]:
+            expected, rhs = dims[labels[a][0]], f"dim({names[a]})"
+        else:
+            expected, rhs = PolyN(), "0"
+        if value != expected:
+            failures.append(
+                CheckFailure(
+                    identity=f"<{names[a]}, {names[c]}> == {rhs}",
+                    witness=f"expected {expected}, got {value}",
+                )
+            )
     return VerificationReport("orthonormality", len(pairs), tuple(failures))
 
 
@@ -360,11 +271,12 @@ def verify_completeness_and_nesting(m: int) -> VerificationReport:
     for t in enumerate_tableaux(m):
         total = total + hermitian_projector(t).element
     checked = 1
-    if total != AlgebraElement.identity(m):
+    identity = AlgebraElement.identity(m)
+    if total != identity:
         failures.append(
             CheckFailure(
                 identity=f"sum of all degree-{m} projectors == id",
-                witness=f"got {total}",
+                witness=_first_difference(identity, total),
             )
         )
     if m >= 2:
@@ -378,7 +290,7 @@ def verify_completeness_and_nesting(m: int) -> VerificationReport:
                 failures.append(
                     CheckFailure(
                         identity=f"descendant projector sum == embedded projector of {parent}",
-                        witness=f"difference over {child_sum.term_count()} terms",
+                        witness=_first_difference(embedded, child_sum),
                     )
                 )
     return VerificationReport("completeness_and_nesting", checked, tuple(failures))
@@ -388,17 +300,23 @@ def verify_linear_independence(b: BasisMatrix) -> VerificationReport:
     """Check that the m! operators span the full group algebra.
 
     Each operator expands to a coefficient row over the m! permutations;
-    the stacked matrix must have full rank over the surd field.
+    the stacked matrix must have full rank over the surd field.  An operator
+    with one radicand is √d/denominator times its integer vector, and that
+    scaling keeps the rank, so when every operator has at most one radicand
+    the integer vectors are ranked directly.
     """
-    perms = all_permutations(b.m)
-    rows = [[op.coefficient(p) for p in perms] for _, op in b.flat()]
-    rank = surd_rank(rows)
-    expected = len(perms)
+    ops = [op for _, op in b.flat()]
+    if all(len(op._parts) <= 1 for op in ops):
+        rank = fraction_rank([vec.tolist() for op in ops for _, vec in op._parts.values()])
+    else:
+        perms = all_permutations(b.m)
+        rank = surd_rank([[op.coefficient(p) for p in perms] for op in ops])
+    expected = factorial(b.m)
     failures = ()
     if rank != expected:
         failures = (
             CheckFailure(
-                identity=f"rank of the {len(rows)}x{expected} expansion == {expected}",
+                identity=f"rank of the {len(ops)}x{expected} expansion == {expected}",
                 witness=f"got rank {rank}",
             ),
         )
@@ -422,7 +340,8 @@ def run_suite(
     ``suites=None`` selects every suite applicable to the kind (the
     orthonormality property does not hold for the young kind, so it is
     included only for the hermitian one).  At degree five and above an
-    unspecified ``sample`` defaults to 500 orthonormality pairs.
+    unspecified ``sample`` defaults to 500 orthonormality pairs.  ``jobs``
+    is accepted for compatibility and ignored.
     """
     if suites is None:
         suites = _SUITES if kind == "hermitian" else ("table", "complete", "independence")
@@ -435,9 +354,9 @@ def run_suite(
     reports = []
     for name in suites:
         if name == "table":
-            reports.append(verify_multiplication_table(b, jobs=jobs))
+            reports.append(verify_multiplication_table(b))
         elif name == "ortho":
-            reports.append(verify_orthonormality(b, sample=sample, seed=seed, jobs=jobs))
+            reports.append(verify_orthonormality(b, sample=sample, seed=seed))
         elif name == "complete":
             reports.append(verify_completeness_and_nesting(m))
         elif name == "independence":

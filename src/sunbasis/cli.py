@@ -83,7 +83,6 @@ class RunConfig:
     cap: int | None = None
     sample: int | None = None
     seed: int | None = None
-    jobs: int | None = None
 
     def __post_init__(self) -> None:
         if self.fmt not in FORMATS:
@@ -94,8 +93,6 @@ class RunConfig:
             raise UsageError(f"--cap must be positive, got {self.cap}")
         if self.sample is not None and self.sample < 1:
             raise UsageError(f"--sample must be positive, got {self.sample}")
-        if self.jobs is not None and self.jobs < 1:
-            raise UsageError(f"--jobs must be positive, got {self.jobs}")
 
     @staticmethod
     def from_args(args: argparse.Namespace) -> "RunConfig":
@@ -118,7 +115,6 @@ class RunConfig:
             cap=opt("cap"),
             sample=opt("sample"),
             seed=opt("seed"),
-            jobs=opt("jobs"),
         )
 
 
@@ -472,7 +468,6 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[int, str]:
                 suites,
                 sample=args.sample,
                 seed=args.seed,
-                jobs=args.jobs,
             )
         except ValueError as exc:
             raise UsageError(str(exc)) from None
@@ -574,7 +569,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
             suites,
             sample=args.sample,
             seed=args.seed,
-            jobs=args.jobs,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -707,7 +701,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sp.add_argument("--sample", type=int, default=None, help="orthonormality pair sample size")
     sp.add_argument("--seed", type=int, default=0, help="sampling seed")
-    sp.add_argument("--jobs", type=int, default=None, help="worker processes")
+    sp.add_argument("--jobs", type=int, default=None, help="accepted and ignored")
     sp.set_defaults(func=_cmd_basis)
     subparsers["basis"] = sp
 
@@ -732,7 +726,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sp.add_argument("--sample", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=None)
+    sp.add_argument("--jobs", type=int, default=None, help="accepted and ignored")
     sp.set_defaults(func=_cmd_verify)
     subparsers["verify"] = sp
 

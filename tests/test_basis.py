@@ -1,16 +1,20 @@
+import importlib
 import math
+import pkgutil
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from sunbasis.algebra import AlgebraElement, element_from_json, multiply
+import sunbasis
+from sunbasis import basis as basis_module
+from sunbasis.algebra import AlgebraElement, element_from_json, multiply, trace
 from sunbasis.basis import (
     BasisBlock,
     BasisMatrix,
     assemble,
     basis_from_json,
     basis_to_json,
-    resolve_jobs,
     run_suite,
     verify_completeness_and_nesting,
     verify_linear_independence,
@@ -20,7 +24,7 @@ from sunbasis.basis import (
 from sunbasis.coefficients import Surd
 from sunbasis.permutations import all_permutations
 from sunbasis.projectors import hermitian_projector, symmetrizer, young_projector
-from sunbasis.tableaux import YoungTableau
+from sunbasis.tableaux import YoungTableau, enumerate_tableaux
 
 
 def T(*rows):
@@ -102,13 +106,6 @@ def test_multiplication_table_passes(m, kind):
     assert report.checked == math.factorial(m) ** 2
 
 
-def test_table_parallel_matches_serial():
-    b = assemble(3, "hermitian")
-    assert verify_multiplication_table(b, jobs=1) == verify_multiplication_table(
-        b, jobs=3
-    )
-
-
 def _corrupted(b: BasisMatrix, scale=Fraction(2)) -> BasisMatrix:
     """Copy with the first off-diagonal operator of the first size-2+ block rescaled."""
     blocks = []
@@ -177,6 +174,19 @@ def test_orthonormality_detects_corruption():
     assert not report.passed
 
 
+def test_orthonormality_witness_gives_expected_and_actual():
+    b = assemble(3, "hermitian")
+    bad = _corrupted(b)
+    report = verify_orthonormality(bad)
+    # the doubled operator pairs with itself to four times its dimension
+    # and stays orthogonal to everything else
+    name = bad.describe((1, 0, 1))
+    dim = trace(b.blocks[1].operators[0][0])
+    assert [(f.identity, f.witness) for f in report.failures] == [
+        (f"<{name}, {name}> == dim({name})", f"expected {dim}, got {dim * 4}")
+    ]
+
+
 # -- completeness, nesting, independence ---------------------------------------
 
 
@@ -187,6 +197,34 @@ def test_completeness_and_nesting(m):
     # one identity check plus one nesting check per lower-degree tableau
     parents = sum(blk.size for blk in assemble(max(m - 1, 1), "hermitian").blocks)
     assert report.checked == (1 if m == 1 else 1 + parents)
+
+
+def test_completeness_witness_names_first_difference(monkeypatch):
+    target = T((1, 2), (3,))
+    real = basis_module.hermitian_projector
+    extra = real(target).element
+
+    def rescaled(t):
+        proj = real(t)
+        if t == target:
+            return replace(proj, element=proj.element.scale(Surd.rational(2)))
+        return proj
+
+    monkeypatch.setattr(basis_module, "hermitian_projector", rescaled)
+    report = verify_completeness_and_nesting(3)
+    parent = next(t for t in enumerate_tableaux(2) if target in t.descendants())
+    identity = AlgebraElement.identity(3)
+    embedded = real(parent).element.embed(3)
+    p = extra.support()[0]
+
+    def witness(expected):
+        got = expected.coefficient(p) + extra.coefficient(p)
+        return f"first differing permutation {p}: expected {expected.coefficient(p)}, got {got}"
+
+    assert [(f.identity, f.witness) for f in report.failures] == [
+        ("sum of all degree-3 projectors == id", witness(identity)),
+        (f"descendant projector sum == embedded projector of {parent}", witness(embedded)),
+    ]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -206,6 +244,45 @@ def test_linear_independence_detects_degeneracy():
     report = verify_linear_independence(BasisMatrix(3, "hermitian", tuple(blocks)))
     assert not report.passed
     assert "rank" in report.failures[0].witness
+
+
+def test_linear_independence_ranks_integer_vectors_without_surds(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("single-radicand operators need no surd rows")
+
+    monkeypatch.setattr(basis_module, "surd_rank", refuse)
+    assert verify_linear_independence(assemble(4, "hermitian")).passed
+
+
+def test_linear_independence_mixed_radicand_fallback(monkeypatch):
+    calls = []
+    real = basis_module.surd_rank
+
+    def spy(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(basis_module, "surd_rank", spy)
+    b = assemble(3, "hermitian")
+    blk = b.blocks[1]
+    # adding √2 times another operator keeps the span but mixes radicands
+    mixed = blk.operators[0][1] + blk.operators[1][0].scale(Surd.sqrt(2))
+    assert len({d for _, c in mixed.items() for d, _ in c.terms()}) > 1
+
+    def with_grid(grid):
+        blocks = (b.blocks[0], BasisBlock(blk.diagram, blk.tableaux, grid), b.blocks[2])
+        return BasisMatrix(3, "hermitian", blocks)
+
+    report = verify_linear_independence(
+        with_grid(((blk.operators[0][0], mixed), blk.operators[1]))
+    )
+    assert report.passed
+    assert calls == [6]
+    duplicated = verify_linear_independence(
+        with_grid(((blk.operators[0][0], mixed), (mixed, blk.operators[1][1])))
+    )
+    assert [f.witness for f in duplicated.failures] == ["got rank 5"]
+    assert calls == [6, 6]
 
 
 # -- basis-change invariance -----------------------------------------------------
@@ -261,6 +338,31 @@ def test_run_suite_young_skips_orthonormality():
     assert all(r.passed for r in reports)
 
 
+def test_jobs_is_accepted_and_ignored():
+    bad = _corrupted(assemble(3, "hermitian"))
+    assert verify_multiplication_table(bad, jobs=3) == verify_multiplication_table(bad)
+    assert verify_orthonormality(bad, jobs=3) == verify_orthonormality(bad)
+    assert run_suite(3, jobs=3) == run_suite(3)
+
+
+def _clear_caches():
+    for info in pkgutil.iter_modules(sunbasis.__path__):
+        module = importlib.import_module(f"sunbasis.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                obj.cache_clear()
+
+
+def test_warm_cache_suite_matches_cold():
+    run_suite(4)
+    warm = run_suite(4)
+    _clear_caches()
+    assert assemble.cache_info().currsize == 0
+    cold = run_suite(4)
+    assert cold == warm
+    assert [r.checked for r in cold] == [576, 576, 5, 1]
+
+
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError, match="unknown suites"):
         run_suite(3, "hermitian", ("table", "unitarity"))
@@ -293,11 +395,3 @@ def test_basis_json_round_trip():
                 for op in row:
                     assert element_from_json(op).m == 3
 
-
-def test_resolve_jobs(monkeypatch):
-    assert resolve_jobs(3) == 3
-    assert resolve_jobs(0) == 1
-    monkeypatch.setenv("SUNBASIS_JOBS", "5")
-    assert resolve_jobs() == 5
-    monkeypatch.delenv("SUNBASIS_JOBS")
-    assert resolve_jobs() >= 1

@@ -307,6 +307,16 @@ def test_json_output_is_deterministic():
     assert run(args) == run(args)
 
 
+def test_jobs_flag_is_accepted_and_ignored(tmp_path):
+    plain = run(["verify", "--m", "4"])
+    assert plain[0] == 0
+    assert run(["verify", "--m", "4", "--jobs", "2"]) == plain
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"jobs": 0}))
+    assert run(["verify", "--m", "4", "--config", str(config)]) == plain
+    assert run(["basis", "--m", "3", "--jobs", "2"]) == run(["basis", "--m", "3"])
+
+
 def test_out_writes_file_and_keeps_stdout_quiet(tmp_path):
     path = tmp_path / "dims.json"
     rc, out, _ = run(["dims", "--m", "4", "--out", str(path)])
@@ -336,8 +346,8 @@ def test_unknown_format_is_usage_error():
     "argv",
     [
         ["represent", "--N", "2", "--op", "{}", "--cap", "0"],
-        ["verify", "--m", "3", "--jobs", "0"],
         ["verify", "--m", "3", "--sample", "-5"],
+        ["basis", "--m", "3", "--verify", "ortho", "--sample", "0"],
     ],
 )
 def test_nonpositive_knobs_are_usage_errors(argv):
