@@ -28,8 +28,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SHA_FILE = GOLDEN / "sha256.json"
 INLINE_LIMIT = 50_000
 
-# one transition with sqrt(3) coefficients, as `transition --m 3 --from 2 --to 3` prints it
-OP_FILE = GOLDEN / "transition_m3_2_3.json"
+# operators fed to `represent --rank`, each as the CLI command in the value prints it:
+# a transition with sqrt(3) coefficients, the Hermitian projector of the first
+# (2,2) tableau and the sqrt-transition between the first two (3,1) tableaux
+OP_FILES = {
+    "transition_m3_2_3": ["transition", "--m", "3", "--from", "2", "--to", "3"],
+    "projector_m4_t5": ["projector", "--m", "4", "--tableau", "5"],
+    "transition_m4_3_2": ["transition", "--m", "4", "--from", "3", "--to", "2"],
+}
 
 # (first, last) tableau index of every m = 4 shape
 _M4_PAIRS = ((1, 1), (2, 4), (5, 6), (7, 9), (10, 10))
@@ -54,9 +60,14 @@ def _runs() -> dict[str, list[str]]:
         runs[f"basis_m3_{fmt}"] = ["basis", "--m", "3", "--format", fmt]
     runs["verify_m4"] = ["verify", "--m", "4"]
     runs["dims_m5"] = ["dims", "--m", "5"]
-    runs["represent_n3_rank"] = [
-        "represent", "--N", "3", "--op", f"@{OP_FILE}", "--rank",
-    ]
+    for name, op, n in (
+        ("represent_n3_rank", "transition_m3_2_3", 3),
+        ("represent_n5_p4_22_rank", "projector_m4_t5", 5),
+        ("represent_n4_t4_31_rank", "transition_m4_3_2", 4),
+    ):
+        runs[name] = [
+            "represent", "--N", str(n), "--op", f"@{GOLDEN / f'{op}.json'}", "--rank",
+        ]
     return runs
 
 
@@ -87,7 +98,8 @@ def test_cli_output_matches_golden(name):
 
 def _capture() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    OP_FILE.write_text(_stdout(["transition", "--m", "3", "--from", "2", "--to", "3"]))
+    for op, argv in OP_FILES.items():
+        (GOLDEN / f"{op}.json").write_text(_stdout(argv))
     for old in GOLDEN.glob("*.out"):
         old.unlink()
     hashes = {}
