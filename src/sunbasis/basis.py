@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from functools import cache
 from math import factorial
 
+import numpy as np
+
 from . import _fast
 from ._linalg import fraction_rank, surd_rank
 from .algebra import AlgebraElement, scalar_product, trace
 from .coefficients import PolyN
-from .permutations import all_permutations
 from .projectors import hermitian_projector, young_projector
 from .tableaux import (
     YoungDiagram,
@@ -300,17 +301,24 @@ def verify_linear_independence(b: BasisMatrix) -> VerificationReport:
     """Check that the m! operators span the full group algebra.
 
     Each operator expands to a coefficient row over the m! permutations;
-    the stacked matrix must have full rank over the surd field.  An operator
-    with one radicand is √d/denominator times its integer vector, and that
+    the stacked matrix must have full rank over the surd field.  Rows are
+    passed sparse, as the operator's nonzero positions.  An operator with
+    one radicand is √d/denominator times its integer vector, and that
     scaling keeps the rank, so when every operator has at most one radicand
     the integer vectors are ranked directly.
     """
     ops = [op for _, op in b.flat()]
     if all(len(op._parts) <= 1 for op in ops):
-        rank = fraction_rank([vec.tolist() for op in ops for _, vec in op._parts.values()])
+        rows = []
+        for op in ops:
+            for _, vec in op._parts.values():
+                pos = np.flatnonzero(vec)
+                rows.append(dict(zip(pos.tolist(), vec[pos].tolist())))
+        rank = fraction_rank(rows)
     else:
-        perms = all_permutations(b.m)
-        rank = surd_rank([[op.coefficient(p) for p in perms] for op in ops])
+        rank = surd_rank(
+            [{pos: op._coefficient_at(pos) for pos in op._positions().tolist()} for op in ops]
+        )
     expected = factorial(b.m)
     failures = ()
     if rank != expected:

@@ -96,25 +96,16 @@ class RunConfig:
 
     @staticmethod
     def from_args(args: argparse.Namespace) -> "RunConfig":
-        def opt(name: str):
-            value = getattr(args, name, None)
-            if value is None:
-                return None
-            try:
-                return int(value)
-            except (TypeError, ValueError):
-                raise UsageError(f"--{name} must be an integer, got {value!r}") from None
-
         return RunConfig(
             command=args.command,
             fmt=args.format,
-            m=opt("m"),
+            m=getattr(args, "m", None),
             kind=getattr(args, "kind", None),
             suites=getattr(args, "suite", getattr(args, "verify", None)),
             out=args.out,
-            cap=opt("cap"),
-            sample=opt("sample"),
-            seed=opt("seed"),
+            cap=getattr(args, "cap", None),
+            sample=getattr(args, "sample", None),
+            seed=getattr(args, "seed", None),
         )
 
 
@@ -754,7 +745,7 @@ def _scan_config_path(argv: list[str]) -> str | None:
     return None
 
 
-def _load_config(path: str, known_dests: set[str]) -> dict[str, Any]:
+def _load_config(path: str, known_dests: set[str], int_dests: set[str]) -> dict[str, Any]:
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -768,24 +759,35 @@ def _load_config(path: str, known_dests: set[str]) -> dict[str, Any]:
         dest = _CONFIG_KEY_MAP.get(key, str(key).replace("-", "_"))
         if dest not in known_dests:
             raise UsageError(f"unknown config key {key!r}")
-        out[dest] = value
+        out[dest] = _config_int(key, value) if dest in int_dests else value
     return out
+
+
+def _config_int(key: str, value: Any) -> int:
+    """An integer option's config value; bools and non-integral numbers are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-    known_dests = {
-        action.dest
-        for sp in subparsers.values()
-        for action in sp._actions
-        if action.dest != "help"
-    }
+    actions = [action for sp in subparsers.values() for action in sp._actions]
+    known_dests = {action.dest for action in actions if action.dest != "help"}
+    int_dests = {action.dest for action in actions if action.type is int}
 
     try:
         config_path = _scan_config_path(argv)
         if config_path is not None:
-            defaults = _load_config(config_path, known_dests)
+            defaults = _load_config(config_path, known_dests, int_dests)
             for sp in subparsers.values():
                 sp.set_defaults(**defaults)
     except UsageError as exc:

@@ -142,19 +142,13 @@ def represent(a: AlgebraElement, n: int, *, cap: int = 10_000) -> ConcreteMatrix
 def rank(c: ConcreteMatrix) -> int:
     """Exact rank over the surd field.
 
-    Rows are densified before elimination, so this is meant for the small
-    dimensions where concrete certification is useful.
+    The nonzero entries are grouped into sparse rows, so the work scales
+    with the nonzeros and no ``n**m``-wide row is built unless some row
+    mixes radicands.
     """
-    if c.is_zero():
-        return 0
-    width = c.size
-    rows: dict[int, list[Surd]] = {}
-    zero = Surd()
+    rows: dict[int, dict[int, Surd]] = {}
     for (r, col), v in c.entries.items():
-        row = rows.get(r)
-        if row is None:
-            row = rows[r] = [zero] * width
-        row[col] = v
+        rows.setdefault(r, {})[col] = v
     return surd_rank([rows[r] for r in sorted(rows)])
 
 

@@ -397,6 +397,39 @@ def test_config_rejects_bad_content(tmp_path, content):
     assert rc == 2
 
 
+_IDENTITY_M2 = {"m": 2, "terms": [{"perm": [1, 2], "coeff": [[1, "1/1"]]}]}
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("N", 2.5),
+        ("N", True),
+        ("N", [3]),
+        ("N", "2.5"),
+        ("m", 3.7),
+        ("cap", 1.5),
+        ("sample", False),
+        ("seed", 0.5),
+    ],
+)
+def test_config_rejects_non_integer_values(tmp_path, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": 3, "op": _IDENTITY_M2, "rank": True, key: value}))
+    rc, out, err = run(["represent", "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert f"config key {key!r}" in err
+
+
+@pytest.mark.parametrize("value", [3, 3.0, "3"])
+def test_config_accepts_integral_values(tmp_path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"N": value, "op": _IDENTITY_M2, "rank": True}))
+    payload = run_json(["represent", "--config", str(cfg)])
+    assert (payload["size"], payload["rank"]) == (9, 9)
+
+
 def test_config_missing_file():
     rc, _, _ = run(["dims", "--m", "3", "--config", "/no/such/cfg.json"])
     assert rc == 2

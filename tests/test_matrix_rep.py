@@ -163,14 +163,23 @@ def test_blocks_vanish_together():
                 assert flags == {longest_column > n}
 
 
+def test_rank_at_the_default_cap():
+    # size 21**3 = 9261, just below the default cap of 10 000
+    p = hermitian_projector(T((1, 2), (3,)))
+    got = rank(represent(p.element, 21))
+    assert got == 3080
+    assert dimension_poly(p).eval(21) == Surd.rational(got)
+
+
 def test_permutations_become_dependent_below_the_degree():
     # at n=2, m=3 the six permutation matrices only span a 5-dimensional space
     def flat_rows(n, m):
+        # each matrix flattened to one sparse row: position r*size + c -> entry
         rows = []
         size = n**m
         for p in all_permutations(m):
             mat = represent(AlgebraElement.from_permutation(p), n)
-            rows.append([mat.entry(r, c) for r in range(size) for c in range(size)])
+            rows.append({r * size + c: v for (r, c), v in mat.entries.items()})
         return rows
 
     assert surd_rank(flat_rows(2, 3)) == 5
