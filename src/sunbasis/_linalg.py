@@ -2,16 +2,18 @@
 
 Matrices are given as sparse rows: each row maps a column index to its
 entry, and absent columns are zero, so the work scales with the nonzeros
-rather than with the width of the matrix.
+rather than with the width of the matrix.  ``fraction_rank`` is the one
+elimination; ``surd_rank`` reduces a rank over the surd field to it by
+writing every row in rational coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .coefficients import Surd
+from .coefficients import squarefree_decompose
 
 
 def _primitive(row: Mapping[int, int | Fraction]) -> dict[int, int]:
@@ -57,59 +59,42 @@ def fraction_rank(rows: Iterable[Mapping[int, int | Fraction]]) -> int:
     return len(pivots)
 
 
-def _single_radicand(entries: Iterable[Surd]) -> int | None:
-    """The lone radicand shared by the entries, or None if mixed."""
-    rads: set[int] = set()
-    for entry in entries:
-        rads.update(d for d, _ in entry.terms())
-        if len(rads) > 1:
-            return None
-    return next(iter(rads), 1)
+def surd_rank(rows: Iterable[Mapping[int, Mapping[int, int | Fraction]]]) -> int:
+    """Rank of a sparse matrix over the surd field, by its rational coordinates.
 
-
-def surd_rank(rows: Sequence[Mapping[int, Surd]]) -> int:
-    """Rank of a sparse matrix over the surd field.
-
-    Scaling a row by a nonzero scalar keeps the rank, so a row whose
-    nonzeros share one radicand is divided by its root.  If that
-    rationalizes every row, the rational elimination applies; otherwise the
-    rows are densified and eliminated over the surd field.
+    Each row maps a squarefree radicand d to the sparse rational row that √d
+    multiplies: the layout of ``AlgebraElement`` parts and of
+    ``Surd.terms()``.  A row with one radicand is divided by its root, which
+    keeps the rank and makes the row rational.  The rows that still mix
+    radicands lie in K^n, where B is {1} closed under squarefree products
+    with their radicands and {√e : e ∈ B} is a Q-basis of K.  The rational
+    rows √e·row, e ∈ B, span the K-span of the rows written in those
+    coordinates, so their rank is |B| times the rank over K.  In √e·row the
+    coefficient of √s at column c sits at key c·|B| + index(s), where
+    √e·√d = g·√s.  When no row mixes radicands, |B| = 1 and the rows are
+    ranked as they are.
     """
-    rational_rows: list[dict[int, Fraction]] = []
+    rows = list(rows)
+    basis = [1]
     for row in rows:
-        d = _single_radicand(row.values())
-        if d is None:
-            width = 1 + max(c for r in rows for c in r)
-            zero = Surd()
-            return _surd_elimination(
-                [[r.get(c, zero) for c in range(width)] for r in rows]
-            )
-        rational_rows.append({c: x.coefficient(d) for c, x in row.items()})
-    return fraction_rank(rational_rows)
-
-
-def _surd_elimination(rows: Sequence[Sequence[Surd]]) -> int:
-    """Rank of a dense matrix over the surd field by Gaussian elimination."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, len(work)) if work[i][col]), None)
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        lead = work[row]
-        inv = lead[col].inverse()
-        for i in range(row + 1, len(work)):
-            f = work[i][col]
-            if f:
-                ratio = f * inv
-                work[i] = [a - ratio * b for a, b in zip(work[i], lead)]
-        row += 1
-        rank += 1
-        if row == len(work):
-            break
-    return rank
+        if len(row) > 1:
+            for d in row:
+                if d not in basis:
+                    basis += [squarefree_decompose(e * d)[0] for e in basis]
+    if len(basis) == 1:
+        return fraction_rank(part for row in rows for part in row.values())
+    index = {s: k for k, s in enumerate(basis)}
+    width = len(basis)
+    expanded: list[dict[int, int | Fraction]] = []
+    for row in rows:
+        if len(row) == 1:
+            row = {1: next(iter(row.values()))}
+        for e in basis:
+            out: dict[int, int | Fraction] = {}
+            for d, part in row.items():
+                s, g = squarefree_decompose(e * d)
+                k = index[s]
+                for c, x in part.items():
+                    out[c * width + k] = x * g
+            expanded.append(out)
+    return fraction_rank(expanded) // width

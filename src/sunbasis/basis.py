@@ -18,12 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
 from . import _fast
-from ._linalg import fraction_rank, surd_rank
+from ._linalg import surd_rank
 from .algebra import AlgebraElement, scalar_product, trace
 from .coefficients import PolyN
 from .projectors import hermitian_projector, young_projector
@@ -301,24 +301,22 @@ def verify_linear_independence(b: BasisMatrix) -> VerificationReport:
     """Check that the m! operators span the full group algebra.
 
     Each operator expands to a coefficient row over the m! permutations;
-    the stacked matrix must have full rank over the surd field.  Rows are
-    passed sparse, as the operator's nonzero positions.  An operator with
-    one radicand is √d/denominator times its integer vector, and that
-    scaling keeps the rank, so when every operator has at most one radicand
-    the integer vectors are ranked directly.
+    the stacked matrix must have full rank over the surd field.  An
+    operator is the sum over its radicands d of √d/denominator_d times an
+    integer vector; scaled by the lcm of its denominators it becomes one
+    sparse integer row per radicand, which ``surd_rank`` ranks.
     """
     ops = [op for _, op in b.flat()]
-    if all(len(op._parts) <= 1 for op in ops):
-        rows = []
-        for op in ops:
-            for _, vec in op._parts.values():
-                pos = np.flatnonzero(vec)
-                rows.append(dict(zip(pos.tolist(), vec[pos].tolist())))
-        rank = fraction_rank(rows)
-    else:
-        rank = surd_rank(
-            [{pos: op._coefficient_at(pos) for pos in op._positions().tolist()} for op in ops]
-        )
+    rows = []
+    for op in ops:
+        den = lcm(*(denom for denom, _ in op._parts.values()))
+        row = {}
+        for d, (denom, vec) in op._parts.items():
+            pos = np.flatnonzero(vec)
+            scale = den // denom
+            row[d] = {p: x * scale for p, x in zip(pos.tolist(), vec[pos].tolist())}
+        rows.append(row)
+    rank = surd_rank(rows)
     expected = factorial(b.m)
     failures = ()
     if rank != expected:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -64,49 +63,6 @@ SUITE_NAMES = ("table", "ortho", "complete", "independence")
 
 class UsageError(Exception):
     """Invalid arguments or inputs; mapped to exit code 2."""
-
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Run-wide knobs, validated once before dispatch.
-
-    Subcommands read what applies to them; fields irrelevant to a
-    subcommand stay None.
-    """
-
-    command: str
-    fmt: str
-    m: int | None = None
-    kind: str | None = None
-    suites: str | None = None
-    out: str | None = None
-    cap: int | None = None
-    sample: int | None = None
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.fmt not in FORMATS:
-            raise UsageError(f"unknown format {self.fmt!r}; choose from {', '.join(FORMATS)}")
-        if self.m is not None and self.m < 1:
-            raise UsageError(f"--m must be at least 1, got {self.m}")
-        if self.cap is not None and self.cap < 1:
-            raise UsageError(f"--cap must be positive, got {self.cap}")
-        if self.sample is not None and self.sample < 1:
-            raise UsageError(f"--sample must be positive, got {self.sample}")
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "RunConfig":
-        return RunConfig(
-            command=args.command,
-            fmt=args.format,
-            m=getattr(args, "m", None),
-            kind=getattr(args, "kind", None),
-            suites=getattr(args, "suite", getattr(args, "verify", None)),
-            out=args.out,
-            cap=getattr(args, "cap", None),
-            sample=getattr(args, "sample", None),
-            seed=getattr(args, "seed", None),
-        )
 
 
 # -- LaTeX emission ----------------------------------------------------------
@@ -210,13 +166,10 @@ def _parse_shape(spec: Any) -> YoungDiagram:
         except ValueError as exc:
             raise UsageError(f"bad shape {spec!r}: {exc}") from None
     elif isinstance(spec, (list, tuple)):
-        rows = tuple(int(part) for part in spec)
+        rows = tuple(_config_int(f"each part of shape {spec!r}", part) for part in spec)
     else:
         raise UsageError(f"bad shape {spec!r}")
-    try:
-        return YoungDiagram(rows)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return YoungDiagram(rows)
 
 
 def _tableau_from_obj(obj: Any, m: int) -> YoungTableau:
@@ -262,13 +215,9 @@ def _tableau_index(t: YoungTableau) -> int:
 
 
 def _require_m(args: argparse.Namespace) -> int:
-    m = args.m
-    if m is None:
+    if args.m is None:
         raise UsageError("--m is required")
-    m = int(m)
-    if m < 1:
-        raise UsageError(f"--m must be at least 1, got {m}")
-    return m
+    return args.m
 
 
 def _parse_suites(spec: Any) -> tuple[str, ...] | None:
@@ -290,8 +239,10 @@ def _parse_suites(spec: Any) -> tuple[str, ...] | None:
     return names
 
 
-def _reports_payload(reports) -> list[dict]:
-    return [r.to_json() for r in reports]
+def _run_suites(args: argparse.Namespace, m: int, spec: Any) -> tuple[int, list]:
+    """Run the selected suites; the exit code carries the verdict."""
+    reports = run_suite(m, args.kind, _parse_suites(spec), sample=args.sample, seed=args.seed)
+    return (EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION), reports
 
 
 def _reports_text(reports) -> list[str]:
@@ -311,10 +262,7 @@ def _reports_text(reports) -> list[str]:
 
 def _cmd_tableaux(args: argparse.Namespace) -> tuple[int, str]:
     m = _require_m(args)
-    try:
-        diagrams = partitions(m)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    diagrams = partitions(m)
     wanted = _parse_shape(args.shape) if args.shape is not None else None
     if wanted is not None and wanted.n != m:
         raise UsageError(f"shape {wanted.rows} has {wanted.n} boxes, expected {m}")
@@ -410,10 +358,7 @@ def _cmd_transition(args: argparse.Namespace) -> tuple[int, str]:
     m = _require_m(args)
     source = _parse_tableau_spec(args.src, m)
     target = _parse_tableau_spec(args.dst, m)
-    try:
-        op = transition(target, source, method=args.method)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    op = transition(target, source, method=args.method)
 
     if args.format == "json":
         payload = {
@@ -444,33 +389,15 @@ def _cmd_transition(args: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[int, str]:
     m = _require_m(args)
-    try:
-        b = assemble(m, args.kind)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-    reports = None
+    b = assemble(m, args.kind)
+    code, reports = EXIT_OK, None
     if args.verify is not None:
-        suites = _parse_suites(args.verify)
-        try:
-            reports = run_suite(
-                m,
-                args.kind,
-                suites,
-                sample=args.sample,
-                seed=args.seed,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-
-    code = EXIT_OK
-    if reports is not None and not all(r.passed for r in reports):
-        code = EXIT_VERIFICATION
+        code, reports = _run_suites(args, m, args.verify)
 
     if args.format == "json":
         payload: dict[str, Any] = {"basis": basis_to_json(b)}
         if reports is not None:
-            payload["reports"] = _reports_payload(reports)
+            payload["reports"] = [r.to_json() for r in reports]
         return code, _dump_json(payload)
     if args.format == "latex":
         lines = [f"% operator basis, m={m}, kind={b.kind}"]
@@ -522,10 +449,7 @@ def _cmd_represent(args: argparse.Namespace) -> tuple[int, str]:
         raise UsageError(f"bad operator JSON: {exc}") from None
     if args.m is not None and int(args.m) != a.m:
         raise UsageError(f"operator acts on {a.m} factors, but --m {args.m} was given")
-    try:
-        mat = represent(a, n, cap=args.cap)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    mat = represent(a, n, cap=args.cap)
     mat_rank = rank(mat) if args.rank else None
 
     if args.format == "json":
@@ -552,25 +476,14 @@ def _cmd_represent(args: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     m = _require_m(args)
-    suites = _parse_suites(args.suite)
-    try:
-        reports = run_suite(
-            m,
-            args.kind,
-            suites,
-            sample=args.sample,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    code = EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION
+    code, reports = _run_suites(args, m, args.suite)
 
     if args.format == "json":
         payload = {
             "m": m,
             "kind": args.kind,
             "passed": code == EXIT_OK,
-            "reports": _reports_payload(reports),
+            "reports": [r.to_json() for r in reports],
         }
         return code, _dump_json(payload)
     lines = [f"verification m={m} kind={args.kind}"]
@@ -584,10 +497,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
 
 def _cmd_dims(args: argparse.Namespace) -> tuple[int, str]:
     m = _require_m(args)
-    try:
-        diagrams = partitions(m)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    diagrams = partitions(m)
     rows = [(d, d.tableau_count(), dimension_formula(d)) for d in diagrams]
 
     if args.format == "json":
@@ -759,12 +669,12 @@ def _load_config(path: str, known_dests: set[str], int_dests: set[str]) -> dict[
         dest = _CONFIG_KEY_MAP.get(key, str(key).replace("-", "_"))
         if dest not in known_dests:
             raise UsageError(f"unknown config key {key!r}")
-        out[dest] = _config_int(key, value) if dest in int_dests else value
+        out[dest] = _config_int(f"config key {key!r}", value) if dest in int_dests else value
     return out
 
 
-def _config_int(key: str, value: Any) -> int:
-    """An integer option's config value; bools and non-integral numbers are refused."""
+def _config_int(what: str, value: Any) -> int:
+    """An integer from a config value; bools and non-integral numbers are refused."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, float) and value.is_integer():
@@ -774,7 +684,20 @@ def _config_int(key: str, value: Any) -> int:
             return int(value)
         except ValueError:
             pass
-    raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
+    raise UsageError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_options(args: argparse.Namespace) -> None:
+    """Range checks on the parsed options.
+
+    They run after parsing because ``--config`` values bypass argparse.
+    """
+    if args.format not in FORMATS:
+        raise UsageError(f"unknown format {args.format!r}; choose from {', '.join(FORMATS)}")
+    for name, bound in (("m", "at least 1"), ("cap", "positive"), ("sample", "positive")):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name} must be {bound}, got {value}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -804,21 +727,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
-        cfg = RunConfig.from_args(args)
+        _check_options(args)
         code, body = args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     # single writer for all user-visible output
     if not body.endswith("\n"):
         body += "\n"
-    if cfg.out:
+    if args.out:
         try:
-            Path(cfg.out).write_text(body)
+            Path(args.out).write_text(body)
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_USAGE

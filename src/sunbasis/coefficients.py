@@ -93,6 +93,11 @@ class Surd:
             return x
         return Surd.rational(_as_fraction(x))
 
+    @staticmethod
+    def _operand(x: object) -> "Surd":
+        """``x`` as a surd, or NotImplemented if it is no scalar."""
+        return Surd._coerce(x) if isinstance(x, _SCALARS) else NotImplemented
+
     # -- inspection -----------------------------------------------------
 
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
@@ -123,7 +128,9 @@ class Surd:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: SurdLike) -> "Surd":
-        o = Surd._coerce(other)
+        o = Surd._operand(other)
+        if o is NotImplemented:
+            return o
         out = dict(self._terms)
         for d, c in o._terms:
             out[d] = out.get(d, Fraction(0)) + c
@@ -135,13 +142,17 @@ class Surd:
         return Surd({d: -c for d, c in self._terms})
 
     def __sub__(self, other: SurdLike) -> "Surd":
-        return self + (-Surd._coerce(other))
+        o = Surd._operand(other)
+        return o if o is NotImplemented else self + (-o)
 
     def __rsub__(self, other: SurdLike) -> "Surd":
-        return Surd._coerce(other) + (-self)
+        o = Surd._operand(other)
+        return o if o is NotImplemented else o + (-self)
 
     def __mul__(self, other: SurdLike) -> "Surd":
-        o = Surd._coerce(other)
+        o = Surd._operand(other)
+        if o is NotImplemented:
+            return o
         out: dict[int, Fraction] = {}
         for d1, c1 in self._terms:
             for d2, c2 in o._terms:
@@ -183,10 +194,12 @@ class Surd:
         return conj * denom.inverse()
 
     def __truediv__(self, other: SurdLike) -> "Surd":
-        return self * Surd._coerce(other).inverse()
+        o = Surd._operand(other)
+        return o if o is NotImplemented else self * o.inverse()
 
     def __rtruediv__(self, other: SurdLike) -> "Surd":
-        return Surd._coerce(other) * self.inverse()
+        o = Surd._operand(other)
+        return o if o is NotImplemented else o * self.inverse()
 
     # -- identity ----------------------------------------------------------
 
@@ -219,6 +232,10 @@ class Surd:
 
 ZERO = Surd()
 ONE = Surd.rational(1)
+
+# Operand types the binary operators accept; any other operand gets
+# NotImplemented, so Python tries the other operand's reflected method.
+_SCALARS = (int, Fraction, Surd)
 
 
 class PolyN:
@@ -253,6 +270,11 @@ class PolyN:
             return x
         return PolyN.constant(x)
 
+    @staticmethod
+    def _operand(x: object) -> "PolyN":
+        """``x`` as a polynomial, or NotImplemented if it is no scalar or polynomial."""
+        return PolyN._coerce(x) if isinstance(x, (PolyN, *_SCALARS)) else NotImplemented
+
     def coeffs(self) -> tuple[tuple[int, Surd], ...]:
         return self._coeffs
 
@@ -270,7 +292,9 @@ class PolyN:
         return bool(self._coeffs)
 
     def __add__(self, other: Union["PolyN", SurdLike]) -> "PolyN":
-        o = PolyN._coerce(other)
+        o = PolyN._operand(other)
+        if o is NotImplemented:
+            return o
         out = {k: c for k, c in self._coeffs}
         for k, c in o._coeffs:
             out[k] = out.get(k, ZERO) + c
@@ -282,13 +306,17 @@ class PolyN:
         return PolyN({k: -c for k, c in self._coeffs})
 
     def __sub__(self, other: Union["PolyN", SurdLike]) -> "PolyN":
-        return self + (-PolyN._coerce(other))
+        o = PolyN._operand(other)
+        return o if o is NotImplemented else self + (-o)
 
     def __rsub__(self, other: Union["PolyN", SurdLike]) -> "PolyN":
-        return PolyN._coerce(other) + (-self)
+        o = PolyN._operand(other)
+        return o if o is NotImplemented else o + (-self)
 
     def __mul__(self, other: Union["PolyN", SurdLike]) -> "PolyN":
-        o = PolyN._coerce(other)
+        o = PolyN._operand(other)
+        if o is NotImplemented:
+            return o
         out: dict[int, Surd] = {}
         for k1, c1 in self._coeffs:
             for k2, c2 in o._coeffs:

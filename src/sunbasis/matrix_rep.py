@@ -12,6 +12,7 @@ polynomial evaluated at ``n``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 
 from ._linalg import surd_rank
@@ -142,13 +143,15 @@ def represent(a: AlgebraElement, n: int, *, cap: int = 10_000) -> ConcreteMatrix
 def rank(c: ConcreteMatrix) -> int:
     """Exact rank over the surd field.
 
-    The nonzero entries are grouped into sparse rows, so the work scales
-    with the nonzeros and no ``n**m``-wide row is built unless some row
-    mixes radicands.
+    The nonzero entries are grouped into sparse rows, one rational row per
+    radicand, so the work scales with the nonzeros; ``surd_rank`` ranks them
+    by their rational coordinates.
     """
-    rows: dict[int, dict[int, Surd]] = {}
+    rows: dict[int, dict[int, dict[int, Fraction]]] = {}
     for (r, col), v in c.entries.items():
-        rows.setdefault(r, {})[col] = v
+        row = rows.setdefault(r, {})
+        for d, x in v.terms():
+            row.setdefault(d, {})[col] = x
     return surd_rank([rows[r] for r in sorted(rows)])
 
 

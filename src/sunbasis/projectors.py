@@ -203,12 +203,7 @@ def hermitian_staircase(t: YoungTableau) -> Projector:
     n = t.n
     ancestors = [t.ancestor(k) for k in range(max(n - 2, 0), 0, -1)]
     left = [young_projector(a).element.embed(n) for a in ancestors]
-    p = AlgebraElement.identity(n)
-    for el in left:
-        p = multiply(p, el)
-    p = multiply(p, young_projector(t).element)
-    for el in reversed(left):
-        p = multiply(p, el)
+    p = _product(n, left + [young_projector(t).element] + left[::-1])
     c = _idempotency_scale(p)
     if c != Surd.rational(1):
         p = p.scale(Surd.rational(1) / c)
@@ -216,16 +211,17 @@ def hermitian_staircase(t: YoungTableau) -> Projector:
     bar_factors += [rows_of(t), columns_of(t)]
     for a in reversed(ancestors):
         bar_factors += [rows_of(a, n), columns_of(a, n)]
-    beta = proportionality(p, _product(n, bar_factors))
+    beta = proportionality(p, _product(n, [f.element() for f in bar_factors]))
     if beta is None:
         raise ValueError("staircase operator not proportional to its bar product")
     return Projector(t, "staircase", p, beta)
 
 
-def _product(n: int, factors: list[SymmetrizerSet]) -> AlgebraElement:
+def _product(n: int, factors: list[AlgebraElement]) -> AlgebraElement:
+    """The identity of S_n times each factor in turn, left to right."""
     p = AlgebraElement.identity(n)
     for f in factors:
-        p = multiply(p, f.element())
+        p = multiply(p, f)
     return p
 
 
@@ -256,7 +252,7 @@ def mold_factors(t: YoungTableau) -> tuple[tuple[SymmetrizerSet, int], ...]:
 def hermitian_mold(t: YoungTableau) -> Projector:
     """Shortened Hermitian construction; equals hermitian_staircase exactly."""
     factors = mold_factors(t)
-    bar = _product(t.n, [f for f, _ in factors])
+    bar = _product(t.n, [f.element() for f, _ in factors])
     beta = Surd.rational(1) / _idempotency_scale(bar)
     return Projector(t, "mold", bar.scale(beta), beta)
 

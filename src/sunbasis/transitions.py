@@ -28,7 +28,13 @@ from functools import cache
 
 from .algebra import AlgebraElement, dagger, multiply, proportionality
 from .coefficients import Surd
-from .projectors import SymmetrizerSet, hermitian_projector, mold_factors, young_projector
+from .projectors import (
+    SymmetrizerSet,
+    _product,
+    hermitian_projector,
+    mold_factors,
+    young_projector,
+)
 from .tableaux import YoungTableau, tableau_permutation
 
 __all__ = [
@@ -73,13 +79,6 @@ def _require_same_shape(theta: YoungTableau, phi: YoungTableau) -> None:
             "transition requires tableaux of equal shape, got "
             f"{theta.shape.rows} and {phi.shape.rows}"
         )
-
-
-def _chain(m: int, elements: list[AlgebraElement]) -> AlgebraElement:
-    acc = AlgebraElement.identity(m)
-    for e in elements:
-        acc = multiply(acc, e)
-    return acc
 
 
 def _normalize(bar: AlgebraElement, target: AlgebraElement) -> tuple[AlgebraElement, Fraction]:
@@ -201,8 +200,8 @@ def unitary_transition_compact(theta: YoungTableau, phi: YoungTableau) -> Transi
     a_phi = f_phi[i_phi][0].element()
     if multiply(a_theta, rho) != multiply(rho, a_phi):
         raise ValueError("cut antisymmetrizer sets do not match across the relabelling")
-    left = _chain(m, [s.element() for s, _ in f_theta[: i_theta + 1]])
-    right = _chain(m, [s.element() for s, _ in f_phi[i_phi + 1 :]])
+    left = _product(m, [s.element() for s, _ in f_theta[: i_theta + 1]])
+    right = _product(m, [s.element() for s, _ in f_phi[i_phi + 1 :]])
     bar = multiply(multiply(left, rho), right)
     element, tau_squared = _normalize(bar, hermitian_projector(theta).element)
     return TransitionOperator(

@@ -306,6 +306,18 @@ def test_big_coefficients_match_oracle(data):
     assert trace(a) == PolyN(oracle_trace(da))
 
 
+def test_scalars_on_the_left_defer_to_the_element():
+    p, q = Permutation.identity(3), Permutation.transposition(3, 1, 2)
+    a = AlgebraElement(3, {p: 1, q: Surd.sqrt(3)})
+    r2 = Surd.sqrt(2)
+    assert r2 * a == a.scale(r2)
+    assert Fraction(1, 2) * a == a.scale(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        r2 + a
+    with pytest.raises(TypeError):
+        PolyN.constant(2) * a
+
+
 def test_vectors_promote_exactly_at_the_guard():
     p, q = Permutation.identity(3), Permutation.transposition(3, 1, 2)
     below = AlgebraElement(3, {p: 2**62 - 1})

@@ -247,22 +247,16 @@ def test_linear_independence_detects_degeneracy():
 
 
 def test_linear_independence_ranks_integer_vectors_without_surds(monkeypatch):
-    def refuse(rows):
-        raise AssertionError("single-radicand operators need no surd rows")
+    b = assemble(4, "hermitian")
 
-    monkeypatch.setattr(basis_module, "surd_rank", refuse)
-    assert verify_linear_independence(assemble(4, "hermitian")).passed
+    def refuse(*args, **kwargs):
+        raise AssertionError("single-radicand operators need no surds")
+
+    monkeypatch.setattr(Surd, "__init__", refuse)
+    assert verify_linear_independence(b).passed
 
 
-def test_linear_independence_mixed_radicand_fallback(monkeypatch):
-    calls = []
-    real = basis_module.surd_rank
-
-    def spy(rows):
-        calls.append(len(rows))
-        return real(rows)
-
-    monkeypatch.setattr(basis_module, "surd_rank", spy)
+def test_linear_independence_mixed_radicands():
     b = assemble(3, "hermitian")
     blk = b.blocks[1]
     # adding √2 times another operator keeps the span but mixes radicands
@@ -277,12 +271,16 @@ def test_linear_independence_mixed_radicand_fallback(monkeypatch):
         with_grid(((blk.operators[0][0], mixed), blk.operators[1]))
     )
     assert report.passed
-    assert calls == [6]
+    # with the √2 part a third as large the two mixed operators still span,
+    # and their √6 parts have different denominators
+    third = blk.operators[0][1] + blk.operators[1][0].scale(Surd.sqrt(2) / 3)
+    assert verify_linear_independence(
+        with_grid(((blk.operators[0][0], mixed), (third, blk.operators[1][1])))
+    ).passed
     duplicated = verify_linear_independence(
         with_grid(((blk.operators[0][0], mixed), (mixed, blk.operators[1][1])))
     )
     assert [f.witness for f in duplicated.failures] == ["got rank 5"]
-    assert calls == [6, 6]
 
 
 # -- basis-change invariance -----------------------------------------------------

@@ -430,6 +430,19 @@ def test_config_accepts_integral_values(tmp_path, value):
     assert (payload["size"], payload["rank"]) == (9, 9)
 
 
+@pytest.mark.parametrize(
+    "m,shape,bad",
+    [(2, [[1]], "[1]"), (3, [2.5, 1], "2.5"), (3, [True, True, True], "True")],
+)
+def test_config_rejects_non_integer_shape_parts(tmp_path, m, shape, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": m, "shape": shape}))
+    rc, out, err = run(["tableaux", "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: each part of shape {shape!r} must be an integer, got {bad}\n"
+
+
 def test_config_missing_file():
     rc, _, _ = run(["dims", "--m", "3", "--config", "/no/such/cfg.json"])
     assert rc == 2

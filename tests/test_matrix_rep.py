@@ -14,7 +14,12 @@ from sunbasis.matrix_rep import (
     represent,
 )
 from sunbasis.permutations import Permutation, all_permutations
-from sunbasis.projectors import dimension_poly, hermitian_projector, symmetrizer
+from sunbasis.projectors import (
+    dimension_formula,
+    dimension_poly,
+    hermitian_projector,
+    symmetrizer,
+)
 from sunbasis.tableaux import YoungTableau, enumerate_tableaux
 from sunbasis.transitions import unitary_transition_compact
 from sunbasis._linalg import surd_rank
@@ -171,15 +176,28 @@ def test_rank_at_the_default_cap():
     assert dimension_poly(p).eval(21) == Surd.rational(got)
 
 
+def test_rank_of_a_mixed_radicand_operator():
+    # P + √2·T, T the √3 transition into P's image: rows mix 1 and √6, and
+    # the image is still P's, so the rank is P's dimension at n = 7
+    theta, phi = T((1, 2), (3,)), T((1, 3), (2,))
+    p = hermitian_projector(theta).element
+    t = unitary_transition_compact(theta, phi).element
+    mixed = p + t.scale(Surd.sqrt(2))
+    mat = represent(mixed, 7)
+    assert any(len(v.terms()) > 1 for v in mat.entries.values())
+    assert rank(mat) == 112
+    assert dimension_formula(theta.shape).eval(7) == Surd.rational(112)
+
+
 def test_permutations_become_dependent_below_the_degree():
     # at n=2, m=3 the six permutation matrices only span a 5-dimensional space
     def flat_rows(n, m):
-        # each matrix flattened to one sparse row: position r*size + c -> entry
+        # each matrix flattened to one sparse rational row: r*size + c -> entry
         rows = []
         size = n**m
         for p in all_permutations(m):
             mat = represent(AlgebraElement.from_permutation(p), n)
-            rows.append({r * size + c: v for (r, c), v in mat.entries.items()})
+            rows.append({1: {r * size + c: v.as_fraction() for (r, c), v in mat.entries.items()}})
         return rows
 
     assert surd_rank(flat_rows(2, 3)) == 5
