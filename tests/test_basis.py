@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,10 +9,12 @@ import pytest
 
 import sunbasis
 from sunbasis import basis as basis_module
-from sunbasis.algebra import AlgebraElement, element_from_json, multiply, trace
+from sunbasis.algebra import AlgebraElement, element_from_json, multiply, scalar_product, trace
 from sunbasis.basis import (
     BasisBlock,
     BasisMatrix,
+    CheckFailure,
+    VerificationReport,
     assemble,
     basis_from_json,
     basis_to_json,
@@ -21,7 +24,7 @@ from sunbasis.basis import (
     verify_multiplication_table,
     verify_orthonormality,
 )
-from sunbasis.coefficients import Surd
+from sunbasis.coefficients import PolyN, Surd
 from sunbasis.permutations import all_permutations
 from sunbasis.projectors import hermitian_projector, symmetrizer, young_projector
 from sunbasis.tableaux import YoungTableau, enumerate_tableaux
@@ -29,6 +32,98 @@ from sunbasis.tableaux import YoungTableau, enumerate_tableaux
 
 def T(*rows):
     return YoungTableau(tuple(tuple(r) for r in rows))
+
+
+# -- per-pair references ---------------------------------------------------------
+#
+# The suites compare every pair at once with batched integer kernels; these
+# loops compute each product and pairing on its own and are the reference
+# the kernels' reports must equal, failures, order and witness text included.
+
+
+def reference_table(b: BasisMatrix) -> VerificationReport:
+    labels = b.labels()
+    names = [b.describe(label) for label in labels]
+    ops = [b.operator(label) for label in labels]
+    position = {label: k for k, label in enumerate(labels)}
+    failures = []
+    for a, (ba, ia, ja) in enumerate(labels):
+        for c, (bc, kc, lc) in enumerate(labels):
+            got = multiply(ops[a], ops[c])
+            if ba == bc and ja == kc:
+                k = position[(ba, ia, lc)]
+                expected, rhs = ops[k], names[k]
+            else:
+                expected, rhs = AlgebraElement.zero(b.m), "0"
+            if got != expected:
+                failures.append(
+                    CheckFailure(
+                        identity=f"{names[a]} * {names[c]} == {rhs}",
+                        witness=basis_module._first_difference(expected, got),
+                    )
+                )
+    return VerificationReport("multiplication_table", len(labels) ** 2, tuple(failures))
+
+
+def reference_orthonormality(b: BasisMatrix, sample=None, seed=0) -> VerificationReport:
+    labels = b.labels()
+    names = [b.describe(label) for label in labels]
+    ops = [b.operator(label) for label in labels]
+    dims = [trace(block.operators[0][0]) for block in b.blocks]
+    n = len(labels)
+    if sample is None:
+        pairs = [(a, c) for a in range(n) for c in range(n)]
+    else:
+        rng = random.Random(seed)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(sample)]
+    failures = []
+    for a, c in pairs:
+        value = scalar_product(ops[a], ops[c])
+        if labels[a] == labels[c]:
+            expected, rhs = dims[labels[a][0]], f"dim({names[a]})"
+        else:
+            expected, rhs = PolyN(), "0"
+        if value != expected:
+            failures.append(
+                CheckFailure(
+                    identity=f"<{names[a]}, {names[c]}> == {rhs}",
+                    witness=f"expected {expected}, got {value}",
+                )
+            )
+    return VerificationReport("orthonormality", len(pairs), tuple(failures))
+
+
+def _with_operator(b: BasisMatrix, blk: int, i: int, j: int, op) -> BasisMatrix:
+    """Copy of ``b`` with operator [i][j] of block ``blk`` replaced."""
+    block = b.blocks[blk]
+    grid = [list(row) for row in block.operators]
+    grid[i][j] = op
+    blocks = list(b.blocks)
+    blocks[blk] = BasisBlock(block.diagram, block.tableaux, tuple(tuple(r) for r in grid))
+    return BasisMatrix(b.m, b.kind, tuple(blocks))
+
+
+def _relabelled(b: BasisMatrix, seed: int) -> BasisMatrix:
+    """The same basis with every block's tableaux in a seeded shuffled order."""
+    rng = random.Random(seed)
+    blocks = []
+    for block in b.blocks:
+        order = list(range(block.size))
+        rng.shuffle(order)
+        blocks.append(
+            BasisBlock(
+                block.diagram,
+                tuple(block.tableaux[i] for i in order),
+                tuple(tuple(block.operators[i][j] for j in order) for i in order),
+            )
+        )
+    return BasisMatrix(b.m, b.kind, tuple(blocks))
+
+
+def _assert_matches_reference(b: BasisMatrix) -> None:
+    assert verify_multiplication_table(b) == reference_table(b)
+    if b.kind == "hermitian":
+        assert verify_orthonormality(b) == reference_orthonormality(b)
 
 
 # -- assembly ----------------------------------------------------------------
@@ -106,22 +201,10 @@ def test_multiplication_table_passes(m, kind):
     assert report.checked == math.factorial(m) ** 2
 
 
-def _corrupted(b: BasisMatrix, scale=Fraction(2)) -> BasisMatrix:
-    """Copy with the first off-diagonal operator of the first size-2+ block rescaled."""
-    blocks = []
-    done = False
-    for blk in b.blocks:
-        if not done and blk.size >= 2:
-            grid = [list(row) for row in blk.operators]
-            grid[0][1] = grid[0][1].scale(Surd.rational(scale))
-            blocks.append(
-                BasisBlock(blk.diagram, blk.tableaux, tuple(tuple(r) for r in grid))
-            )
-            done = True
-        else:
-            blocks.append(blk)
-    assert done
-    return BasisMatrix(b.m, b.kind, tuple(blocks))
+def _corrupted(b: BasisMatrix) -> BasisMatrix:
+    """Copy with the first off-diagonal operator of the first size-2+ block doubled."""
+    blk = next(k for k, block in enumerate(b.blocks) if block.size >= 2)
+    return _with_operator(b, blk, 0, 1, b.blocks[blk].operators[0][1].scale(2))
 
 
 def test_table_detects_corruption():
@@ -180,6 +263,168 @@ def test_orthonormality_witness_gives_expected_and_actual():
     report = verify_orthonormality(bad)
     # the doubled operator pairs with itself to four times its dimension
     # and stays orthogonal to everything else
+    name = bad.describe((1, 0, 1))
+    dim = trace(b.blocks[1].operators[0][0])
+    assert [(f.identity, f.witness) for f in report.failures] == [
+        (f"<{name}, {name}> == dim({name})", f"expected {dim}, got {dim * 4}")
+    ]
+
+
+def test_orthonormality_rejects_non_positive_sample():
+    b = assemble(3, "hermitian")
+    with pytest.raises(ValueError, match="sample must be positive, got -5"):
+        verify_orthonormality(b, sample=-5)
+    with pytest.raises(ValueError, match="sample must be positive, got 0"):
+        verify_orthonormality(b, sample=0)
+    with pytest.raises(ValueError, match="sample must be positive, got -2"):
+        run_suite(3, sample=-2)
+
+
+def test_unseeded_sampling_is_reproducible():
+    bad = _corrupted(assemble(4, "hermitian"))
+    first = verify_orthonormality(bad, sample=200)
+    assert first.failures
+    assert verify_orthonormality(bad, sample=200) == first
+    assert first == verify_orthonormality(bad, sample=200, seed=0)
+    assert run_suite(4, suites=("ortho",), sample=40) == run_suite(4, suites=("ortho",), sample=40)
+
+
+# -- batched kernels against the per-pair references -------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["hermitian", "young"])
+def test_kernels_match_reference(m, kind):
+    _assert_matches_reference(assemble(m, kind))
+
+
+def test_kernels_match_reference_at_m5():
+    b = assemble(5, "hermitian")
+    _assert_matches_reference(b)
+    _assert_matches_reference(_relabelled(b, 7))
+
+
+def _swapped(b, blk):
+    grid = b.blocks[blk].operators
+    return _with_operator(_with_operator(b, blk, 0, 1, grid[1][0]), blk, 1, 0, grid[0][1])
+
+
+PLANTED = {
+    "scaled transition": lambda b, blk: _corrupted(b),
+    "swapped transitions": _swapped,
+    "transition times sqrt 2": lambda b, blk: _with_operator(
+        b, blk, 0, 1, b.blocks[blk].operators[0][1].scale(Surd.sqrt(2))
+    ),
+    "projector times sqrt 2": lambda b, blk: _with_operator(
+        b, blk, 1, 1, b.blocks[blk].operators[1][1].scale(Surd.sqrt(2))
+    ),
+    "two radicand groups": lambda b, blk: _with_operator(
+        b,
+        blk,
+        0,
+        1,
+        b.blocks[blk].operators[0][1] + b.blocks[blk].operators[1][0].scale(Surd.sqrt(2)),
+    ),
+    "zero operator": lambda b, blk: _with_operator(b, blk, 1, 0, AlgebraElement.zero(b.m)),
+}
+
+
+@pytest.mark.parametrize("planted", sorted(PLANTED))
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("kind", ["hermitian", "young"])
+def test_kernels_match_reference_on_planted_corruptions(planted, m, kind):
+    b = assemble(m, kind)
+    blk = next(k for k, block in enumerate(b.blocks) if block.size >= 2)
+    bad = PLANTED[planted](b, blk)
+    assert not verify_multiplication_table(bad).passed
+    _assert_matches_reference(bad)
+
+
+def test_planted_corruption_at_m5_names_a_permutation():
+    bad = _corrupted(assemble(5, "hermitian"))
+    report = verify_multiplication_table(bad)
+    assert report == reference_table(bad)
+    first = report.failures[0]
+    assert first.witness.startswith("first differing permutation ")
+    lhs, rhs = first.identity.split(" == ")
+    ops = {bad.describe(label): op for label, op in bad.flat()}
+    left, right = lhs.split(" * ")
+    want = AlgebraElement.zero(5) if rhs == "0" else ops[rhs]
+    got = multiply(ops[left], ops[right])
+    p = (got - want).support()[0]
+    assert first.witness == (
+        f"first differing permutation {p}: "
+        f"expected {want.coefficient(p)}, got {got.coefficient(p)}"
+    )
+
+
+@pytest.mark.parametrize(
+    "scale", [2**40, 2**58 + 1, 2**70 + 3, Fraction(1, 2**58 + 1)], ids=str
+)
+def test_kernels_match_reference_at_the_overflow_guard(scale):
+    # one transition's numerators (or its denominator) pushed towards and past
+    # 2**62, so the int64 products, sums and cross-multiplied comparisons
+    # must each be guarded
+    b = assemble(4, "hermitian")
+    bad = _with_operator(b, 1, 0, 1, b.blocks[1].operators[0][1].scale(scale))
+    _assert_matches_reference(bad)
+    assert not verify_orthonormality(bad).passed
+
+
+def test_kernels_match_reference_when_a_common_denominator_overflows():
+    # O_01/16 and 16·O_10 are still matrix units.  Adding √2·2**61·O_10 to
+    # the first gives an operator whose √6 part fits int64 on its own
+    # denominator, 3, but not once raised to the operator's, 96.
+    b = assemble(3, "hermitian")
+    ops = b.blocks[1].operators
+    similar = _with_operator(
+        _with_operator(b, 1, 0, 1, ops[0][1].scale(Fraction(1, 16))), 1, 1, 0, ops[1][0].scale(16)
+    )
+    assert verify_multiplication_table(similar).passed
+    bad = _with_operator(
+        similar, 1, 0, 1, similar.blocks[1].operators[0][1] + ops[1][0].scale(Surd.sqrt(2) * 2**61)
+    )
+    assert verify_multiplication_table(bad) == reference_table(bad)
+    assert not reference_table(bad).passed
+
+
+def test_kernels_match_reference_without_radicand_one():
+    # every operator times √2 leaves no radicand-1 group, so no pair of
+    # groups lands under radicand 2, where the expected self-pairings live
+    b = assemble(3, "hermitian")
+    blocks = tuple(
+        BasisBlock(
+            blk.diagram,
+            blk.tableaux,
+            tuple(tuple(op.scale(Surd.sqrt(2)) for op in row) for row in blk.operators),
+        )
+        for blk in b.blocks
+    )
+    bad = _with_operator(BasisMatrix(3, "hermitian", blocks), 1, 1, 1, AlgebraElement.zero(3))
+    _assert_matches_reference(bad)
+
+
+def test_sampled_orthonormality_matches_reference():
+    # 200 draws from 36 pairs repeat the one failing pair, in draw order
+    bad = _corrupted(assemble(3, "hermitian"))
+    for seed in (0, 3):
+        report = verify_orthonormality(bad, sample=200, seed=seed)
+        assert report == reference_orthonormality(bad, sample=200, seed=seed)
+        assert len(report.failures) > 1
+
+
+@pytest.mark.slow
+def test_orthonormality_exhaustive_at_m6():
+    report = verify_orthonormality(assemble(6, "hermitian"))
+    assert report.passed
+    assert report.checked == 518_400
+
+
+@pytest.mark.slow
+def test_planted_corruption_at_m6_is_caught():
+    b = assemble(6, "hermitian")
+    bad = _corrupted(b)
+    report = verify_orthonormality(bad)
     name = bad.describe((1, 0, 1))
     dim = trace(b.blocks[1].operators[0][0])
     assert [(f.identity, f.witness) for f in report.failures] == [
