@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from sunbasis.cli import main
+from sunbasis.cli import FORMATS, build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SHA_FILE = GOLDEN / "sha256.json"
@@ -68,6 +68,19 @@ def _runs() -> dict[str, list[str]]:
         runs[name] = [
             "represent", "--N", str(n), "--op", f"@{GOLDEN / f'{op}.json'}", "--rank",
         ]
+    runs["tableaux_m4"] = ["tableaux", "--m", "4"]
+    for name, argv in (
+        ("tableaux_m4", ["tableaux", "--m", "4"]),
+        ("projector_m4_t5", ["projector", "--m", "4", "--tableau", "5"]),
+        ("projector_m4_t5_young", ["projector", "--m", "4", "--tableau", "5", "--kind", "young"]),
+        ("transition_m4_3_2", ["transition", "--m", "4", "--from", "3", "--to", "2"]),
+        ("basis_m3_verify", ["basis", "--m", "3", "--verify", "all"]),
+        ("represent_n3_rank", runs["represent_n3_rank"]),
+        ("verify_m4", ["verify", "--m", "4"]),
+        ("dims_m5", ["dims", "--m", "5"]),
+    ):
+        for fmt in ("text", "latex"):
+            runs[f"{name}_{fmt}"] = [*argv, "--format", fmt]
     return runs
 
 
@@ -94,6 +107,16 @@ def test_cli_output_matches_golden(name):
         assert got == path.read_text()
     else:
         assert _sha(got) == json.loads(SHA_FILE.read_text())[name]
+
+
+def _format(argv: list[str]) -> str:
+    return argv[argv.index("--format") + 1] if "--format" in argv else "json"
+
+
+def test_every_command_and_format_is_pinned():
+    pinned = {(argv[0], _format(argv)) for argv in RUNS.values()}
+    commands = build_parser()[1]
+    assert {(c, f) for c in commands for f in FORMATS} <= pinned
 
 
 def _capture() -> None:
