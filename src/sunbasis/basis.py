@@ -361,15 +361,13 @@ def run_suite(
     *,
     sample: int | None = None,
     seed: int = 0,
-    jobs: int | None = None,
 ) -> list[VerificationReport]:
     """Run the named verification suites and return their reports in order.
 
     ``suites=None`` selects every suite applicable to the kind (the
     orthonormality property does not hold for the young kind, so it is
     included only for the hermitian one).  At degree five and above an
-    unspecified ``sample`` defaults to 500 orthonormality pairs.  ``jobs``
-    is accepted for compatibility and ignored.
+    unspecified ``sample`` defaults to 500 orthonormality pairs.
     """
     if suites is None:
         suites = _SUITES if kind == "hermitian" else ("table", "complete", "independence")

@@ -15,6 +15,12 @@ invalid input.  Output goes to stdout or ``--out``; ``--format`` selects
 json (default, deterministic: identical invocations give identical bytes),
 text, or latex.  A ``--config`` JSON file supplies defaults for any long
 option; explicit flags win.
+
+``COMMANDS`` maps each subcommand to its help text, its handler and its
+options.  A handler computes its result once and returns ``(exit code,
+payload)``: the payload is a JSON object for ``--format json`` and a list
+of output lines for text or latex.  Only ``main`` renders the payload and
+writes it.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .tableaux import (
     YoungTableau,
     enumerate_tableaux,
     partitions,
+    tableaux_of_shape,
     tableau_from_json,
     tableau_to_json,
 )
@@ -158,8 +165,6 @@ def _join_signed(parts: list[str]) -> str:
 
 
 def _parse_shape(spec: Any) -> YoungDiagram:
-    if isinstance(spec, YoungDiagram):
-        return spec
     if isinstance(spec, str):
         try:
             rows = tuple(int(part) for part in spec.split(","))
@@ -187,7 +192,7 @@ def _tableau_from_obj(obj: Any, m: int) -> YoungTableau:
 def _parse_tableau_spec(spec: Any, m: int) -> YoungTableau:
     """A tableau given either as a 1-based index into the degree-m
     enumeration or as JSON (a rows list, or an object with "rows")."""
-    if isinstance(spec, bool) or spec is None:
+    if isinstance(spec, bool):
         raise UsageError(f"bad tableau spec {spec!r}")
     if isinstance(spec, (list, dict)):
         return _tableau_from_obj(spec, m)
@@ -214,10 +219,10 @@ def _tableau_index(t: YoungTableau) -> int:
     return enumerate_tableaux(t.n).index(t) + 1
 
 
-def _require_m(args: argparse.Namespace) -> int:
-    if args.m is None:
-        raise UsageError("--m is required")
-    return args.m
+def _required(value: Any, flag: str) -> Any:
+    if value is None:
+        raise UsageError(f"{flag} is required")
+    return value
 
 
 def _parse_suites(spec: Any) -> tuple[str, ...] | None:
@@ -258,54 +263,46 @@ def _reports_text(reports) -> list[str]:
 
 
 # -- subcommand handlers -----------------------------------------------------
+#
+# Each handler returns (exit code, payload): the JSON object for --format
+# json, otherwise the output lines for text or latex.  Only `main` renders.
+
+Payload = dict[str, Any] | list[str]
 
 
-def _cmd_tableaux(args: argparse.Namespace) -> tuple[int, str]:
-    m = _require_m(args)
-    diagrams = partitions(m)
+def _cmd_tableaux(args: argparse.Namespace) -> tuple[int, Payload]:
+    m = _required(args.m, "--m")
     wanted = _parse_shape(args.shape) if args.shape is not None else None
     if wanted is not None and wanted.n != m:
         raise UsageError(f"shape {wanted.rows} has {wanted.n} boxes, expected {m}")
-
-    all_tabs = enumerate_tableaux(m)
-    groups = []
-    for d in diagrams:
-        if wanted is not None and d != wanted:
-            continue
-        tabs = [t for t in all_tabs if t.shape == d]
-        groups.append((d, tabs))
+    index = {t: i for i, t in enumerate(enumerate_tableaux(m), 1)}
+    groups = [(d, tableaux_of_shape(d)) for d in partitions(m) if wanted is None or d == wanted]
 
     if args.format == "json":
-        payload = {
+        return EXIT_OK, {
             "m": m,
             "count": sum(len(tabs) for _, tabs in groups),
             "diagrams": [
                 {
                     "shape": list(d.rows),
                     "tableau_count": len(tabs),
-                    "tableaux": [
-                        dict(tableau_to_json(t), index=_tableau_index(t)) for t in tabs
-                    ],
+                    "tableaux": [dict(tableau_to_json(t), index=index[t]) for t in tabs],
                 }
                 for d, tabs in groups
             ],
         }
-        return EXIT_OK, _dump_json(payload)
     if args.format == "latex":
         lines = []
-        for d, tabs in groups:
+        for _, tabs in groups:
             for t in tabs:
-                cells = "".join(
-                    "[" + "\\,".join(map(str, row)) + "]" for row in t.rows
-                )
-                lines.append(f"t_{{{_tableau_index(t)}}} = {cells}")
-        return EXIT_OK, "\n".join(lines)
+                cells = "".join("[" + "\\,".join(map(str, row)) + "]" for row in t.rows)
+                lines.append(f"t_{{{index[t]}}} = {cells}")
+        return EXIT_OK, lines
     lines = [f"standard tableaux for m={m}"]
     for d, tabs in groups:
         lines.append(f"shape {d.rows}: {len(tabs)} tableaux")
-        for t in tabs:
-            lines.append(f"  {_tableau_index(t)}: {[list(r) for r in t.rows]}")
-    return EXIT_OK, "\n".join(lines)
+        lines.extend(f"  {index[t]}: {[list(r) for r in t.rows]}" for t in tabs)
+    return EXIT_OK, lines
 
 
 _PROJECTOR_BUILDERS = {
@@ -316,19 +313,19 @@ _PROJECTOR_BUILDERS = {
 }
 
 
-def _cmd_projector(args: argparse.Namespace) -> tuple[int, str]:
-    m = _require_m(args)
+def _cmd_projector(args: argparse.Namespace) -> tuple[int, Payload]:
+    m = _required(args.m, "--m")
     if args.kind not in _PROJECTOR_BUILDERS:
         raise UsageError(
             f"unknown projector kind {args.kind!r}; choose from "
             f"{', '.join(sorted(_PROJECTOR_BUILDERS))}"
         )
-    t = _parse_tableau_spec(args.tableau, m)
+    t = _parse_tableau_spec(_required(args.tableau, "--tableau"), m)
     proj = _PROJECTOR_BUILDERS[args.kind](t)
     dim = dimension_formula(t.shape)
 
     if args.format == "json":
-        payload = {
+        return EXIT_OK, {
             "m": m,
             "kind": proj.kind,
             "index": _tableau_index(t),
@@ -337,31 +334,28 @@ def _cmd_projector(args: argparse.Namespace) -> tuple[int, str]:
             "dimension": poly_to_json(dim),
             "element": element_to_json(proj.element),
         }
-        return EXIT_OK, _dump_json(payload)
     if args.format == "latex":
-        lines = [
+        return EXIT_OK, [
             f"% projector, kind={proj.kind}, tableau {t}",
             f"P = {latex_element(proj.element)}",
             f"\\dim = {latex_poly(dim)}",
         ]
-        return EXIT_OK, "\n".join(lines)
-    lines = [
+    return EXIT_OK, [
         f"projector kind={proj.kind} tableau={t} (index {_tableau_index(t)})",
         f"normalization: {proj.normalization}",
         f"dimension: {dim}",
         f"element: {proj.element}",
     ]
-    return EXIT_OK, "\n".join(lines)
 
 
-def _cmd_transition(args: argparse.Namespace) -> tuple[int, str]:
-    m = _require_m(args)
-    source = _parse_tableau_spec(args.src, m)
-    target = _parse_tableau_spec(args.dst, m)
+def _cmd_transition(args: argparse.Namespace) -> tuple[int, Payload]:
+    m = _required(args.m, "--m")
+    source = _parse_tableau_spec(_required(args.src, "--from"), m)
+    target = _parse_tableau_spec(_required(args.dst, "--to"), m)
     op = transition(target, source, method=args.method)
 
     if args.format == "json":
-        payload = {
+        return EXIT_OK, {
             "m": m,
             "method": op.kind,
             "from": tableau_to_json(op.from_tableau),
@@ -371,24 +365,21 @@ def _cmd_transition(args: argparse.Namespace) -> tuple[int, str]:
             "tau_squared": rational_to_json(op.tau_squared),
             "element": element_to_json(op.element),
         }
-        return EXIT_OK, _dump_json(payload)
     if args.format == "latex":
-        lines = [
+        return EXIT_OK, [
             f"% transition, method={op.kind}, {source} -> {target}",
             f"\\tau^2 = {latex_rational(op.tau_squared)}",
             f"T = {latex_element(op.element)}",
         ]
-        return EXIT_OK, "\n".join(lines)
-    lines = [
+    return EXIT_OK, [
         f"transition method={op.kind} from={source} to={target}",
         f"tau^2: {op.tau_squared}",
         f"element: {op.element}",
     ]
-    return EXIT_OK, "\n".join(lines)
 
 
-def _cmd_basis(args: argparse.Namespace) -> tuple[int, str]:
-    m = _require_m(args)
+def _cmd_basis(args: argparse.Namespace) -> tuple[int, Payload]:
+    m = _required(args.m, "--m")
     b = assemble(m, args.kind)
     code, reports = EXIT_OK, None
     if args.verify is not None:
@@ -398,55 +389,44 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[int, str]:
         payload: dict[str, Any] = {"basis": basis_to_json(b)}
         if reports is not None:
             payload["reports"] = [r.to_json() for r in reports]
-        return code, _dump_json(payload)
+        return code, payload
     if args.format == "latex":
         lines = [f"% operator basis, m={m}, kind={b.kind}"]
         for block in b.blocks:
             lines.append(f"% block shape {block.diagram.rows}, size {block.size}")
-            for i, row in enumerate(block.operators):
-                for j, op in enumerate(row):
-                    lines.append(
-                        f"\\mathfrak{{m}}_{{{i + 1}{j + 1}}} = {latex_element(op)}"
-                    )
-        if reports is not None:
-            lines.extend("% " + line for line in _reports_text(reports))
-        return code, "\n".join(lines)
+            for i, row in enumerate(block.operators, 1):
+                for j, op in enumerate(row, 1):
+                    lines.append(f"\\mathfrak{{m}}_{{{i}{j}}} = {latex_element(op)}")
+        return code, lines + ["% " + line for line in _reports_text(reports or [])]
     lines = [f"basis m={m} kind={b.kind}: {len(b.flat())} operators"]
     for block in b.blocks:
         lines.append(f"block shape {block.diagram.rows}: size {block.size}")
-        for i, row in enumerate(block.operators):
-            for j, op in enumerate(row):
-                lines.append(f"  [{i + 1},{j + 1}] {op}")
-    if reports is not None:
-        lines.extend(_reports_text(reports))
-    return code, "\n".join(lines)
+        for i, row in enumerate(block.operators, 1):
+            lines.extend(f"  [{i},{j}] {op}" for j, op in enumerate(row, 1))
+    return code, lines + _reports_text(reports or [])
 
 
-def _cmd_represent(args: argparse.Namespace) -> tuple[int, str]:
-    if args.n_dim is None:
-        raise UsageError("--N is required")
-    n = int(args.n_dim)
-    if args.op is None:
-        raise UsageError("--op is required (inline JSON or @file)")
-    text = args.op
-    if isinstance(text, str) and text.startswith("@"):
+def _read_operator(spec: Any) -> AlgebraElement:
+    """An operator from inline JSON, an already-parsed config value, or @file."""
+    if isinstance(spec, str) and spec.startswith("@"):
         try:
-            text = Path(text[1:]).read_text()
+            spec = Path(spec[1:]).read_text()
         except OSError as exc:
             raise UsageError(f"cannot read operator file: {exc}") from None
-    if isinstance(text, str):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"bad operator JSON: {exc}") from None
-    else:
-        obj = text
-    if isinstance(obj, dict) and "element" in obj and "terms" not in obj:
-        obj = obj["element"]
     try:
-        a = element_from_json(obj)
+        obj = json.loads(spec) if isinstance(spec, str) else spec
+        if isinstance(obj, dict) and "element" in obj and "terms" not in obj:
+            obj = obj["element"]
+        return element_from_json(obj)
     except (ValueError, TypeError, KeyError) as exc:
         raise UsageError(f"bad operator JSON: {exc}") from None
+
+
+def _cmd_represent(args: argparse.Namespace) -> tuple[int, Payload]:
+    n = int(_required(args.n_dim, "--N"))
+    if args.op is None:
+        raise UsageError("--op is required (inline JSON or @file)")
+    a = _read_operator(args.op)
     if args.m is not None and int(args.m) != a.m:
         raise UsageError(f"operator acts on {a.m} factors, but --m {args.m} was given")
     mat = represent(a, n, cap=args.cap)
@@ -456,52 +436,45 @@ def _cmd_represent(args: argparse.Namespace) -> tuple[int, str]:
         payload = matrix_to_json(mat)
         if mat_rank is not None:
             payload["rank"] = mat_rank
-        return EXIT_OK, _dump_json(payload)
+        return EXIT_OK, payload
+    entries = sorted(mat.entries.items())
     if args.format == "latex":
         lines = [f"% concrete matrix, N={n}, m={mat.m}, size {mat.size}"]
-        for (r, c), v in sorted(mat.entries.items()):
-            lines.append(f"M_{{{r},{c}}} = {latex_surd(v)}")
+        lines.extend(f"M_{{{r},{c}}} = {latex_surd(v)}" for (r, c), v in entries)
         if mat_rank is not None:
             lines.append(f"\\operatorname{{rank}} M = {mat_rank}")
-        return EXIT_OK, "\n".join(lines)
-    lines = [
-        f"matrix N={n} m={mat.m} size={mat.size} nonzeros={len(mat.entries)}"
-    ]
-    for (r, c), v in sorted(mat.entries.items()):
-        lines.append(f"  ({r},{c}) = {v}")
+        return EXIT_OK, lines
+    lines = [f"matrix N={n} m={mat.m} size={mat.size} nonzeros={len(entries)}"]
+    lines.extend(f"  ({r},{c}) = {v}" for (r, c), v in entries)
     if mat_rank is not None:
         lines.append(f"rank: {mat_rank}")
-    return EXIT_OK, "\n".join(lines)
+    return EXIT_OK, lines
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
-    m = _require_m(args)
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, Payload]:
+    m = _required(args.m, "--m")
     code, reports = _run_suites(args, m, args.suite)
 
     if args.format == "json":
-        payload = {
+        return code, {
             "m": m,
             "kind": args.kind,
             "passed": code == EXIT_OK,
             "reports": [r.to_json() for r in reports],
         }
-        return code, _dump_json(payload)
-    lines = [f"verification m={m} kind={args.kind}"]
-    lines.extend(_reports_text(reports))
+    lines = [f"verification m={m} kind={args.kind}", *_reports_text(reports)]
     lines.append("PASS" if code == EXIT_OK else "FAIL")
-    body = "\n".join(lines)
     if args.format == "latex":
-        body = "\n".join("% " + line for line in lines)
-    return code, body
+        lines = ["% " + line for line in lines]
+    return code, lines
 
 
-def _cmd_dims(args: argparse.Namespace) -> tuple[int, str]:
-    m = _require_m(args)
-    diagrams = partitions(m)
-    rows = [(d, d.tableau_count(), dimension_formula(d)) for d in diagrams]
+def _cmd_dims(args: argparse.Namespace) -> tuple[int, Payload]:
+    m = _required(args.m, "--m")
+    rows = [(d, d.tableau_count(), dimension_formula(d)) for d in partitions(m)]
 
     if args.format == "json":
-        payload = {
+        return EXIT_OK, {
             "m": m,
             "shapes": [
                 {
@@ -513,17 +486,13 @@ def _cmd_dims(args: argparse.Namespace) -> tuple[int, str]:
                 for d, count, dim in rows
             ],
         }
-        return EXIT_OK, _dump_json(payload)
     if args.format == "latex":
-        lines = [
-            f"\\dim_{{{','.join(map(str, d.rows))}}} = {latex_poly(dim)}"
-            for d, _, dim in rows
+        return EXIT_OK, [
+            f"\\dim_{{{','.join(map(str, d.rows))}}} = {latex_poly(dim)}" for d, _, dim in rows
         ]
-        return EXIT_OK, "\n".join(lines)
     lines = [f"image dimensions for m={m}"]
-    for d, count, dim in rows:
-        lines.append(f"shape {d.rows}: {count} tableaux, dim = {dim}")
-    return EXIT_OK, "\n".join(lines)
+    lines.extend(f"shape {d.rows}: {count} tableaux, dim = {dim}" for d, count, dim in rows)
+    return EXIT_OK, lines
 
 
 # -- parser and entry point --------------------------------------------------
@@ -533,111 +502,69 @@ def _dump_json(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", default="json", help="json, text, or latex")
-    common.add_argument("--out", default=None, help="write output to this file")
-    common.add_argument(
+_COMMON = [
+    ("--format", {"default": "json", "help": "json, text, or latex"}),
+    ("--out", {"default": None, "help": "write output to this file"}),
+    (
         "--config",
-        default=None,
-        help="JSON file of default option values (same keys as the long flags)",
-    )
-    return common
+        {"default": None, "help": "JSON file of default option values (same keys as the long flags)"},
+    ),
+]
+_INT = {"type": int, "default": None}
+_M = ("--m", _INT)
+_KIND = ("--kind", {"default": "hermitian", "help": "young or hermitian"})
+_SAMPLING = [
+    ("--sample", dict(_INT, help="orthonormality pair sample size")),
+    ("--seed", dict(_INT, default=0, help="sampling seed")),
+    ("--jobs", dict(_INT, help="accepted and ignored")),
+]
+_SUITES_HELP = "all, or comma-separated from table, ortho, complete, independence"
+
+# name -> (help, handler, [(flag, add_argument keywords)]), after the common options
+COMMANDS = {
+    "tableaux": ("enumerate standard tableaux", _cmd_tableaux, [
+        ("--m", dict(_INT, help="number of boxes")),
+        ("--shape", {"default": None, "help": "restrict to one shape, e.g. 3,1"}),
+    ]),
+    "projector": ("build one projector", _cmd_projector, [
+        _M,
+        ("--tableau", {"default": None, "help": "1-based tableau index or tableau JSON"}),
+        ("--kind", {"default": "hermitian", "help": "young, staircase, mold, or hermitian (= mold)"}),
+    ]),
+    "transition": ("build one transition operator", _cmd_transition, [
+        _M,
+        ("--from", {"dest": "src", "default": None, "help": "source tableau (index or JSON)"}),
+        ("--to", {"dest": "dst", "default": None, "help": "target tableau (index or JSON)"}),
+        ("--method", {"default": "compact", "help": "young, general, or compact"}),
+    ]),
+    "basis": ("assemble the full operator grid", _cmd_basis, [
+        _M, _KIND, ("--verify", {"default": None, "help": f"run suites: {_SUITES_HELP}"}), *_SAMPLING,
+    ]),
+    "represent": ("concrete matrix of an operator", _cmd_represent, [
+        ("--m", dict(_INT, help="optional cross-check of the operator degree")),
+        ("--N", dict(_INT, dest="n_dim", help="underlying space dimension")),
+        ("--op", {"default": None, "help": "operator JSON, or @file"}),
+        ("--rank", {"action": "store_true", "help": "also compute the exact rank"}),
+        ("--cap", dict(_INT, default=10_000, help="largest allowed matrix size")),
+    ]),
+    "verify": ("run verification suites", _cmd_verify, [
+        _M, _KIND, ("--suite", {"default": "all", "help": _SUITES_HELP}), *_SAMPLING,
+    ]),
+    "dims": ("image dimensions by shape", _cmd_dims, [_M]),
+}
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    common = _common_options()
     parser = argparse.ArgumentParser(
         prog="sunbasis",
         description="exact projector and transition-operator toolkit",
     )
     sub = parser.add_subparsers(dest="command")
     subparsers: dict[str, argparse.ArgumentParser] = {}
-
-    sp = sub.add_parser("tableaux", parents=[common], help="enumerate standard tableaux")
-    sp.add_argument("--m", type=int, default=None, help="number of boxes")
-    sp.add_argument("--shape", default=None, help="restrict to one shape, e.g. 3,1")
-    sp.set_defaults(func=_cmd_tableaux)
-    subparsers["tableaux"] = sp
-
-    sp = sub.add_parser("projector", parents=[common], help="build one projector")
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument(
-        "--tableau", default=None, help="1-based tableau index or tableau JSON"
-    )
-    sp.add_argument(
-        "--kind",
-        default="hermitian",
-        help="young, staircase, mold, or hermitian (= mold)",
-    )
-    sp.set_defaults(func=_cmd_projector)
-    subparsers["projector"] = sp
-
-    sp = sub.add_parser(
-        "transition", parents=[common], help="build one transition operator"
-    )
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument(
-        "--from", dest="src", default=None, help="source tableau (index or JSON)"
-    )
-    sp.add_argument(
-        "--to", dest="dst", default=None, help="target tableau (index or JSON)"
-    )
-    sp.add_argument(
-        "--method", default="compact", help="young, general, or compact"
-    )
-    sp.set_defaults(func=_cmd_transition)
-    subparsers["transition"] = sp
-
-    sp = sub.add_parser(
-        "basis", parents=[common], help="assemble the full operator grid"
-    )
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--kind", default="hermitian", help="young or hermitian")
-    sp.add_argument(
-        "--verify",
-        default=None,
-        help="run suites: all, or comma-separated from "
-        "table, ortho, complete, independence",
-    )
-    sp.add_argument("--sample", type=int, default=None, help="orthonormality pair sample size")
-    sp.add_argument("--seed", type=int, default=0, help="sampling seed")
-    sp.add_argument("--jobs", type=int, default=None, help="accepted and ignored")
-    sp.set_defaults(func=_cmd_basis)
-    subparsers["basis"] = sp
-
-    sp = sub.add_parser(
-        "represent", parents=[common], help="concrete matrix of an operator"
-    )
-    sp.add_argument("--m", type=int, default=None, help="optional cross-check of the operator degree")
-    sp.add_argument("--N", dest="n_dim", type=int, default=None, help="underlying space dimension")
-    sp.add_argument("--op", default=None, help="operator JSON, or @file")
-    sp.add_argument("--rank", action="store_true", help="also compute the exact rank")
-    sp.add_argument("--cap", type=int, default=10_000, help="largest allowed matrix size")
-    sp.set_defaults(func=_cmd_represent)
-    subparsers["represent"] = sp
-
-    sp = sub.add_parser("verify", parents=[common], help="run verification suites")
-    sp.add_argument("--m", type=int, default=None)
-    sp.add_argument("--kind", default="hermitian", help="young or hermitian")
-    sp.add_argument(
-        "--suite",
-        default="all",
-        help="all, or comma-separated from table, ortho, complete, independence",
-    )
-    sp.add_argument("--sample", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=None, help="accepted and ignored")
-    sp.set_defaults(func=_cmd_verify)
-    subparsers["verify"] = sp
-
-    sp = sub.add_parser(
-        "dims", parents=[common], help="image dimensions by shape"
-    )
-    sp.add_argument("--m", type=int, default=None)
-    sp.set_defaults(func=_cmd_dims)
-    subparsers["dims"] = sp
-
+    for name, (help_text, _, options) in COMMANDS.items():
+        sp = subparsers[name] = sub.add_parser(name, help=help_text)
+        for flag, keywords in _COMMON + options:
+            sp.add_argument(flag, **keywords)
     return parser, subparsers
 
 
@@ -728,14 +655,13 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         _check_options(args)
-        code, body = args.func(args)
+        code, payload = COMMANDS[args.command][1](args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    # single writer for all user-visible output
-    if not body.endswith("\n"):
-        body += "\n"
+    # the one renderer and writer for all user-visible output
+    body = (_dump_json(payload) if isinstance(payload, dict) else "\n".join(payload)) + "\n"
     if args.out:
         try:
             Path(args.out).write_text(body)

@@ -561,7 +561,7 @@ def test_orthogonal_rotation_preserves_reports():
 
 
 def test_run_suite_hermitian_all():
-    reports = run_suite(3, "hermitian", jobs=1)
+    reports = run_suite(3, "hermitian")
     assert [r.name for r in reports] == [
         "multiplication_table",
         "orthonormality",
@@ -572,7 +572,7 @@ def test_run_suite_hermitian_all():
 
 
 def test_run_suite_young_skips_orthonormality():
-    reports = run_suite(3, "young", jobs=1)
+    reports = run_suite(3, "young")
     assert [r.name for r in reports] == [
         "multiplication_table",
         "completeness_and_nesting",
@@ -585,7 +585,11 @@ def test_jobs_is_accepted_and_ignored():
     bad = _corrupted(assemble(3, "hermitian"))
     assert verify_multiplication_table(bad, jobs=3) == verify_multiplication_table(bad)
     assert verify_orthonormality(bad, jobs=3) == verify_orthonormality(bad)
-    assert run_suite(3, jobs=3) == run_suite(3)
+
+
+def test_run_suite_takes_no_jobs():
+    with pytest.raises(TypeError):
+        run_suite(3, jobs=3)
 
 
 def _clear_caches():

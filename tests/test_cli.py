@@ -65,6 +65,20 @@ def test_tableaux_shape_filter_keeps_global_indices():
     assert [e["index"] for e in entries] == [2, 3]
 
 
+def test_tableaux_enumerates_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return enumerate_tableaux(n)
+
+    monkeypatch.setattr("sunbasis.cli.enumerate_tableaux", counting)
+    for fmt in ("json", "text", "latex"):
+        calls.clear()
+        assert run(["tableaux", "--m", "6", "--format", fmt])[0] == 0
+        assert calls == [6]
+
+
 def test_tableaux_degree_zero_is_usage_error():
     rc, _, err = run(["tableaux", "--m", "0"])
     assert rc == 2
@@ -103,19 +117,27 @@ def test_projector_accepts_inline_tableau_json():
     assert payload["index"] == 3
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
+_PROJECTOR_ERRORS = [
+    (
         ["projector", "--m", "3", "--tableau", "2", "--kind", "bogus"],
-        ["projector", "--m", "3", "--tableau", "9"],
-        ["projector", "--m", "3", "--tableau", "[[1,2],[3],[4]]"],
+        "unknown projector kind 'bogus'; choose from hermitian, mold, staircase, young",
+    ),
+    (["projector", "--m", "3", "--tableau", "9"], "tableau index 9 out of range 1..4 for m=3"),
+    (["projector", "--m", "3", "--tableau", "[[1,2],[3],[4]]"], "tableau has 4 boxes, expected 3"),
+    (
         ["projector", "--m", "3", "--tableau", "not json"],
-    ],
+        "tableau spec is neither an index nor JSON: Expecting value: line 1 column 1 (char 0)",
+    ),
+    (["projector", "--m", "3"], "--tableau is required"),
+    (["projector", "--tableau", "1"], "--m is required"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", _PROJECTOR_ERRORS, ids=[f"argv{i}" for i in range(len(_PROJECTOR_ERRORS))]
 )
-def test_projector_usage_errors(argv):
-    rc, _, err = run(argv)
-    assert rc == 2
-    assert "error" in err
+def test_projector_usage_errors(argv, message):
+    assert run(argv) == (2, "", f"error: {message}\n")
 
 
 # -- transition --------------------------------------------------------------
@@ -143,17 +165,33 @@ def test_transition_method_young():
     assert element_from_json(payload["element"]) == op.element
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["transition", "--m", "3", "--from", "1", "--to", "2"],  # shape mismatch
+_TRANSITION_ERRORS = [
+    (
+        ["transition", "--m", "3", "--from", "1", "--to", "2"],
+        "transition requires tableaux of equal shape, got (2, 1) and (3,)",
+    ),
+    (
         ["transition", "--m", "3", "--from", "2", "--to", "3", "--method", "bogus"],
-        ["transition", "--m", "3", "--from", "2"],  # missing --to
-    ],
+        "unknown transition method: 'bogus'",
+    ),
+    (["transition", "--m", "3", "--from", "2"], "--to is required"),
+    (["transition", "--m", "3", "--to", "2"], "--from is required"),
+    (["transition", "--m", "3"], "--from is required"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", _TRANSITION_ERRORS, ids=[f"argv{i}" for i in range(len(_TRANSITION_ERRORS))]
 )
-def test_transition_usage_errors(argv):
-    rc, _, _ = run(argv)
-    assert rc == 2
+def test_transition_usage_errors(argv, message):
+    assert run(argv) == (2, "", f"error: {message}\n")
+
+
+def test_config_null_tableau_is_missing(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 3, "tableau": None, "from": 1, "to": None}))
+    assert run(["projector", "--config", str(cfg)]) == (2, "", "error: --tableau is required\n")
+    assert run(["transition", "--config", str(cfg)]) == (2, "", "error: --to is required\n")
 
 
 # -- basis -------------------------------------------------------------------
@@ -280,7 +318,7 @@ def test_verify_unknown_suite():
 def test_verify_failure_exits_one(monkeypatch):
     from sunbasis.basis import CheckFailure, VerificationReport
 
-    def fake_run_suite(m, kind, suites=None, *, sample=None, seed=None, jobs=None):
+    def fake_run_suite(m, kind, suites=None, *, sample=None, seed=None):
         return [
             VerificationReport(
                 name="multiplication_table",

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from sunbasis.cli import FORMATS, build_parser, main
+from sunbasis.cli import COMMANDS, FORMATS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SHA_FILE = GOLDEN / "sha256.json"
@@ -69,6 +69,7 @@ def _runs() -> dict[str, list[str]]:
             "represent", "--N", str(n), "--op", f"@{GOLDEN / f'{op}.json'}", "--rank",
         ]
     runs["tableaux_m4"] = ["tableaux", "--m", "4"]
+    # text and latex of every subcommand
     for name, argv in (
         ("tableaux_m4", ["tableaux", "--m", "4"]),
         ("projector_m4_t5", ["projector", "--m", "4", "--tableau", "5"]),
@@ -115,8 +116,7 @@ def _format(argv: list[str]) -> str:
 
 def test_every_command_and_format_is_pinned():
     pinned = {(argv[0], _format(argv)) for argv in RUNS.values()}
-    commands = build_parser()[1]
-    assert {(c, f) for c in commands for f in FORMATS} <= pinned
+    assert {(c, f) for c in COMMANDS for f in FORMATS} <= pinned
 
 
 def _capture() -> None:
