@@ -54,9 +54,9 @@ from .tableaux import (
     YoungTableau,
     enumerate_tableaux,
     partitions,
-    tableaux_of_shape,
     tableau_from_json,
     tableau_to_json,
+    tableaux_of_shape,
 )
 from .transitions import transition
 
@@ -263,9 +263,6 @@ def _reports_text(reports) -> list[str]:
 
 
 # -- subcommand handlers -----------------------------------------------------
-#
-# Each handler returns (exit code, payload): the JSON object for --format
-# json, otherwise the output lines for text or latex.  Only `main` renders.
 
 Payload = dict[str, Any] | list[str]
 

@@ -587,11 +587,6 @@ def test_jobs_is_accepted_and_ignored():
     assert verify_orthonormality(bad, jobs=3) == verify_orthonormality(bad)
 
 
-def test_run_suite_takes_no_jobs():
-    with pytest.raises(TypeError):
-        run_suite(3, jobs=3)
-
-
 def _clear_caches():
     for info in pkgutil.iter_modules(sunbasis.__path__):
         module = importlib.import_module(f"sunbasis.{info.name}")

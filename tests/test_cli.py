@@ -187,13 +187,6 @@ def test_transition_usage_errors(argv, message):
     assert run(argv) == (2, "", f"error: {message}\n")
 
 
-def test_config_null_tableau_is_missing(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"m": 3, "tableau": None, "from": 1, "to": None}))
-    assert run(["projector", "--config", str(cfg)]) == (2, "", "error: --tableau is required\n")
-    assert run(["transition", "--config", str(cfg)]) == (2, "", "error: --to is required\n")
-
-
 # -- basis -------------------------------------------------------------------
 
 
