@@ -16,13 +16,15 @@ Two batched kernels check identities over every ordered pair of a list of
 elements at once: ``table_mismatches`` forms each left factor's products
 with all right factors by one integer matmul with its left-regular matrix,
 and ``gram_mismatches`` forms every trace pairing as one Gram matrix per
-power of N.  The same 2**62 guard covers each of their matmuls, the sums
-across radicand pairs and the cross-multiplied comparisons.
+power of N and landing radicand.  Both read the list from ``_stack``, which
+puts it over one common denominator D and makes the one int64-or-Python-int
+choice per call, so the checks are plain equalities with D·(target) and
+D²·(expected pairing).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Iterable, Iterator
 from functools import cache
 from math import gcd, lcm, prod
 
@@ -200,49 +202,62 @@ def convolve(m: int, x: Parts, y: Parts) -> Parts:
 # -- batched checks over many elements -----------------------------------------
 
 
-def _exact(op, a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    """Exact ``np.matmul`` or ``np.multiply`` of a and b; ``bound`` caps every partial sum."""
-    if a.dtype != np.int64 or b.dtype != np.int64 or not _fits(bound):
-        a, b = _objects(a, b)
-    return op(a, b)
+def _landing(radicands: Iterable[int]) -> dict[int, list[tuple[int, int, int]]]:
+    """Every ordered pair of radicands as (d, e, g) with √d·√e = g·√s, keyed by s."""
+    out: dict[int, list[tuple[int, int, int]]] = {}
+    for d in radicands:
+        for e in radicands:
+            s, g = squarefree_decompose(d * e)
+            out.setdefault(s, []).append((d, e, g))
+    return out
 
 
-def _sum_at(shape: tuple[int, int], terms: list) -> tuple[np.ndarray, int]:
-    """Exact sum of the terms g·(a @ b), each added at its index of a zero matrix.
+def _stack(
+    elements: list[Parts],
+) -> tuple[int, type, dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """The elements over one common denominator D: x = (1/D)·Σ_d √d·V_d[x].
 
-    Each term is (index, g, a, b, a bound on the entries of a @ b); the
-    bound on the sum comes back with it.
+    Returns D, the dtype and, per radicand d, the indices of the elements
+    with a part there and the integer matrix V_d of their rows.  The dtype is
+    the kernels' one overflow decision: int64 when n²·T²·Σg and D·T lie below
+    the guard (n entries per row, T the largest entry, Σg the sum of g over
+    all radicand pairs √d·√e = g·√s), which bounds every matmul, sum and
+    comparison they form, and Python integers otherwise.
     """
-    total = sum(g * bound for _, g, _, _, bound in terms)
-    products = [
-        (index, g * _exact(np.matmul, a, b, g * bound)) for index, g, a, b, bound in terms
-    ]
-    wide = not _fits(total) or any(p.dtype == object for _, p in products)
-    out = np.zeros(shape, dtype=object if wide else np.int64)
-    for index, p in products:
-        out[index] += p
-    return out, total
-
-
-def _stack(elements: list[Parts]) -> tuple[list[int], dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """Each element as (1/den)·Σ_d √d·V_d, with its rows grouped by radicand.
-
-    Returns every element's den (the lcm of its part denominators) and, per
-    radicand d, the indices of the elements with a part there and the
-    integer matrix of their rows V_d.
-    """
-    dens = [lcm(*(denom for denom, _ in parts.values())) for parts in elements]
+    den = lcm(*(denom for parts in elements for denom, _ in parts.values()))
     rows: dict[int, list[int]] = {}
-    vecs: dict[int, list[np.ndarray]] = {}
+    vecs: dict[int, list[tuple[np.ndarray, int]]] = {}
+    n = top = 0
     for x, parts in enumerate(elements):
         for d, (denom, vec) in parts.items():
-            scale = dens[x] // denom
-            if vec.dtype == np.int64 and not _fits(_abs_max(vec), scale):
-                (vec,) = _objects(vec)
+            scale = den // denom
+            n, top = vec.size, max(top, _abs_max(vec) * scale)
             rows.setdefault(d, []).append(x)
-            vecs.setdefault(d, []).append(vec * scale)
-    groups = {d: (np.array(rows[d], dtype=np.intp), np.stack(vecs[d])) for d in sorted(rows)}
-    return dens, groups
+            vecs.setdefault(d, []).append((vec, scale))
+    spread = sum(g for terms in _landing(rows).values() for _, _, g in terms)
+    dtype = np.int64 if _fits(n, n, top, top, spread) and _fits(den, top) else object
+    groups = {
+        d: (
+            np.array(rows[d], dtype=np.intp),
+            np.stack([vec.astype(dtype) * scale for vec, scale in vecs[d]]),
+        )
+        for d in sorted(rows)
+    }
+    return den, dtype, groups
+
+
+def _left_blocks(m: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Column blocks of the left-regular index matrix, bounded in memory.
+
+    Yields (cols, left) with left[j, c] the index of p_k p_j⁻¹ for k the
+    c-th index of ``cols``, so that a[left] is the block of the left-regular
+    matrix of a whose product with b gives (a·b)[cols] as b @ a[left].
+    """
+    table, inv = composition_table(m), inverse_table(m)
+    n = table.shape[0]
+    step = max(1, _GATHER_LIMIT // n)
+    for lo in range(0, n, step):
+        yield slice(lo, lo + step), table[lo : lo + step][:, inv].T
 
 
 def table_mismatches(
@@ -251,54 +266,40 @@ def table_mismatches(
     """Boolean matrix of the pairs (x, y) whose product x·y is not its target.
 
     ``targets[x] = (ys, zs)`` says that x·ys[i] must equal the element zs[i];
-    every other product with x must vanish.  With T[k, j] the index of
-    p_k p_j⁻¹, L(a) = a[T] is the left-regular matrix of a, so one integer
-    matmul V_e @ L(V_d[x]).T forms x's products with every element of
-    radicand group e at once.  They land under s = sqf(d·e), scaled by g
-    where √d·√e = g·√s, and the check got·den_z == V_s[z]·den_x·den_y is
-    exact: int64 under the guard, Python integers otherwise.
+    every other product with x must vanish.  Over the common denominator D
+    of ``_stack``, x·y = (1/D²)·Σ √d·√e·V_d[x]·V_e[y] and z = (1/D)·Σ √s·V_s[z].
+    One integer matmul V_e @ L(V_d[x]) forms x's products with every element
+    of radicand group e, L the left-regular matrix from ``_left_blocks``.
+    Those landing under s, scaled by g where √d·√e = g·√s, are added in place
+    one s at a time and checked as got == D·V_s[z].
     """
-    dens, groups = _stack(elements)
+    den, dtype, groups = _stack(elements)
+    landing = _landing(groups)
     count = len(elements)
-    den = vector(dens)
-    top = {d: _abs_max(mat) for d, (_, mat) in groups.items()}
     row_of = {}
     for d, (rows, _) in groups.items():
         row_of[d] = np.full(count, -1, dtype=np.intp)
         row_of[d][rows] = np.arange(len(rows))
-    table, inv = composition_table(m), inverse_table(m)
-    n = table.shape[0]
     bad = np.zeros((count, count), dtype=bool)
-    step = max(1, _GATHER_LIMIT // n)
-    for lo in range(0, n, step):
-        # left[j, k] = T[k, j] for the products' coordinates k in this block
-        left = table[lo : lo + step][:, inv].T
+    for cols, left in _left_blocks(m):
+        shape = (count, left.shape[1])
         for x, parts in enumerate(elements):
-            terms: dict[int, list] = {}
-            for d in parts:
-                a = groups[d][1][row_of[d][x]]
-                lt, top_a = a[left], _abs_max(a)
-                for e, (rows, mat) in groups.items():
-                    s, g = squarefree_decompose(d * e)
-                    terms.setdefault(s, []).append((rows, g, mat, lt, n * top_a * top[e]))
             ys, zs = targets[x]
-            # x·ys must land on zs: scale both sides to den_x·den_y·den_z
-            den_xy = _exact(np.multiply, den[ys], vector([dens[x]]), dens[x] * _abs_max(den[ys]))
-            expected = {s for s in groups if (row_of[s][zs] >= 0).any()}
-            for s in terms.keys() | expected:
-                got, total = _sum_at((count, left.shape[1]), terms.get(s, []))
-                want = np.zeros((len(ys), left.shape[1]), dtype=np.int64)
+            lts = {d: groups[d][1][row_of[d][x]][left] for d in parts}
+            # a target may lie under a radicand that no product lands on
+            for s in landing.keys() | groups.keys():
+                got = np.zeros(shape, dtype)
+                for d, e, g in landing.get(s, ()):
+                    if d in lts:
+                        rows, mat = groups[e]
+                        got[rows] += g * (mat @ lts[d])
+                want = np.zeros((len(ys), shape[1]), dtype)
                 if s in groups:
                     where = row_of[s][zs]
-                    want = groups[s][1][np.maximum(where, 0), lo : lo + step]
-                    want[where < 0] = 0
-                lhs = _exact(np.multiply, got[ys], den[zs, None], total * _abs_max(den[zs]))
-                rhs = _exact(
-                    np.multiply, want, den_xy[:, None], top.get(s, 0) * _abs_max(den_xy)
-                )
+                    want[where >= 0] = den * groups[s][1][where[where >= 0], cols]
                 # every product vanishes but those with a target
                 wrong = (got != 0).any(axis=1)
-                wrong[ys] = (lhs != rhs).any(axis=1)
+                wrong[ys] = (got[ys] != want).any(axis=1)
                 bad[x] |= wrong
     return bad
 
@@ -306,46 +307,35 @@ def table_mismatches(
 def gram_mismatches(m: int, elements: list[Parts], diagonal: list[PolyN]) -> np.ndarray:
     """Boolean matrix of the pairs (x, y) whose pairing ⟨x, y⟩ is not δ_xy·diagonal[x].
 
-    ⟨x, y⟩ = tr(x†·y) weights x_g·y_h by N^k, k the cycle count of
-    p_g⁻¹p_h.  With G_k = [that count is k], the N^k coefficient of every
-    pair is one Gram matrix per pair of radicand groups, V_d·G_k·V_eᵀ,
-    landing under s = sqf(d·e) scaled by g.  Powers are taken one at a
-    time, so only one power's matrices are alive.  ``diagonal`` holds the
-    expected self-pairings as ``PolyN``s; off the diagonal every
-    coefficient must vanish.
+    ⟨x, y⟩ = tr(x†·y) weights x_g·y_h by N^k, k the cycle count of p_g⁻¹p_h,
+    a class function, so G_k = [that count is k] is read off the left-regular
+    index blocks.  D² times the N^k coefficient of every pair is one Gram
+    matrix per landing radicand s, the sum of g·V_d·G_k·V_eᵀ over the pairs
+    √d·√e = g·√s, added in place; only one Gram matrix is alive at a time.
+    ``diagonal`` holds the expected self-pairings as ``PolyN``s: each
+    coefficient q must appear as q·D² on the diagonal, and every coefficient
+    off it must vanish.
     """
-    dens, groups = _stack(elements)
+    den, dtype, groups = _stack(elements)
+    landing = _landing(groups)
     count = len(elements)
-    top = {d: _abs_max(mat) for d, (_, mat) in groups.items()}
     want = [
         {(k, s): q for k, c in poly.coeffs() for s, q in c.terms()} for poly in diagonal
     ]
-    pairs: dict[int, list] = {s: [] for _, s in set().union(*want)}
-    for d in groups:
-        for e in groups:
-            s, g = squarefree_decompose(d * e)
-            pairs.setdefault(s, []).append((np.ix_(groups[d][0], groups[e][0]), g, d, e))
-    table, inv = composition_table(m), inverse_table(m)
     cycles = cycle_count_vector(m)
-    n = table.shape[0]
-    step = max(1, _GATHER_LIMIT // n)
     bad = np.zeros((count, count), dtype=bool)
     off = ~np.eye(count, dtype=bool)
     for k in range(1, m + 1):
-        weighted = dict.fromkeys(groups, 0)  # V_d·G_k
-        for lo in range(0, n, step):
-            block = (cycles[table[inv[lo : lo + step]]] == k).astype(np.int64)
+        weighted = {d: np.zeros_like(mat) for d, (_, mat) in groups.items()}  # V_d·G_k
+        for cols, left in _left_blocks(m):
+            block = cycles[left] == k
             for d, (_, mat) in groups.items():
-                part = _exact(np.matmul, mat[:, lo : lo + step], block, n * top[d])
-                weighted[d] = weighted[d] + part
-        for s, terms in pairs.items():
-            grams = [
-                (index, g, weighted[d], groups[e][1].T, n * n * top[d] * top[e])
-                for index, g, d, e in terms
-            ]
-            gram, _ = _sum_at((count, count), grams)
+                weighted[d][:, cols] = mat @ block
+        for s in landing.keys() | {s for _, s in set().union(*want)}:
+            gram = np.zeros((count, count), dtype)
+            for d, e, g in landing.get(s, ()):
+                gram[np.ix_(groups[d][0], groups[e][0])] += g * (weighted[d] @ groups[e][1].T)
             bad |= (gram != 0) & off
             for x in range(count):
-                q = want[x].get((k, s), Fraction(0))
-                bad[x, x] |= int(gram[x, x]) * q.denominator != q.numerator * dens[x] ** 2
+                bad[x, x] |= int(gram[x, x]) != want[x].get((k, s), 0) * den**2
     return bad

@@ -10,9 +10,9 @@ projectors, and linear independence over the permutation expansion.
 
 The multiplication table and orthonormality compare every ordered pair of
 operators exactly, with the batched integer kernels ``_fast.table_mismatches``
-and ``_fast.gram_mismatches`` (int64 while a 2**62 bound allows, Python
-integers otherwise).  Only a pair they flag is recomputed on its own, to
-build its witness.
+and ``_fast.gram_mismatches``, over one common denominator (int64 while one
+2**62 bound per call allows, Python integers otherwise).  Only a pair they
+flag is recomputed on its own, to build its witness.
 
 Verification reports are structured: every failed identity carries an exact
 witness string, and a report with no failures means every instance of the
@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from math import factorial, lcm
+from math import factorial
 
 import numpy as np
 
@@ -138,6 +138,15 @@ class VerificationReport:
         }
 
 
+def _check_basis(m: int, kind: str) -> None:
+    if m < 1:
+        raise ValueError(f"degree must be at least 1, got {m}")
+    if kind not in _BASIS_KINDS:
+        raise ValueError(f"unknown basis kind: {kind!r}")
+    if kind == "young" and m >= 5:
+        raise ValueError("Young transition basis undefined beyond m=4")
+
+
 @cache
 def assemble(m: int, kind: str = "hermitian") -> BasisMatrix:
     """Build the basis matrix: projectors on block diagonals, transitions off.
@@ -145,12 +154,7 @@ def assemble(m: int, kind: str = "hermitian") -> BasisMatrix:
     Blocks follow the reverse-lexicographic diagram order and tableaux the
     canonical row-word order, so identical calls produce identical layouts.
     """
-    if m < 1:
-        raise ValueError(f"degree must be at least 1, got {m}")
-    if kind not in _BASIS_KINDS:
-        raise ValueError(f"unknown basis kind: {kind!r}")
-    if kind == "young" and m >= 5:
-        raise ValueError("Young transition basis undefined beyond m=4")
+    _check_basis(m, kind)
     blocks = []
     for diagram in partitions(m):
         ts = tableaux_of_shape(diagram)
@@ -323,21 +327,17 @@ def verify_linear_independence(b: BasisMatrix) -> VerificationReport:
     """Check that the m! operators span the full group algebra.
 
     Each operator expands to a coefficient row over the m! permutations;
-    the stacked matrix must have full rank over the surd field.  An
-    operator is the sum over its radicands d of √d/denominator_d times an
-    integer vector; scaled by the lcm of its denominators it becomes one
-    sparse integer row per radicand, which ``surd_rank`` ranks.
+    the stacked matrix must have full rank over the surd field.
+    ``_fast._stack`` puts every operator over one denominator as integer
+    vectors, one per radicand, which become the sparse rows ``surd_rank``
+    ranks.
     """
     ops = [op for _, op in b.flat()]
-    rows = []
-    for op in ops:
-        den = lcm(*(denom for denom, _ in op._parts.values()))
-        row = {}
-        for d, (denom, vec) in op._parts.items():
+    rows: list[dict[int, dict[int, int]]] = [{} for _ in ops]
+    for d, (which, mat) in _fast._stack([op._parts for op in ops])[2].items():
+        for x, vec in zip(which.tolist(), mat):
             pos = np.flatnonzero(vec)
-            scale = den // denom
-            row[d] = {p: x * scale for p, x in zip(pos.tolist(), vec[pos].tolist())}
-        rows.append(row)
+            rows[x][d] = dict(zip(pos.tolist(), vec[pos].tolist()))
     rank = surd_rank(rows)
     expected = factorial(b.m)
     failures = ()
@@ -375,19 +375,20 @@ def run_suite(
     if unknown:
         raise ValueError(f"unknown suites: {unknown}")
     _check_sample(sample)
-    b = assemble(m, kind)
+    _check_basis(m, kind)
     if sample is None and m >= 5:
         sample = 500
+    # completeness builds its own projectors; the other suites share one cached basis
     reports = []
     for name in suites:
         if name == "table":
-            reports.append(verify_multiplication_table(b))
+            reports.append(verify_multiplication_table(assemble(m, kind)))
         elif name == "ortho":
-            reports.append(verify_orthonormality(b, sample=sample, seed=seed))
+            reports.append(verify_orthonormality(assemble(m, kind), sample=sample, seed=seed))
         elif name == "complete":
             reports.append(verify_completeness_and_nesting(m))
         elif name == "independence":
-            reports.append(verify_linear_independence(b))
+            reports.append(verify_linear_independence(assemble(m, kind)))
     return reports
 
 

@@ -32,7 +32,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .algebra import AlgebraElement, element_from_json, element_to_json
+from .algebra import AlgebraElement, _check_degree, element_from_json, element_to_json
 from .basis import assemble, basis_to_json, run_suite
 from .coefficients import (
     PolyN,
@@ -192,6 +192,8 @@ def _tableau_from_obj(obj: Any, m: int) -> YoungTableau:
 def _parse_tableau_spec(spec: Any, m: int) -> YoungTableau:
     """A tableau given either as a 1-based index into the degree-m
     enumeration or as JSON (a rows list, or an object with "rows")."""
+    # before enumerating the degree-m tableaux, which outnumber 35 000 at m = 11
+    _check_degree(m)
     if isinstance(spec, bool):
         raise UsageError(f"bad tableau spec {spec!r}")
     if isinstance(spec, (list, dict)):

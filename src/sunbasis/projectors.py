@@ -27,7 +27,7 @@ from functools import cache
 from math import factorial
 from typing import Literal, Optional
 
-from .algebra import AlgebraElement, multiply, proportionality, trace
+from .algebra import AlgebraElement, _check_degree, multiply, proportionality, trace
 from .coefficients import PolyN, Surd
 from .permutations import Permutation
 from .tableaux import YoungDiagram, YoungTableau
@@ -84,6 +84,8 @@ def _block_parity(block: tuple[int, ...], target: tuple[int, ...]) -> int:
 @cache
 def _set_element(s: SymmetrizerSet) -> AlgebraElement:
     m = s.degree
+    # before enumerating the block permutations, which grow as m!
+    _check_degree(m)
     anti = s.kind == "anti"
     denom = 1
     for b in s.blocks:

@@ -5,9 +5,11 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import sunbasis
+from sunbasis import _fast
 from sunbasis import basis as basis_module
 from sunbasis.algebra import AlgebraElement, element_from_json, multiply, scalar_product, trace
 from sunbasis.basis import (
@@ -24,7 +26,7 @@ from sunbasis.basis import (
     verify_multiplication_table,
     verify_orthonormality,
 )
-from sunbasis.coefficients import PolyN, Surd
+from sunbasis.coefficients import PolyN, Surd, squarefree_decompose
 from sunbasis.permutations import all_permutations
 from sunbasis.projectors import hermitian_projector, symmetrizer, young_projector
 from sunbasis.tableaux import YoungTableau, enumerate_tableaux
@@ -388,6 +390,56 @@ def test_kernels_match_reference_when_a_common_denominator_overflows():
     assert not reference_table(bad).passed
 
 
+def _stack_bounds(b: BasisMatrix) -> tuple[int, int, int, int]:
+    """n, the common denominator D, the largest stacked entry T and Σg of a basis."""
+    parts = [op._parts for _, op in b.flat()]
+    den = math.lcm(*(q for p in parts for q, _ in p.values()))
+    top = max(int(abs(v).max()) * (den // q) for p in parts for q, v in p.values())
+    radicands = {d for p in parts for d in p}
+    spread = sum(squarefree_decompose(d * e)[1] for d in radicands for e in radicands)
+    return math.factorial(b.m), den, top, spread
+
+
+def _stack_dtype(b: BasisMatrix):
+    return _fast._stack([op._parts for _, op in b.flat()])[1]
+
+
+def test_kernels_match_reference_at_the_single_bound():
+    # a dense operator with integer entries up to t is stacked as t·D, so the
+    # largest t with n²·(t·D)²·Σg below 2**62 keeps int64 and t + 1 does not
+    b = assemble(3, "hermitian")
+    n, den, _, spread = _stack_bounds(b)
+    t = math.isqrt((2**62 - 1) // (n * n * spread * den * den))
+    assert n * n * (t * den) ** 2 * spread < 2**62 <= n * n * ((t + 1) * den) ** 2 * spread
+    for top, dtype in ((t, np.int64), (t + 1, object)):
+        dense = AlgebraElement(3, {p: top - i for i, p in enumerate(all_permutations(3))})
+        bad = _with_operator(b, 1, 0, 1, dense)
+        assert _stack_bounds(bad)[2] == top * den
+        assert _stack_dtype(bad) is dtype
+        _assert_matches_reference(bad)
+
+
+def test_kernels_match_reference_when_the_denominator_alone_crosses_the_bound():
+    # every operator over 2**62 leaves the entries small but D·T past 2**62
+    b = assemble(3, "hermitian")
+    scaled = BasisMatrix(
+        3,
+        "hermitian",
+        tuple(
+            BasisBlock(
+                blk.diagram,
+                blk.tableaux,
+                tuple(tuple(op.scale(Fraction(1, 2**62)) for op in row) for row in blk.operators),
+            )
+            for blk in b.blocks
+        ),
+    )
+    n, den, top, spread = _stack_bounds(scaled)
+    assert n * n * top * top * spread < 2**62 <= den * top
+    assert _stack_dtype(scaled) is object
+    _assert_matches_reference(scaled)
+
+
 def test_kernels_match_reference_without_radicand_one():
     # every operator times √2 leaves no radicand-1 group, so no pair of
     # groups lands under radicand 2, where the expected self-pairings live
@@ -430,6 +482,35 @@ def test_planted_corruption_at_m6_is_caught():
     assert [(f.identity, f.witness) for f in report.failures] == [
         (f"<{name}, {name}> == dim({name})", f"expected {dim}, got {dim * 4}")
     ]
+
+
+# -- run_suite -------------------------------------------------------------------
+
+
+def test_run_suite_assembles_only_for_suites_that_read_the_basis(monkeypatch):
+    calls = []
+    real = basis_module.assemble
+
+    def counting(m, kind="hermitian"):
+        calls.append((m, kind))
+        return real(m, kind)
+
+    monkeypatch.setattr(basis_module, "assemble", counting)
+    assert [r.name for r in run_suite(4, suites=("complete",))] == ["completeness_and_nesting"]
+    assert calls == []
+    run_suite(3, suites=("complete", "independence"))
+    assert calls == [(3, "hermitian")]
+
+
+def test_run_suite_rejects_a_bad_basis_before_any_suite(monkeypatch):
+    def no_suite(m):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(basis_module, "verify_completeness_and_nesting", no_suite)
+    with pytest.raises(ValueError, match="unknown basis kind: 'block'"):
+        run_suite(3, "block", suites=("complete",))
+    with pytest.raises(ValueError, match="Young transition basis undefined beyond m=4"):
+        run_suite(5, "young", suites=("complete",))
 
 
 # -- completeness, nesting, independence ---------------------------------------

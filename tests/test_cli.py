@@ -130,6 +130,7 @@ _PROJECTOR_ERRORS = [
     ),
     (["projector", "--m", "3"], "--tableau is required"),
     (["projector", "--tableau", "1"], "--m is required"),
+    (["projector", "--m", "11", "--tableau", "1"], "degree must be between 1 and 7, got 11"),
 ]
 
 

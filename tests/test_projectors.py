@@ -163,6 +163,19 @@ def test_set_validation():
         SymmetrizerSet(3, ((1, 2),), "symmetric")  # bad kind
 
 
+def test_out_of_range_degree_fails_before_enumerating(monkeypatch):
+    # the set itself stays constructible, as mold_factors needs it at any degree
+    blocks = (tuple(range(1, 9)),)
+    assert SymmetrizerSet(8, blocks, "sym").degree == 8
+
+    def enumerate_nothing(*args):
+        raise AssertionError("block permutations enumerated")
+
+    monkeypatch.setattr("sunbasis.projectors.itertools.permutations", enumerate_nothing)
+    with pytest.raises(ValueError, match="degree must be between 1 and 7, got 8"):
+        symmetrizer(blocks, 8, "sym")
+
+
 def test_row_and_column_sets():
     t = T((1, 2, 5), (3, 4))
     assert rows_of(t).blocks == ((1, 2, 5), (3, 4))
