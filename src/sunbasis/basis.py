@@ -8,11 +8,14 @@ four properties that make it a basis: matrix-unit multiplication,
 orthonormality of the trace pairing, completeness/nesting of the
 projectors, and linear independence over the permutation expansion.
 
-The multiplication table and orthonormality compare every ordered pair of
-operators exactly, with the batched integer kernels ``_fast.table_mismatches``
-and ``_fast.gram_mismatches``, over one common denominator (int64 while one
-2**62 bound per call allows, Python integers otherwise).  Only a pair they
-flag is recomputed on its own, to build its witness.
+The multiplication table and orthonormality are exact, with the batched
+integer kernels ``_fast.table_mismatches`` and ``_fast.gram_mismatches``,
+over one common denominator (int64 while one 2**62 bound per call allows,
+Python integers otherwise).  Orthonormality compares every ordered pair of
+operators.  The table is proved by associativity from the pairs among each
+block's reference row and column (2·#SYT − #diagrams operators, 45 of 120 at
+m = 5), and the kernel runs over every pair only when one of those fails.
+Only a pair the kernels flag is recomputed on its own, to build its witness.
 
 Verification reports are structured: every failed identity carries an exact
 witness string, and a report with no failures means every instance of the
@@ -194,11 +197,30 @@ def verify_multiplication_table(
 
     A product keeps only chains whose inner endpoints agree — block and
     tableau both — and then equals the outer-endpoint operator; everything
-    else must vanish.  Every pair is compared exactly by
-    ``_fast.table_mismatches``, one left-regular product per operator.  A
-    failure names the first permutation whose coefficient differs, with the
-    expected and the actual coefficient.  ``jobs`` is accepted for
-    compatibility and ignored: the check runs in this process.
+    else must vanish: O_ij·O_kl = δ_jk·O_il, with O_ij^λ·O_kl^μ = 0 for λ ≠ μ.
+
+    The law is proved from a certificate.  Fix the reference index r = 0 of
+    every block and let S be each block's reference column and row, the
+    operators O_ir and O_rj (2·f − 1 of the f² in a block of size f).  The
+    pairs S × S are ordinary table pairs, and they contain two families:
+
+    (a) O_ir·O_rj = O_ij for all i, j of a block; with i = r or j = r this
+        includes O_rr·O_rj = O_rj and O_ir·O_rr = O_ir;
+    (b) O_rj^λ·O_kr^μ = δ_λμ·δ_jk·O_rr^λ.
+
+    By associativity these give every other pair, with δ = δ_λμ·δ_jk:
+
+        O_ij·O_kl = O_ir·(O_rj·O_kr)·O_rl = δ·O_ir·(O_rr·O_rl) = δ·O_ir·O_rl = δ·O_il.
+
+    S × S is a subset of all pairs, so the certificate passes exactly when
+    the full table does, and a passing report counts all (m!)² pairs.
+    ``_fast.table_mismatches`` compares the pairs S × S exactly, one
+    left-regular product per operator of S.  Only when it flags one does
+    the same kernel run over every pair, so that a failing report lists
+    every failed pair.  A failure names the first permutation whose
+    coefficient differs, with the expected and the actual coefficient.
+    ``jobs`` is accepted for compatibility and ignored: the check runs in
+    this process.
     """
     labels = b.labels()
     names = [b.describe(label) for label in labels]
@@ -214,7 +236,14 @@ def verify_multiplication_table(
                 np.array([position[(blk, i, l)] for l in size], dtype=np.intp),
             )
         )
-    bad = _fast.table_mismatches(b.m, [op._parts for op in ops], targets)
+    parts = [op._parts for op in ops]
+    # S: every block's reference column and row; a clean S × S proves the rest
+    reference = np.array(
+        [k for k, (_, i, j) in enumerate(labels) if i == 0 or j == 0], dtype=np.intp
+    )
+    bad = _fast.table_mismatches(b.m, parts, targets, reference)
+    if bad.any():
+        bad = _fast.table_mismatches(b.m, parts, targets)
     failures = []
     for a, c in np.argwhere(bad).tolist():
         (ba, ia, ja), (bc, kc, lc) = labels[a], labels[c]

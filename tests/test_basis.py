@@ -360,6 +360,91 @@ def test_planted_corruption_at_m5_names_a_permutation():
     )
 
 
+# Each corruption below sits outside every block's reference row and column,
+# so no pair among those operators has it as a factor.  The table suite must
+# still catch it, through O_i0·O_0j = O_ij, and report every failed pair.
+OUTSIDE_REFERENCE = {
+    "O_12 doubled": lambda b, blk: _with_operator(
+        b, blk, 1, 2, b.blocks[blk].operators[1][2].scale(2)
+    ),
+    "O_12 and O_21 swapped": lambda b, blk: _with_operator(
+        _with_operator(b, blk, 1, 2, b.blocks[blk].operators[2][1]),
+        blk,
+        2,
+        1,
+        b.blocks[blk].operators[1][2],
+    ),
+    "O_11 times sqrt 2": lambda b, blk: _with_operator(
+        b, blk, 1, 1, b.blocks[blk].operators[1][1].scale(Surd.sqrt(2))
+    ),
+}
+
+
+@pytest.mark.parametrize("planted", sorted(OUTSIDE_REFERENCE))
+@pytest.mark.parametrize(
+    "m, kind, rows",
+    [
+        (4, "hermitian", (3, 1)),
+        (4, "hermitian", (2, 1, 1)),
+        (4, "young", (3, 1)),
+        (4, "young", (2, 1, 1)),
+        (5, "hermitian", (3, 2)),
+    ],
+    ids=str,
+)
+@pytest.mark.parametrize("seed", [None, 5], ids=["assembled", "relabelled"])
+def test_table_catches_corruptions_outside_the_reference_row_and_column(
+    planted, m, kind, rows, seed
+):
+    b = assemble(m, kind)
+    if seed is not None:
+        b = _relabelled(b, seed)
+    blk = next(k for k, block in enumerate(b.blocks) if block.diagram.rows == rows)
+    bad = OUTSIDE_REFERENCE[planted](b, blk)
+    report = verify_multiplication_table(bad)
+    assert not report.passed
+    assert report == reference_table(bad)
+
+
+def _spy_on_table_kernel(monkeypatch) -> list:
+    """Record the factor subset of every ``_fast.table_mismatches`` call."""
+    calls = []
+    kernel = _fast.table_mismatches
+
+    def spy(m, elements, targets, _factors=None):
+        calls.append((len(elements), _factors))
+        return kernel(m, elements, targets, _factors)
+
+    monkeypatch.setattr(_fast, "table_mismatches", spy)
+    return calls
+
+
+def _reference_size(b: BasisMatrix) -> int:
+    return 2 * sum(block.size for block in b.blocks) - len(b.blocks)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, "5 relabelled"])
+def test_passing_table_runs_the_kernel_once_on_the_reference_operators(monkeypatch, m):
+    b = _relabelled(assemble(5), 3) if m == "5 relabelled" else assemble(m)
+    calls = _spy_on_table_kernel(monkeypatch)
+    report = verify_multiplication_table(b)
+    assert report.passed
+    assert report.checked == math.factorial(b.m) ** 2
+    [(count, factors)] = calls
+    assert count == math.factorial(b.m)
+    assert len(factors) == len(set(factors.tolist())) == _reference_size(b)
+    assert all(i == 0 or j == 0 for _, i, j in (b.labels()[k] for k in factors))
+
+
+def test_failing_table_runs_the_kernel_again_over_every_pair(monkeypatch):
+    bad = _corrupted(assemble(4))
+    calls = _spy_on_table_kernel(monkeypatch)
+    assert not verify_multiplication_table(bad).passed
+    assert [call[0] for call in calls] == [24, 24]
+    assert len(calls[0][1]) == _reference_size(bad) == 15
+    assert calls[1] == (24, None)
+
+
 @pytest.mark.parametrize(
     "scale", [2**40, 2**58 + 1, 2**70 + 3, Fraction(1, 2**58 + 1)], ids=str
 )
@@ -463,6 +548,20 @@ def test_sampled_orthonormality_matches_reference():
         report = verify_orthonormality(bad, sample=200, seed=seed)
         assert report == reference_orthonormality(bad, sample=200, seed=seed)
         assert len(report.failures) > 1
+
+
+@pytest.mark.slow
+def test_multiplication_table_at_m6():
+    report = verify_multiplication_table(assemble(6, "hermitian"))
+    assert report.passed
+    assert report.checked == 518_400
+
+
+@pytest.mark.slow
+def test_planted_table_corruption_at_m6_names_a_permutation():
+    report = verify_multiplication_table(_corrupted(assemble(6, "hermitian")))
+    assert not report.passed
+    assert report.failures[0].witness.startswith("first differing permutation ")
 
 
 @pytest.mark.slow
