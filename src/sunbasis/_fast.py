@@ -341,6 +341,7 @@ def gram_mismatches(m: int, elements: list[Parts], diagonal: list[PolyN]) -> np.
     cycles = cycle_count_vector(m)
     bad = np.zeros((count, count), dtype=bool)
     off = ~np.eye(count, dtype=bool)
+    diag = np.arange(count)
     for k in range(1, m + 1):
         weighted = {d: np.zeros_like(mat) for d, (_, mat) in groups.items()}  # V_d·G_k
         for cols, left in _left_blocks(m):
@@ -352,6 +353,7 @@ def gram_mismatches(m: int, elements: list[Parts], diagonal: list[PolyN]) -> np.
             for d, e, g in landing.get(s, ()):
                 gram[np.ix_(groups[d][0], groups[e][0])] += g * (weighted[d] @ groups[e][1].T)
             bad |= (gram != 0) & off
-            for x in range(count):
-                bad[x, x] |= int(gram[x, x]) != want[x].get((k, s), 0) * den**2
+            # Python-int comparisons: a wrong q·D² may lie beyond int64
+            expected = np.array([w.get((k, s), 0) for w in want], dtype=object) * den**2
+            bad[diag, diag] |= gram.diagonal() != expected
     return bad

@@ -17,6 +17,13 @@ block's reference row and column (2·#SYT − #diagrams operators, 45 of 120 at
 m = 5), and the kernel runs over every pair only when one of those fails.
 Only a pair the kernels flag is recomputed on its own, to build its witness.
 
+Linear independence is proved the same way, certificate first: when each of
+the m! operators has one radicand, their integer rows over that common
+denominator form a square integer matrix, and a determinant that is nonzero
+modulo a fixed prime (``_linalg.nonsingular_mod_p``) proves full rank.  Only
+when the certificate does not apply or refuses does ``surd_rank`` rank the
+operators exactly, so that a failing report names the rank.
+
 Verification reports are structured: every failed identity carries an exact
 witness string, and a report with no failures means every instance of the
 identity was checked and held.
@@ -32,7 +39,7 @@ from math import factorial
 import numpy as np
 
 from . import _fast
-from ._linalg import surd_rank
+from ._linalg import nonsingular_mod_p, surd_rank
 from .algebra import AlgebraElement, multiply, scalar_product, trace
 from .coefficients import PolyN
 from .projectors import hermitian_projector, young_projector
@@ -357,18 +364,36 @@ def verify_linear_independence(b: BasisMatrix) -> VerificationReport:
 
     Each operator expands to a coefficient row over the m! permutations;
     the stacked matrix must have full rank over the surd field.
-    ``_fast._stack`` puts every operator over one denominator as integer
-    vectors, one per radicand, which become the sparse rows ``surd_rank``
-    ranks.
+    ``_fast._stack`` puts every operator over one denominator D as integer
+    vectors, one per radicand: x = (1/D)·Σ_d √d·V_d[x].
+
+    When there are m! operators and each has exactly one radicand d_x, the
+    rank is proved by a certificate instead.  Dividing row x by its root
+    √d_x and multiplying it by D changes no rank, and leaves the integer
+    row V_{d_x}[x]; these rows form a square integer matrix M.  If
+    det M ≢ 0 (mod p) then det M ≠ 0, so M has full rank over Q, hence
+    over the surd field, and the operators are independent.
+    ``nonsingular_mod_p`` decides this for the fixed prime p = 2³¹ − 1.
+
+    In every other case (the certificate refuses M, a row mixes radicands
+    or the count is not m!) the sparse integer rows go to ``surd_rank``,
+    which ranks them exactly, so a failing report names the actual rank.
     """
     ops = [op for _, op in b.flat()]
+    expected = factorial(b.m)
+    _, dtype, groups = _fast._stack([op._parts for op in ops])
+    if len(ops) == expected and all(len(op._parts) == 1 for op in ops):
+        square = np.zeros((expected, expected), dtype)
+        for which, mat in groups.values():
+            square[which] = mat
+        if nonsingular_mod_p(square):
+            return VerificationReport("linear_independence", 1)
     rows: list[dict[int, dict[int, int]]] = [{} for _ in ops]
-    for d, (which, mat) in _fast._stack([op._parts for op in ops])[2].items():
+    for d, (which, mat) in groups.items():
         for x, vec in zip(which.tolist(), mat):
             pos = np.flatnonzero(vec)
             rows[x][d] = dict(zip(pos.tolist(), vec[pos].tolist()))
     rank = surd_rank(rows)
-    expected = factorial(b.m)
     failures = ()
     if rank != expected:
         failures = (

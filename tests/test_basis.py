@@ -583,6 +583,11 @@ def test_planted_corruption_at_m6_is_caught():
     ]
 
 
+@pytest.mark.slow
+def test_linear_independence_at_m6():
+    assert verify_linear_independence(assemble(6, "hermitian")).passed
+
+
 # -- run_suite -------------------------------------------------------------------
 
 
@@ -659,6 +664,36 @@ def test_linear_independence(m, kind):
     assert report.passed
 
 
+def _refuse_exact_rank(monkeypatch) -> None:
+    def refuse(rows):
+        raise AssertionError("a passing basis needs no exact rank")
+
+    monkeypatch.setattr(basis_module, "surd_rank", refuse)
+
+
+@pytest.mark.parametrize(
+    "m, kind",
+    [(m, "hermitian") for m in range(1, 6)]
+    + [(m, "young") for m in range(1, 5)]
+    + [("5 relabelled", "hermitian")],
+)
+def test_passing_independence_needs_no_exact_rank(monkeypatch, m, kind):
+    b = _relabelled(assemble(5), 3) if m == "5 relabelled" else assemble(m, kind)
+    _refuse_exact_rank(monkeypatch)
+    assert verify_linear_independence(b) == VerificationReport("linear_independence", 1)
+
+
+@pytest.mark.parametrize(
+    "m, kind", [(3, "young"), (4, "young"), (4, "hermitian"), (5, "hermitian")]
+)
+def test_refused_certificate_falls_back_to_the_same_passing_report(monkeypatch, m, kind):
+    b = assemble(m, kind)
+    certified = verify_linear_independence(b)
+    monkeypatch.setattr(basis_module, "nonsingular_mod_p", lambda matrix: False)
+    assert verify_linear_independence(b) == certified
+    assert certified.passed
+
+
 def test_linear_independence_detects_degeneracy():
     b = assemble(3, "hermitian")
     blocks = list(b.blocks)
@@ -706,6 +741,26 @@ def test_linear_independence_mixed_radicands():
         with_grid(((blk.operators[0][0], mixed), (mixed, blk.operators[1][1])))
     )
     assert [f.witness for f in duplicated.failures] == ["got rank 5"]
+
+
+def test_certificate_skips_rows_that_mix_radicands():
+    b = assemble(3, "hermitian")
+    blk = b.blocks[1]
+    # y = √2·x: dependent over the field, though x's √2 part and y's
+    # rational part are the two independent operators x was made from
+    x = blk.operators[0][1] + blk.operators[1][0].scale(Surd.sqrt(2))
+    y = x.scale(Surd.sqrt(2))
+    grid = ((blk.operators[0][0], x), (y, blk.operators[1][1]))
+    blocks = (b.blocks[0], BasisBlock(blk.diagram, blk.tableaux, grid), b.blocks[2])
+    bad = BasisMatrix(3, "hermitian", blocks)
+    assert [f.witness for f in verify_linear_independence(bad).failures] == ["got rank 5"]
+
+
+def test_more_than_m_factorial_operators_are_ranked_exactly():
+    b = assemble(3, "hermitian")
+    extra = BasisMatrix(3, "hermitian", b.blocks + b.blocks[:1])
+    assert len(extra.labels()) == 7
+    assert verify_linear_independence(extra).passed
 
 
 # -- basis-change invariance -----------------------------------------------------
