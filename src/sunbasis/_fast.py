@@ -12,14 +12,13 @@ bound computed in Python integers shows that no entry can reach 2**62, and
 arrays of Python integers (dtype object) otherwise.  Every result is in
 canonical form (see ``reduce``), so equal elements have equal vectors.
 
-Two batched kernels check identities over every ordered pair of a list of
-elements, or of a subset of them, at once: ``table_mismatches`` forms each
-left factor's products with all right factors by one integer matmul with its
-left-regular matrix, and ``gram_mismatches`` forms every trace pairing as
-one Gram matrix per power of N and landing radicand.  Both read the whole
-list from ``_stack``, which puts it over one common denominator D and makes
-the one int64-or-Python-int choice per call, so the checks are plain
-equalities with D·(target) and D²·(expected pairing).
+For the bases that the Jucys–Murphy certificate refuses, two batched
+kernels check identities over every ordered pair at once: ``table_mismatches``
+forms each left factor's products with all right factors by one integer
+matmul with its left-regular matrix, and ``gram_mismatches`` every trace
+pairing as one Gram matrix per power of N and landing radicand.  Both read
+the list from ``_stack``, which puts it over one common denominator D and
+makes the one int64-or-Python-int choice per call (the certificate's too).
 """
 
 from __future__ import annotations
@@ -261,10 +260,7 @@ def _left_blocks(m: int) -> Iterator[tuple[slice, np.ndarray]]:
 
 
 def table_mismatches(
-    m: int,
-    elements: list[Parts],
-    targets: list[tuple[np.ndarray, np.ndarray]],
-    _factors: np.ndarray | None = None,
+    m: int, elements: list[Parts], targets: list[tuple[np.ndarray, np.ndarray]]
 ) -> np.ndarray:
     """Boolean matrix of the pairs (x, y) whose product x·y is not its target.
 
@@ -275,39 +271,26 @@ def table_mismatches(
     of radicand group e, L the left-regular matrix from ``_left_blocks``.
     Those landing under s, scaled by g where √d·√e = g·√s, are added in place
     one s at a time and checked as got == D·V_s[z].
-
-    ``_factors``, when given, lists the indices that serve as left and right
-    factors: only the pairs of those elements are formed, and every other
-    pair stays unflagged.  Targets are still read from the whole stack, and
-    D and the dtype are those of the whole list.
     """
     den, dtype, groups = _stack(elements)
     landing = _landing(groups)
     count = len(elements)
-    factors = np.arange(count) if _factors is None else np.asarray(_factors, dtype=np.intp)
-    # position of each element among the factors, -1 outside them
-    slot = np.full(count, -1, dtype=np.intp)
-    slot[factors] = np.arange(len(factors))
-    row_of, right = {}, {}
-    for d, (rows, mat) in groups.items():
+    row_of = {}
+    for d, (rows, _) in groups.items():
         row_of[d] = np.full(count, -1, dtype=np.intp)
         row_of[d][rows] = np.arange(len(rows))
-        inside = slot[rows] >= 0
-        right[d] = (slot[rows], mat) if inside.all() else (slot[rows[inside]], mat[inside])
     bad = np.zeros((count, count), dtype=bool)
     for cols, left in _left_blocks(m):
-        shape = (len(factors), left.shape[1])
-        for x in factors.tolist():
+        shape = (count, left.shape[1])
+        for x, parts in enumerate(elements):
             ys, zs = targets[x]
-            keep = slot[ys] >= 0
-            ys, zs = slot[ys[keep]], zs[keep]
-            lts = {d: groups[d][1][row_of[d][x]][left] for d in elements[x]}
+            lts = {d: groups[d][1][row_of[d][x]][left] for d in parts}
             # a target may lie under a radicand that no product lands on
             for s in landing.keys() | groups.keys():
                 got = np.zeros(shape, dtype)
                 for d, e, g in landing.get(s, ()):
                     if d in lts:
-                        rows, mat = right[e]
+                        rows, mat = groups[e]
                         got[rows] += g * (mat @ lts[d])
                 want = np.zeros((len(ys), shape[1]), dtype)
                 if s in groups:
@@ -316,7 +299,7 @@ def table_mismatches(
                 # every product vanishes but those with a target
                 wrong = (got != 0).any(axis=1)
                 wrong[ys] = (got[ys] != want).any(axis=1)
-                bad[x, factors] |= wrong
+                bad[x] |= wrong
     return bad
 
 

@@ -5,11 +5,6 @@ entry, and absent columns are zero, so the work scales with the nonzeros
 rather than with the width of the matrix.  ``fraction_rank`` is the one
 exact elimination; ``surd_rank`` reduces a rank over the surd field to it
 by writing every row in rational coordinates.
-
-``nonsingular_mod_p`` is a certificate, not a rank: it eliminates a dense
-square integer matrix modulo the prime ``PRIME``, and a nonzero determinant
-modulo p is a nonzero determinant over the integers.  A matrix it refuses
-may still be nonsingular, so its callers rank such a matrix exactly.
 """
 
 from __future__ import annotations
@@ -18,12 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .coefficients import squarefree_decompose
-
-# below 2**31, so the product of two residues stays below 2**62 in int64
-PRIME = 2**31 - 1
 
 
 def _primitive(row: Mapping[int, int | Fraction]) -> dict[int, int]:
@@ -109,27 +99,3 @@ def surd_rank(rows: Iterable[Mapping[int, Mapping[int, int | Fraction]]]) -> int
             expanded.append(out)
     return fraction_rank(expanded) // width
 
-
-def nonsingular_mod_p(matrix: np.ndarray) -> bool:
-    """Whether a square integer matrix is nonsingular modulo ``PRIME``.
-
-    The entries are reduced modulo p first, so an int64 matrix and one of
-    Python integers (dtype object) are both accepted.  Gaussian elimination
-    over the field of p elements then takes, for each column, the first row
-    with a nonzero residue there as the pivot and clears that column in the
-    rows below it with one vectorised update of the rows that have a nonzero
-    there.  A column with no pivot means the determinant is 0 modulo p.
-    True proves det ≠ 0 over the integers; False proves nothing when p
-    divides a nonzero determinant.
-    """
-    a = (matrix % PRIME).astype(np.int64, copy=False)
-    for k in range(a.shape[0]):
-        nz = np.flatnonzero(a[k:, k])
-        if not nz.size:
-            return False
-        if nz[0]:
-            a[[k, k + nz[0]]] = a[[k + nz[0], k]]
-        rows = k + 1 + np.flatnonzero(a[k + 1 :, k])
-        factor = a[rows, k] * pow(int(a[k, k]), -1, PRIME) % PRIME
-        a[rows, k + 1 :] = (a[rows, k + 1 :] - factor[:, None] * a[k, k + 1 :]) % PRIME
-    return True

@@ -8,21 +8,13 @@ four properties that make it a basis: matrix-unit multiplication,
 orthonormality of the trace pairing, completeness/nesting of the
 projectors, and linear independence over the permutation expansion.
 
-The multiplication table and orthonormality are exact, with the batched
-integer kernels ``_fast.table_mismatches`` and ``_fast.gram_mismatches``,
-over one common denominator (int64 while one 2**62 bound per call allows,
-Python integers otherwise).  Orthonormality compares every ordered pair of
-operators.  The table is proved by associativity from the pairs among each
-block's reference row and column (2·#SYT − #diagrams operators, 45 of 120 at
-m = 5), and the kernel runs over every pair only when one of those fails.
-Only a pair the kernels flag is recomputed on its own, to build its witness.
-
-Linear independence is proved the same way, certificate first: when each of
-the m! operators has one radicand, their integer rows over that common
-denominator form a square integer matrix, and a determinant that is nonzero
-modulo a fixed prime (``_linalg.nonsingular_mod_p``) proves full rank.  Only
-when the certificate does not apply or refuses does ``surd_rank`` rank the
-operators exactly, so that a failing report names the rank.
+The multiplication table, orthonormality and linear independence are proved
+by one Jucys–Murphy certificate, ``_matrix_units``, which forms no full
+product.  A basis it refuses (the Young kind from m = 3 on, or a corrupted
+or malformed grid) is checked pair by pair with the batched integer kernels
+``_fast.table_mismatches`` and ``_fast.gram_mismatches``, and ranked exactly
+with ``surd_rank``, so a failing report lists every failed pair or names the
+rank.  Only a flagged pair is recomputed on its own, for its witness.
 
 Verification reports are structured: every failed identity carries an exact
 witness string, and a report with no failures means every instance of the
@@ -39,9 +31,10 @@ from math import factorial
 import numpy as np
 
 from . import _fast
-from ._linalg import nonsingular_mod_p, surd_rank
-from .algebra import AlgebraElement, multiply, scalar_product, trace
+from ._linalg import surd_rank
+from .algebra import AlgebraElement, dagger, multiply, scalar_product, trace
 from .coefficients import PolyN
+from .permutations import Permutation
 from .projectors import hermitian_projector, young_projector
 from .tableaux import (
     YoungDiagram,
@@ -197,6 +190,87 @@ def _first_difference(expected: AlgebraElement, got: AlgebraElement) -> str:
     )
 
 
+def _matrix_units(b: BasisMatrix) -> bool:
+    """Whether a Jucys–Murphy certificate proves ``b`` a matrix-unit basis.
+
+    Write O_ST for ``operators[i][j]`` of a block, S = ``tableaux[i]``,
+    T = ``tableaux[j]``, 1 for its first tableau, X_k = Σ_{i<k} (i k) and
+    c_T(k) for the content (column − row) of k in T.  The certificate holds
+    when (a) there are m! operators, none zero, with pairwise distinct
+    pairs (S, T) of degree-m tableaux; (b) X_k·O_ST = c_S(k)·O_ST and
+    O_ST·X_k = c_T(k)·O_ST for k = 2..m; (c) (O_S1·O_1T)[g] = O_ST[g] and
+    (O_1T·O_T1)[g] = O_11[g], g the first permutation where the right-hand
+    side is nonzero.  (b) is one ``composition_table`` gather per
+    transposition and side, (c) one dot product of length m!.
+
+    Proof.  The X_k generate the commutative algebra of the primitive
+    idempotents E_T of all standard tableaux T, X_k·E_T = E_T·X_k =
+    c_T(k)·E_T, and content vectors separate standard tableaux
+    (Okounkov–Vershik).  So X_k·a = c_S(k)·a for all k gives
+    (c_U(k) − c_S(k))·E_U·a = 0, hence a = E_S·a; the right side is alike.
+    (b) thus puts O_ST in E_S·A·E_T, the line of the seminormal unit E_ST
+    when S, T have one shape and 0 otherwise: O_ST = c_ST·E_ST, c_ST ≠ 0.
+    As E_ST·E_UV = δ_TU·E_SV and E_ST[g] ≠ 0 where O_ST[g] ≠ 0, (c) reads
+    c_S1·c_1T = c_ST and c_1T·c_T1 = c_11, and S = T = 1 gives c_11 = 1, so
+    c_ST·c_TV = c_S1·(c_1T·c_T1)·c_1V = c_SV: O_ST·O_TV = O_SV, and
+    O_ST·O_UV = 0 for T ≠ U.  By (a) a tableau lies in one block only, so
+    that is the whole table, and the operators are nonzero elements of
+    distinct summands of A = ⊕ E_S·A·E_T, hence independent.  If also
+    O_ST† = O_TS, the cyclic trace gives ⟨O_ST, O_UV⟩ = tr(O_TS·O_UV) =
+    δ_SU·tr(O_TV) = δ_SU·δ_TV·tr(O_11).  Keppeler–Sjödahl identify the
+    Hermitian Young projectors with the E_T, so the Hermitian grid passes.
+    """
+    m, labels = b.m, b.labels()
+    pairs = [(b.blocks[blk].tableaux[i], b.blocks[blk].tableaux[j]) for blk, i, j in labels]
+    parts = [b.operator(label)._parts for label in labels]
+    if len(labels) != factorial(m) or not all(parts) or len(set(pairs)) != len(pairs):
+        return False
+    if any(t.n != m for block in b.blocks for t in block.tableaux):
+        return False
+    den, _, groups = _fast._stack(parts)
+
+    # c_T(k) at [k - 1]: each box's column − row, in the order of the entries
+    box = {s: [(e, j - i) for i, r in enumerate(s.rows) for j, e in enumerate(r)] for s, _ in pairs}
+    left, right = (np.array([[c for _, c in sorted(box[t])] for t in side]) for side in zip(*pairs))
+    table, inverse = _fast.composition_table(m), _fast.inverse_table(m)
+    index = _fast.permutation_index(m)
+    step = max(1, _fast._GATHER_LIMIT // len(labels))
+    for k in range(2, m + 1):
+        swaps = [index[Permutation.transposition(m, i, k).images] for i in range(1, k)]
+        for rows, mat in groups.values():
+            for lo in range(0, len(rows), step):
+                vs, xs = mat[lo : lo + step], rows[lo : lo + step]
+                # (t·a)[p] = a[t·p] and (a·t)[p] = a[p·t] for a transposition t
+                for contents, moved in ((left, table), (right, table.T)):
+                    if not np.array_equal(
+                        sum(vs[:, moved[t]] for t in swaps), contents[xs, k - 1][:, None] * vs
+                    ):
+                        return False
+
+    # (a·c)[g] = Σ_h a[h]·c[h⁻¹g], one dot product per radicand pair √d·√e = r·√s
+    landing = {(d, e): (s, r) for s, terms in _fast._landing(groups).items() for d, e, r in terms}
+    vectors: dict[tuple[int, int, int], dict[int, np.ndarray]] = {label: {} for label in labels}
+    for d, (rows, mat) in groups.items():
+        for x, vec in zip(rows.tolist(), mat):
+            vectors[labels[x]][d] = vec
+    chains = [((blk, i, 0), (blk, 0, j), (blk, i, j)) for blk, i, j in labels]
+    chains += [((blk, 0, j), (blk, j, 0), (blk, 0, 0)) for blk, i, j in labels if i == j]
+    for chain in chains:
+        a, c, z = (vectors[label] for label in chain)
+        g = min(int(np.flatnonzero(vec)[0]) for vec in z.values())
+        partner = table[inverse, g]
+        got: dict[int, int] = {}
+        for d, va in a.items():
+            for e, vc in c.items():
+                s, r = landing[d, e]
+                got[s] = got.get(s, 0) + r * int(va @ vc[partner])
+        # over the common denominator D, D²·(a·c) against D²·z = D·V_s[z]
+        want = {s: den * int(vec[g]) for s, vec in z.items()}
+        if {s: v for s, v in got.items() if v} != {s: v for s, v in want.items() if v}:
+            return False
+    return True
+
+
 def verify_multiplication_table(
     b: BasisMatrix, *, jobs: int | None = None
 ) -> VerificationReport:
@@ -206,30 +280,16 @@ def verify_multiplication_table(
     tableau both — and then equals the outer-endpoint operator; everything
     else must vanish: O_ij·O_kl = δ_jk·O_il, with O_ij^λ·O_kl^μ = 0 for λ ≠ μ.
 
-    The law is proved from a certificate.  Fix the reference index r = 0 of
-    every block and let S be each block's reference column and row, the
-    operators O_ir and O_rj (2·f − 1 of the f² in a block of size f).  The
-    pairs S × S are ordinary table pairs, and they contain two families:
-
-    (a) O_ir·O_rj = O_ij for all i, j of a block; with i = r or j = r this
-        includes O_rr·O_rj = O_rj and O_ir·O_rr = O_ir;
-    (b) O_rj^λ·O_kr^μ = δ_λμ·δ_jk·O_rr^λ.
-
-    By associativity these give every other pair, with δ = δ_λμ·δ_jk:
-
-        O_ij·O_kl = O_ir·(O_rj·O_kr)·O_rl = δ·O_ir·(O_rr·O_rl) = δ·O_ir·O_rl = δ·O_il.
-
-    S × S is a subset of all pairs, so the certificate passes exactly when
-    the full table does, and a passing report counts all (m!)² pairs.
-    ``_fast.table_mismatches`` compares the pairs S × S exactly, one
-    left-regular product per operator of S.  Only when it flags one does
-    the same kernel run over every pair, so that a failing report lists
-    every failed pair.  A failure names the first permutation whose
-    coefficient differs, with the expected and the actual coefficient.
+    A basis that ``_matrix_units`` certifies passes with all (m!)² pairs
+    counted.  Any other has every pair checked by ``_fast.table_mismatches``,
+    and a failure names the first permutation whose coefficient differs,
+    with the expected and the actual coefficient.
     ``jobs`` is accepted for compatibility and ignored: the check runs in
     this process.
     """
     labels = b.labels()
+    if _matrix_units(b):
+        return VerificationReport("multiplication_table", len(labels) ** 2)
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
     position = {label: k for k, label in enumerate(labels)}
@@ -243,14 +303,7 @@ def verify_multiplication_table(
                 np.array([position[(blk, i, l)] for l in size], dtype=np.intp),
             )
         )
-    parts = [op._parts for op in ops]
-    # S: every block's reference column and row; a clean S × S proves the rest
-    reference = np.array(
-        [k for k, (_, i, j) in enumerate(labels) if i == 0 or j == 0], dtype=np.intp
-    )
-    bad = _fast.table_mismatches(b.m, parts, targets, reference)
-    if bad.any():
-        bad = _fast.table_mismatches(b.m, parts, targets)
+    bad = _fast.table_mismatches(b.m, [op._parts for op in ops], targets)
     failures = []
     for a, c in np.argwhere(bad).tolist():
         (ba, ia, ja), (bc, kc, lc) = labels[a], labels[c]
@@ -283,20 +336,26 @@ def verify_orthonormality(
     """Check ⟨x, y⟩ = δ·dim over operator pairs, as exact polynomial identities.
 
     Distinct operators must pair to zero; an operator against itself gives
-    the dimension polynomial of its block's diagram.  Every pair is compared
-    exactly by ``_fast.gram_mismatches``, one Gram matrix per power of N.
-    With ``sample`` the report covers that many pairs drawn uniformly with
-    ``seed`` instead of all of them.  ``jobs`` is accepted for compatibility
-    and ignored: the check runs in this process.
+    the dimension polynomial of its block's diagram.  With ``sample`` the
+    report covers that many pairs drawn uniformly with ``seed`` instead of
+    all of them.  A basis that ``_matrix_units`` certifies, with every
+    O_ij† equal to O_ji, passes; any other has every pair compared exactly
+    by ``_fast.gram_mismatches``, one Gram matrix per power of N.
+    ``jobs`` is accepted for compatibility and ignored: the check runs in
+    this process.
     """
     if b.kind != "hermitian":
         raise ValueError("orthonormality holds only for the hermitian basis kind")
     _check_sample(sample)
     labels = b.labels()
+    n = len(labels)
+    if _matrix_units(b) and all(
+        dagger(b.operator((blk, i, j))) == b.operator((blk, j, i)) for blk, i, j in labels
+    ):
+        return VerificationReport("orthonormality", n * n if sample is None else sample)
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
     dims = [trace(block.operators[0][0]) for block in b.blocks]
-    n = len(labels)
     diagonal = [dims[blk] for blk, _, _ in labels]
     bad = _fast.gram_mismatches(b.m, [op._parts for op in ops], diagonal)
     if sample is None:
@@ -363,31 +422,17 @@ def verify_linear_independence(b: BasisMatrix) -> VerificationReport:
     """Check that the m! operators span the full group algebra.
 
     Each operator expands to a coefficient row over the m! permutations;
-    the stacked matrix must have full rank over the surd field.
+    the stacked matrix must have full rank over the surd field.  A basis
+    that ``_matrix_units`` certifies passes.  Any other is ranked exactly:
     ``_fast._stack`` puts every operator over one denominator D as integer
-    vectors, one per radicand: x = (1/D)·Σ_d √d·V_d[x].
-
-    When there are m! operators and each has exactly one radicand d_x, the
-    rank is proved by a certificate instead.  Dividing row x by its root
-    √d_x and multiplying it by D changes no rank, and leaves the integer
-    row V_{d_x}[x]; these rows form a square integer matrix M.  If
-    det M ≢ 0 (mod p) then det M ≠ 0, so M has full rank over Q, hence
-    over the surd field, and the operators are independent.
-    ``nonsingular_mod_p`` decides this for the fixed prime p = 2³¹ − 1.
-
-    In every other case (the certificate refuses M, a row mixes radicands
-    or the count is not m!) the sparse integer rows go to ``surd_rank``,
-    which ranks them exactly, so a failing report names the actual rank.
+    vectors, x = (1/D)·Σ_d √d·V_d[x], whose sparse rows go to ``surd_rank``,
+    so a failing report names the actual rank.
     """
+    if _matrix_units(b):
+        return VerificationReport("linear_independence", 1)
     ops = [op for _, op in b.flat()]
     expected = factorial(b.m)
-    _, dtype, groups = _fast._stack([op._parts for op in ops])
-    if len(ops) == expected and all(len(op._parts) == 1 for op in ops):
-        square = np.zeros((expected, expected), dtype)
-        for which, mat in groups.values():
-            square[which] = mat
-        if nonsingular_mod_p(square):
-            return VerificationReport("linear_independence", 1)
+    _, _, groups = _fast._stack([op._parts for op in ops])
     rows: list[dict[int, dict[int, int]]] = [{} for _ in ops]
     for d, (which, mat) in groups.items():
         for x, vec in zip(which.tolist(), mat):

@@ -14,6 +14,7 @@ import pytest
 from sunbasis.algebra import element_from_json
 from sunbasis.basis import assemble, basis_from_json
 from sunbasis.cli import (
+    _DIMS_MAX_DEGREE,
     latex_permutation,
     latex_poly,
     latex_rational,
@@ -367,6 +368,14 @@ def test_dims_polynomials_match_formula():
 
         assert poly == dimension_formula(YoungDiagram(shape))
     assert sum(s["tableau_count"] for s in payload["shapes"]) == 10
+
+
+def test_dims_above_the_degree_cap_is_usage_error():
+    rc, out, err = run(["dims", "--m", str(_DIMS_MAX_DEGREE + 1)])
+    assert (rc, out) == (2, "")
+    assert err == f"error: dims takes --m up to {_DIMS_MAX_DEGREE}, got {_DIMS_MAX_DEGREE + 1}\n"
+    # a degree the process could not finish is refused just as fast
+    assert run(["dims", "--m", "1000"])[0] == 2
 
 
 def test_unknown_format_is_usage_error():

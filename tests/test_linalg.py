@@ -1,13 +1,10 @@
 from fractions import Fraction
-from math import factorial
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sunbasis import _linalg
-from sunbasis._fast import vector
-from sunbasis._linalg import PRIME, fraction_rank, nonsingular_mod_p, surd_rank
+from sunbasis._linalg import fraction_rank, surd_rank
 from sunbasis.coefficients import Surd
 from sunbasis.matrix_rep import ConcreteMatrix, rank
 
@@ -67,54 +64,6 @@ def test_fraction_rank_keeps_big_entries_exact():
     big = 2**80
     assert fraction_rank(sparse([[big, 1], [big + 1, 1]])) == 2
     assert fraction_rank(sparse([[big, 3 * big], [Fraction(1, big), Fraction(3, big)]])) == 1
-
-
-# -- the nonsingularity certificate modulo p --------------------------------------
-
-
-@st.composite
-def square_integer_matrices(draw):
-    """Square integer matrices, some with a row that combines two others (so
-    they are singular), some with entries far beyond int64."""
-    n = draw(st.integers(1, 5))
-    cells = draw(st.sampled_from([st.integers(-6, 6), st.integers(-(2**70), 2**70)]))
-    rows = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
-    if n > 1 and draw(st.booleans()):
-        a, b = draw(st.sampled_from(rows[1:])), draw(st.sampled_from(rows[1:]))
-        x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-        rows[0] = [x * u + y * v for u, v in zip(a, b)]
-    return draw(st.permutations(rows))
-
-
-@settings(max_examples=300, deadline=None)
-@given(square_integer_matrices())
-def test_certificate_never_contradicts_the_exact_rank(rows):
-    n = len(rows)
-    full = fraction_rank(sparse(rows)) == n
-    certified = nonsingular_mod_p(vector(rows))
-    # a certified matrix has full rank; a rank-deficient one is refused
-    assert full or not certified
-    # below p, Hadamard's bound n!·max|x|^n keeps a nonzero determinant nonzero mod p
-    if factorial(n) * max(abs(x) for r in rows for x in r) ** n < PRIME:
-        assert certified == full
-
-
-def test_certificate_refuses_a_determinant_divisible_by_p():
-    rows = [[PRIME, 0], [0, 1]]
-    assert fraction_rank(sparse(rows)) == 2
-    assert not nonsingular_mod_p(np.array(rows, dtype=np.int64))
-
-
-def test_certificate_reduces_entries_beyond_int64():
-    big = 2**70 * PRIME
-    # det = 6·big ≡ 0 and det = 6·big + 6 ≡ 6 (mod p)
-    singular = vector([[big + 1, 2], [3, 6]])
-    nonsingular = vector([[big + 2, 2], [3, 6]])
-    negative = vector([[-(2**65), 1], [1, 0]])
-    assert singular.dtype == nonsingular.dtype == negative.dtype == object
-    assert not nonsingular_mod_p(singular)
-    assert nonsingular_mod_p(nonsingular)
-    assert nonsingular_mod_p(negative)
 
 
 def _surd_elimination(rows):
