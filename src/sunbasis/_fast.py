@@ -18,7 +18,7 @@ forms each left factor's products with all right factors by one integer
 matmul with its left-regular matrix, and ``gram_mismatches`` every trace
 pairing as one Gram matrix per power of N and landing radicand.  Both read
 the list from ``_stack``, which puts it over one common denominator D and
-makes the one int64-or-Python-int choice per call (the certificate's too).
+makes the one int64-or-Python-int choice per call.
 """
 
 from __future__ import annotations
@@ -70,6 +70,26 @@ def inverse_table(m: int) -> np.ndarray:
     """``table[i]`` is the index of the inverse of ``p_i``."""
     # p_i after p_j is the identity, position 0, exactly when p_j inverts p_i
     return np.nonzero(composition_table(m) == 0)[1]
+
+
+@cache
+def _transposition_moves(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays of the transpositions (i k), i < k, in order of k, then i.
+
+    Returns (left, right, starts): ``left[t, q]`` is the index of t·p_q and
+    ``right[t, q]`` that of p_q·t, so that (t·a)[q] = a[left[t, q]] and
+    (a·t)[q] = a[right[t, q]]; the rows of X_k = Σ_{i<k} (i k) begin at
+    ``starts[k - 2]``.
+    """
+    table, index = composition_table(m), permutation_index(m)
+    swaps = []
+    for k in range(2, m + 1):
+        for i in range(1, k):
+            images = list(range(1, m + 1))
+            images[i - 1], images[k - 1] = k, i
+            swaps.append(index[tuple(images)])
+    starts = np.array([(k - 1) * (k - 2) // 2 for k in range(2, m + 1)], dtype=np.intp)
+    return table[swaps], table[:, swaps].T.copy(), starts
 
 
 @cache

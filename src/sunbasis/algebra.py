@@ -97,7 +97,7 @@ class AlgebraElement:
 
     @staticmethod
     def identity(m: int) -> "AlgebraElement":
-        return AlgebraElement(m, {Permutation.identity(m): Surd.rational(1)})
+        return _identity(m)
 
     @staticmethod
     def from_permutation(p: Permutation, coeff: SurdLike = 1) -> "AlgebraElement":
@@ -157,8 +157,16 @@ class AlgebraElement:
         return self + (-other)
 
     def scale(self, c: _Scalar) -> "AlgebraElement":
-        scalar = AlgebraElement(self.m, {Permutation.identity(self.m): Surd._coerce(c)})
-        return AlgebraElement._raw(self.m, _fast.convolve(self.m, scalar._parts, self._parts))
+        # q·√e times √d/denom·vec is √s·(q·g·vec)/denom with √d·√e = g·√s
+        acc: dict = {}
+        for e, q in Surd._coerce(c).terms():
+            for d, (denom, vec) in self._parts.items():
+                root, whole = squarefree_decompose(d * e)
+                factor = q.numerator * whole
+                if vec.dtype == np.int64 and not _fast._fits(_fast._abs_max(vec), abs(factor)):
+                    (vec,) = _fast._objects(vec)
+                _fast._accumulate(acc, root, denom * q.denominator, vec * factor)
+        return AlgebraElement._raw(self.m, _fast.canonical(acc))
 
     def __rmul__(self, c):  # scalar * element
         if isinstance(c, (int, Fraction, Surd)):
@@ -227,6 +235,11 @@ class AlgebraElement:
 
 
 @cache
+def _identity(m: int) -> AlgebraElement:
+    return AlgebraElement(m, {Permutation.identity(m): Surd.rational(1)})
+
+
+@cache
 def _embedding(k: int, m: int) -> np.ndarray:
     """Positions in S_m of the degree-k permutations padded with fixed points."""
     index = _fast.permutation_index(m)
@@ -237,6 +250,15 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Convolution product; the right factor acts first."""
     a._require_same_degree(b)
     return AlgebraElement._raw(a.m, _fast.convolve(a.m, a._parts, b._parts))
+
+
+def _translate(a: AlgebraElement, p: Permutation, *, left: bool) -> AlgebraElement:
+    """p·a when ``left``, else a·p: one composition-table gather, no product."""
+    table = _fast.composition_table(a.m)
+    r = _fast.inverse_table(a.m)[_fast.permutation_index(a.m)[p.images]]
+    # (p·a)[q] = a[p⁻¹·q] and (a·p)[q] = a[q·p⁻¹]
+    where = table[r] if left else table[:, r]
+    return AlgebraElement._raw(a.m, {d: (denom, vec[where]) for d, (denom, vec) in a._parts.items()})
 
 
 def dagger(a: AlgebraElement) -> AlgebraElement:

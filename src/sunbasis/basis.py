@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
@@ -34,12 +34,12 @@ from . import _fast
 from ._linalg import surd_rank
 from .algebra import AlgebraElement, dagger, multiply, scalar_product, trace
 from .coefficients import PolyN
-from .permutations import Permutation
 from .projectors import hermitian_projector, young_projector
 from .tableaux import (
     YoungDiagram,
     YoungTableau,
     enumerate_tableaux,
+    _contents,
     partitions,
     tableau_to_json,
     tableau_from_json,
@@ -190,6 +190,18 @@ def _first_difference(expected: AlgebraElement, got: AlgebraElement) -> str:
     )
 
 
+def _certificate_dtype(m: int, parts: list[_fast.Parts]) -> type:
+    """int64 when what ``_matrix_units`` forms from the stored vectors stays
+    below the guard, Python integers otherwise.
+
+    With T the largest stored entry and n = m!, its chain dots reach n·T²
+    and its eigen-sums m·T, below that; it sums the dots and forms the
+    chain targets in Python integers.
+    """
+    top = max(_fast._abs_max(vec) for p in parts for _, vec in p.values())
+    return np.int64 if _fast._fits(factorial(m), top, top) else object
+
+
 def _matrix_units(b: BasisMatrix) -> bool:
     """Whether a Jucys–Murphy certificate proves ``b`` a matrix-unit basis.
 
@@ -227,45 +239,48 @@ def _matrix_units(b: BasisMatrix) -> bool:
         return False
     if any(t.n != m for block in b.blocks for t in block.tableaux):
         return False
-    den, _, groups = _fast._stack(parts)
+    # (b) and (c) are linear in each operator, so they read the stored vectors
+    dtype = _certificate_dtype(m, parts)
+    rows: dict[int, list[int]] = {}
+    for x, p in enumerate(parts):
+        for d in p:
+            rows.setdefault(d, []).append(x)
 
-    # c_T(k) at [k - 1]: each box's column − row, in the order of the entries
-    box = {s: [(e, j - i) for i, r in enumerate(s.rows) for j, e in enumerate(r)] for s, _ in pairs}
-    left, right = (np.array([[c for _, c in sorted(box[t])] for t in side]) for side in zip(*pairs))
+    left, right = (np.array([_contents(t) for t in side]) for side in zip(*pairs))
     table, inverse = _fast.composition_table(m), _fast.inverse_table(m)
-    index = _fast.permutation_index(m)
+    lefts, rights, starts = _fast._transposition_moves(m)
     step = max(1, _fast._GATHER_LIMIT // len(labels))
-    for k in range(2, m + 1):
-        swaps = [index[Permutation.transposition(m, i, k).images] for i in range(1, k)]
-        for rows, mat in groups.values():
-            for lo in range(0, len(rows), step):
-                vs, xs = mat[lo : lo + step], rows[lo : lo + step]
+    for d, xs in rows.items():
+        for lo in range(0, len(xs), step):
+            chunk = np.array(xs[lo : lo + step], dtype=np.intp)
+            vs = np.stack([parts[x][d][1] for x in chunk]).astype(dtype, copy=False)
+            for k, first in enumerate(starts.tolist(), start=2):
                 # (t·a)[p] = a[t·p] and (a·t)[p] = a[p·t] for a transposition t
-                for contents, moved in ((left, table), (right, table.T)):
+                for contents, moves in ((left, lefts), (right, rights)):
                     if not np.array_equal(
-                        sum(vs[:, moved[t]] for t in swaps), contents[xs, k - 1][:, None] * vs
+                        sum(vs[:, moves[t]] for t in range(first, first + k - 1)),
+                        contents[chunk, k - 1][:, None] * vs,
                     ):
                         return False
 
-    # (a·c)[g] = Σ_h a[h]·c[h⁻¹g], one dot product per radicand pair √d·√e = r·√s
-    landing = {(d, e): (s, r) for s, terms in _fast._landing(groups).items() for d, e, r in terms}
-    vectors: dict[tuple[int, int, int], dict[int, np.ndarray]] = {label: {} for label in labels}
-    for d, (rows, mat) in groups.items():
-        for x, vec in zip(rows.tolist(), mat):
-            vectors[labels[x]][d] = vec
+    # (a·c)[g] = Σ_h a[h]·c[h⁻¹g], one dot product per radicand pair √d·√e = r·√s,
+    # compared over the common denominator D: D²·(a·c) against D²·z
+    den = lcm(*(denom for p in parts for denom, _ in p.values()))
+    landing = {(d, e): (s, r) for s, terms in _fast._landing(rows).items() for d, e, r in terms}
+    position = {label: x for x, label in enumerate(labels)}
     chains = [((blk, i, 0), (blk, 0, j), (blk, i, j)) for blk, i, j in labels]
     chains += [((blk, 0, j), (blk, j, 0), (blk, 0, 0)) for blk, i, j in labels if i == j]
     for chain in chains:
-        a, c, z = (vectors[label] for label in chain)
-        g = min(int(np.flatnonzero(vec)[0]) for vec in z.values())
+        a, c, z = (parts[position[label]] for label in chain)
+        g = min(int(np.flatnonzero(vec)[0]) for _, vec in z.values())
         partner = table[inverse, g]
         got: dict[int, int] = {}
-        for d, va in a.items():
-            for e, vc in c.items():
+        for d, (pa, va) in a.items():
+            for e, (pc, vc) in c.items():
                 s, r = landing[d, e]
-                got[s] = got.get(s, 0) + r * int(va @ vc[partner])
-        # over the common denominator D, D²·(a·c) against D²·z = D·V_s[z]
-        want = {s: den * int(vec[g]) for s, vec in z.items()}
+                dot = int(va.astype(dtype, copy=False) @ vc[partner].astype(dtype, copy=False))
+                got[s] = got.get(s, 0) + r * (den // pa) * (den // pc) * dot
+        want = {s: den * (den // pz) * int(vz[g]) for s, (pz, vz) in z.items()}
         if {s: v for s, v in got.items() if v} != {s: v for s, v in want.items() if v}:
             return False
     return True
@@ -514,16 +529,20 @@ def basis_to_json(b: BasisMatrix) -> dict:
 
 
 def basis_from_json(obj: dict) -> BasisMatrix:
+    """Parse a basis; a block whose operator grid is not square over its
+    tableaux, or that holds an operator of another degree, raises ValueError."""
     from .algebra import element_from_json
 
-    blocks = tuple(
-        BasisBlock(
-            YoungDiagram(tuple(blk["diagram"])),
-            tuple(tableau_from_json(t) for t in blk["tableaux"]),
-            tuple(
-                tuple(element_from_json(op) for op in row) for row in blk["operators"]
-            ),
-        )
-        for blk in obj["blocks"]
-    )
-    return BasisMatrix(obj["m"], obj["kind"], blocks)
+    m = obj["m"]
+    blocks = []
+    for blk in obj["blocks"]:
+        diagram = YoungDiagram(tuple(blk["diagram"]))
+        tableaux = tuple(tableau_from_json(t) for t in blk["tableaux"])
+        grid = tuple(tuple(element_from_json(op) for op in row) for row in blk["operators"])
+        name = ",".join(map(str, diagram.rows))
+        if len(grid) != len(tableaux) or any(len(row) != len(tableaux) for row in grid):
+            raise ValueError(f"block ({name}): operator grid is not {len(tableaux)}x{len(tableaux)}")
+        if any(op.m != m for row in grid for op in row):
+            raise ValueError(f"block ({name}): operator degree differs from m = {m}")
+        blocks.append(BasisBlock(diagram, tableaux, grid))
+    return BasisMatrix(m, obj["kind"], tuple(blocks))

@@ -24,12 +24,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, prod
 from typing import Literal, Optional
 
+import numpy as np
+
+from . import _fast
 from .algebra import AlgebraElement, _check_degree, multiply, proportionality, trace
 from .coefficients import PolyN, Surd
-from .permutations import Permutation
 from .tableaux import YoungDiagram, YoungTableau
 
 SetKind = Literal["sym", "anti"]
@@ -87,11 +89,10 @@ def _set_element(s: SymmetrizerSet) -> AlgebraElement:
     # before enumerating the block permutations, which grow as m!
     _check_degree(m)
     anti = s.kind == "anti"
-    denom = 1
-    for b in s.blocks:
-        denom *= factorial(len(b))
+    denom = prod(factorial(len(b)) for b in s.blocks)
     live = [b for b in s.blocks if len(b) > 1]
-    terms: dict[Permutation, Surd] = {}
+    index = _fast.permutation_index(m)
+    values = np.zeros(factorial(m), dtype=np.int64)
     for choice in itertools.product(*(itertools.permutations(b) for b in live)):
         images = list(range(1, m + 1))
         sgn = 1
@@ -100,8 +101,8 @@ def _set_element(s: SymmetrizerSet) -> AlgebraElement:
                 images[src - 1] = dst
             if anti:
                 sgn *= _block_parity(b, target)
-        terms[Permutation(tuple(images))] = Surd.rational(Fraction(sgn, denom))
-    return AlgebraElement(m, terms)
+        values[index[tuple(images)]] = sgn
+    return AlgebraElement._raw(m, _fast.canonical({1: (denom, values)}))
 
 
 def symmetrizer(
@@ -220,9 +221,11 @@ def hermitian_staircase(t: YoungTableau) -> Projector:
 
 
 def _product(n: int, factors: list[AlgebraElement]) -> AlgebraElement:
-    """The identity of S_n times each factor in turn, left to right."""
-    p = AlgebraElement.identity(n)
-    for f in factors:
+    """The product of the factors, left to right; the identity of S_n if none."""
+    if not factors:
+        return AlgebraElement.identity(n)
+    p = factors[0]
+    for f in factors[1:]:
         p = multiply(p, f)
     return p
 
@@ -250,11 +253,46 @@ def mold_factors(t: YoungTableau) -> tuple[tuple[SymmetrizerSet, int], ...]:
     return tuple(prefix + center + list(reversed(prefix)))
 
 
+def _level0_anti_indices(factors: tuple[tuple[SymmetrizerSet, int], ...]) -> list[int]:
+    """Positions of the tableau's own full antisymmetrizer set in the sequence.
+
+    Ancestor sets can coincide with the full set element-wise, so factors
+    are selected by their recorded level rather than by set equality.
+    """
+    hits = [i for i, (s, level) in enumerate(factors) if level == 0 and s.kind == "anti"]
+    if len(hits) not in (1, 2):
+        raise ValueError(
+            "malformed factor sequence: expected one or two full antisymmetrizer sets, "
+            f"found {len(hits)}"
+        )
+    return hits
+
+
+@cache
+def _mold_prefix(t: YoungTableau) -> AlgebraElement:
+    """The product of ``t``'s mold factors through its first full antisymmetrizer set."""
+    factors = mold_factors(t)
+    cut = _level0_anti_indices(factors)[0]
+    return _product(t.n, [f.element() for f, _ in factors[: cut + 1]])
+
+
+@cache
+def _mold_suffix(t: YoungTableau, cut: int) -> AlgebraElement:
+    """The product of ``t``'s mold factors after position ``cut``, one of its
+    full antisymmetrizer sets."""
+    return _product(t.n, [f.element() for f, _ in mold_factors(t)[cut + 1 :]])
+
+
 @cache
 def hermitian_mold(t: YoungTableau) -> Projector:
-    """Shortened Hermitian construction; equals hermitian_staircase exactly."""
+    """Shortened Hermitian construction; equals hermitian_staircase exactly.
+
+    Its bar product continues the prefix that the compact transitions share
+    through the remaining factors, one sparse set at a time.
+    """
     factors = mold_factors(t)
-    bar = _product(t.n, [f.element() for f, _ in factors])
+    cut = _level0_anti_indices(factors)[0]
+    bar = _product(t.n, [_mold_prefix(t)] + [f.element() for f, _ in factors[cut + 1 :]])
     beta = Surd.rational(1) / _idempotency_scale(bar)
     return Projector(t, "mold", bar.scale(beta), beta)
 

@@ -205,6 +205,13 @@ def tableau_permutation(theta: YoungTableau, phi: YoungTableau) -> Permutation:
 
 
 @cache
+def _contents(t: YoungTableau) -> tuple[int, ...]:
+    """c_T(k) at [k - 1]: the column minus the row of the box holding k."""
+    boxes = sorted((e, j - i) for i, row in enumerate(t.rows) for j, e in enumerate(row))
+    return tuple(c for _, c in boxes)
+
+
+@cache
 def tableaux_of_shape(diagram: YoungDiagram) -> tuple[YoungTableau, ...]:
     """All standard tableaux of one shape, ascending by lexicographic row word."""
     n = diagram.n

@@ -17,7 +17,9 @@ one subspace bijectively onto the other.  Three constructions are provided:
 The scalar ``tau`` is fixed by requiring ``T * dagger(T)`` to equal the
 target projector exactly; its square is always rational here, and the
 positive square root is taken (the remaining blockwise sign freedom is a
-genuine convention).
+genuine convention).  ``_normalize`` reads ``tau**-2`` off one coefficient
+of that square, once a Jucys–Murphy eigenspace check has shown it to be a
+multiple of the target, so the square itself is never formed.
 """
 
 from __future__ import annotations
@@ -26,16 +28,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .algebra import AlgebraElement, dagger, multiply, proportionality
+import numpy as np
+
+from . import _fast
+from .algebra import AlgebraElement, _translate, multiply
 from .coefficients import Surd
+from .permutations import Permutation
 from .projectors import (
-    SymmetrizerSet,
-    _product,
+    _level0_anti_indices,
+    _mold_prefix,
+    _mold_suffix,
     hermitian_projector,
     mold_factors,
     young_projector,
 )
-from .tableaux import YoungTableau, tableau_permutation
+from .tableaux import YoungTableau, _contents, tableau_permutation
 
 __all__ = [
     "TransitionOperator",
@@ -81,21 +88,71 @@ def _require_same_shape(theta: YoungTableau, phi: YoungTableau) -> None:
         )
 
 
-def _normalize(bar: AlgebraElement, target: AlgebraElement) -> tuple[AlgebraElement, Fraction]:
-    """Scale ``bar`` so the result times its own dagger equals ``target``.
+def _in_eigenspaces(a: AlgebraElement, left: tuple[int, ...], right: tuple[int, ...]) -> bool:
+    """Whether X_k·a = left[k - 1]·a and a·X_k = right[k - 1]·a for k = 2..m.
+
+    X_k = Σ_{i<k} (i k) is the k-th Jucys–Murphy element.  Each side is one
+    gather of the cached transposition-index array, summed per k; a sum of
+    at most m - 1 entries, or a content times an entry, stays below m·T.
+    """
+    if a.m == 1:
+        return True  # no Jucys–Murphy element to check
+    lefts, rights, starts = _fast._transposition_moves(a.m)
+    for _, vec in a._parts.values():
+        if not _fast._fits(a.m, _fast._abs_max(vec)):
+            (vec,) = _fast._objects(vec)
+        for moves, contents in ((lefts, left), (rights, right)):
+            if not np.array_equal(
+                np.add.reduceat(vec[moves], starts, axis=0),
+                np.array(contents[1:])[:, None] * vec,
+            ):
+                return False
+    return True
+
+
+@cache
+def _target_at_identity(theta: YoungTableau) -> Fraction:
+    """P_θ[e] for ``theta``'s Hermitian projector P_θ, once P_θ is shown
+    Jucys–Murphy diagonal and P_θ[e] nonzero."""
+    p = hermitian_projector(theta).element
+    if not _in_eigenspaces(p, _contents(theta), _contents(theta)):
+        raise ValueError("target projector is not Jucys–Murphy diagonal")
+    at_identity = p.coefficient(Permutation.identity(theta.n)).as_fraction()
+    if not at_identity:
+        raise ValueError("target projector vanishes at the identity; normalization undefined")
+    return at_identity
+
+
+def _normalize(
+    bar: AlgebraElement, theta: YoungTableau, phi: YoungTableau
+) -> tuple[AlgebraElement, Fraction]:
+    """Scale ``bar`` so the result times its own dagger equals ``theta``'s projector.
 
     Returns the scaled element together with the square of the scaling
     factor, which must come out as a positive rational.
+
+    Proof.  Write E_T for the primitive idempotent of a standard tableau T
+    in the commutative algebra of the Jucys–Murphy elements X_k; content
+    vectors separate standard tableaux, so X_k·a = c_θ(k)·a for all k puts
+    a in E_θ·A, and a·X_k = c_φ(k)·a puts it in A·E_φ (Okounkov–Vershik).
+    Both checks on ``bar`` place it in E_θ·A·E_φ, and on P_θ in E_θ·A·E_θ,
+    the line of E_θ.  The X_k are Hermitian, hence so are the E_T, and
+    bar·bar† lies on that line too: bar·bar† = λ·P_θ once P_θ[e] ≠ 0, with
+    λ = (bar·bar†)[e] / P_θ[e] = Σ_g bar[g]² / P_θ[e], one dot product per
+    radicand pair.  Keppeler–Sjödahl identify P_θ with E_θ, so P_θ passes.
     """
     if bar.is_zero():
         raise ValueError("transition product vanished; the tableaux do not connect")
-    square = multiply(bar, dagger(bar))
-    c = proportionality(square, target)
-    if c is None:
-        raise ValueError("transition square is not proportional to the target projector")
-    if not c:
-        raise ValueError("transition square vanished; normalization undefined")
-    scale_sq = Fraction(1) / c.as_fraction()
+    at_identity = _target_at_identity(theta)
+    if not _in_eigenspaces(bar, _contents(theta), _contents(phi)):
+        raise ValueError("transition product is not in its tableaux' Jucys–Murphy eigenspaces")
+    square = Surd()
+    for d, (p, v) in bar._parts.items():
+        for e, (q, w) in bar._parts.items():
+            if not _fast._fits(len(v), _fast._abs_max(v), _fast._abs_max(w)):
+                v, w = _fast._objects(v, w)
+            square = square + Surd({d * e: Fraction(int(v @ w), p * q)})
+    scale_sq = at_identity / square.as_fraction()
     if scale_sq <= 0:
         raise ValueError(f"normalization square must be positive, got {scale_sq}")
     return bar.scale(Surd.sqrt(scale_sq)), scale_sq
@@ -114,8 +171,8 @@ def young_transition(theta: YoungTableau, phi: YoungTableau) -> TransitionOperat
     _require_same_shape(theta, phi)
     if theta.n >= 5:
         raise ValueError("Young transition basis undefined beyond m=4")
-    rho = AlgebraElement.from_permutation(tableau_permutation(theta, phi))
-    element = multiply(rho, young_projector(phi).element)
+    rho = tableau_permutation(theta, phi)
+    element = _translate(young_projector(phi).element, rho, left=True)
     return TransitionOperator(
         from_tableau=phi,
         to_tableau=theta,
@@ -137,9 +194,9 @@ def unitary_transition_general(theta: YoungTableau, phi: YoungTableau) -> Transi
     _require_same_shape(theta, phi)
     p_theta = hermitian_projector(theta).element
     p_phi = hermitian_projector(phi).element
-    rho = AlgebraElement.from_permutation(tableau_permutation(theta, phi))
-    bar = multiply(multiply(p_theta, rho), p_phi)
-    element, tau_squared = _normalize(bar, p_theta)
+    rho = tableau_permutation(theta, phi)
+    bar = multiply(_translate(p_theta, rho, left=False), p_phi)
+    element, tau_squared = _normalize(bar, theta, phi)
     return TransitionOperator(
         from_tableau=phi,
         to_tableau=theta,
@@ -147,21 +204,6 @@ def unitary_transition_general(theta: YoungTableau, phi: YoungTableau) -> Transi
         element=element,
         tau_squared=tau_squared,
     )
-
-
-def _level0_anti_indices(factors: tuple[tuple[SymmetrizerSet, int], ...]) -> list[int]:
-    """Positions of the tableau's own full antisymmetrizer set in the sequence.
-
-    Ancestor sets can coincide with the full set element-wise, so factors
-    are selected by their recorded level rather than by set equality.
-    """
-    hits = [i for i, (s, level) in enumerate(factors) if level == 0 and s.kind == "anti"]
-    if len(hits) not in (1, 2):
-        raise ValueError(
-            "malformed factor sequence: expected one or two full antisymmetrizer sets, "
-            f"found {len(hits)}"
-        )
-    return hits
 
 
 def _cut_sites(theta: YoungTableau, phi: YoungTableau) -> tuple[int, int]:
@@ -191,19 +233,14 @@ def unitary_transition_compact(theta: YoungTableau, phi: YoungTableau) -> Transi
     fraction of the factor count.
     """
     _require_same_shape(theta, phi)
-    m = theta.n
-    f_theta = mold_factors(theta)
-    f_phi = mold_factors(phi)
     i_theta, i_phi = _cut_sites(theta, phi)
-    rho = AlgebraElement.from_permutation(tableau_permutation(theta, phi))
-    a_theta = f_theta[i_theta][0].element()
-    a_phi = f_phi[i_phi][0].element()
-    if multiply(a_theta, rho) != multiply(rho, a_phi):
+    rho = tableau_permutation(theta, phi)
+    a_theta = mold_factors(theta)[i_theta][0].element()
+    a_phi = mold_factors(phi)[i_phi][0].element()
+    if _translate(a_theta, rho, left=False) != _translate(a_phi, rho, left=True):
         raise ValueError("cut antisymmetrizer sets do not match across the relabelling")
-    left = _product(m, [s.element() for s, _ in f_theta[: i_theta + 1]])
-    right = _product(m, [s.element() for s, _ in f_phi[i_phi + 1 :]])
-    bar = multiply(multiply(left, rho), right)
-    element, tau_squared = _normalize(bar, hermitian_projector(theta).element)
+    bar = multiply(_translate(_mold_prefix(theta), rho, left=False), _mold_suffix(phi, i_phi))
+    element, tau_squared = _normalize(bar, theta, phi)
     return TransitionOperator(
         from_tableau=phi,
         to_tableau=theta,

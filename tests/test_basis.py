@@ -993,3 +993,86 @@ def test_basis_json_round_trip():
                 for op in row:
                     assert element_from_json(op).m == 3
 
+
+
+def test_basis_from_json_rejects_grids_the_suites_cannot_read():
+    # a (2,1) row cut to one entry
+    data = basis_to_json(assemble(3))
+    hook = data["blocks"][1]
+    hook["operators"][0] = hook["operators"][0][:1]
+    with pytest.raises(ValueError, match=r"block \(2,1\): operator grid is not 2x2"):
+        basis_from_json(data)
+    # a missing row
+    data = basis_to_json(assemble(3))
+    data["blocks"][1]["operators"].pop()
+    with pytest.raises(ValueError, match=r"block \(2,1\): operator grid"):
+        basis_from_json(data)
+    # a degree-2 operator in the (3) block
+    data = basis_to_json(assemble(3))
+    data["blocks"][0]["operators"][0][0] = basis_to_json(assemble(2))["blocks"][0]["operators"][0][0]
+    with pytest.raises(ValueError, match=r"block \(3\): operator degree differs from m = 3"):
+        basis_from_json(data)
+
+
+def _certificate_dtype(b: BasisMatrix):
+    return basis_module._certificate_dtype(b.m, [op._parts for _, op in b.flat()])
+
+
+def test_certificate_takes_int64_from_its_own_bound():
+    # O_01·s and O_10/s are still matrix units, and O_01·s holds the largest
+    # stored entry T = s·t: the largest such s with n·T² below 2**62 keeps
+    # the certificate in int64 and the next one does not, while the pair
+    # kernels' stack is past its n²·T²·Σg bound on both sides
+    b = assemble(3, "hermitian")
+    ops = b.blocks[1].operators
+    ((denom, vec),) = ops[0][1]._parts.values()
+    n, t = 6, int(abs(vec).max())
+
+    def similar(k):
+        return _with_operator(
+            _with_operator(b, 1, 0, 1, ops[0][1].scale(k)), 1, 1, 0, ops[1][0].scale(Fraction(1, k))
+        )
+
+    # scales near the bound with no factor to cancel against the denominator
+    near = math.isqrt((2**62 - 1) // (n * t * t))
+    ks = [k for k in range(near - 10, near + 10) if math.gcd(k, denom) == 1]
+    below = max(k for k in ks if n * (k * t) ** 2 < 2**62)
+    above = min(k for k in ks if k > below)
+    for k, dtype in ((below, np.int64), (above, object)):
+        good = similar(k)
+        top = max(int(abs(v).max()) for _, op in good.flat() for _, v in op._parts.values())
+        assert top == k * t
+        assert (n * top * top < 2**62) is (dtype is np.int64)
+        assert _certificate_dtype(good) is dtype
+        assert _stack_dtype(good) is object
+        assert basis_module._matrix_units(good)
+        assert verify_multiplication_table(good).passed
+        bad = _with_operator(good, 1, 0, 0, good.blocks[1].operators[0][0].scale(2))
+        assert _certificate_dtype(bad) is dtype
+        assert not basis_module._matrix_units(bad)
+        _assert_matches_reference(bad)
+
+
+def test_certificate_keeps_int64_when_only_the_denominator_crosses():
+    # every operator over 2**62: D·T passes the pair kernels' guard, but the
+    # certificate reads the stored vectors and forms its targets as Python
+    # integers; the rescaled grid is no matrix-unit basis, and is refused
+    b = assemble(3, "hermitian")
+    for scale in (Fraction(1, 2**62), 1):
+        scaled = BasisMatrix(
+            3,
+            "hermitian",
+            tuple(
+                BasisBlock(
+                    blk.diagram,
+                    blk.tableaux,
+                    tuple(tuple(op.scale(scale) for op in row) for row in blk.operators),
+                )
+                for blk in b.blocks
+            ),
+        )
+        _, den, top, _ = _stack_bounds(scaled)
+        assert (den * top >= 2**62) is (scale != 1)
+        assert _certificate_dtype(scaled) is np.int64
+        assert _stack_dtype(scaled) is (object if scale != 1 else np.int64)
+        assert basis_module._matrix_units(scaled) is (scale == 1)

@@ -542,6 +542,26 @@ def test_subprocess_exit_codes():
     assert run_module(["verify", "--m", "2", "--suite", "all"]).returncode == 0
 
 
+@pytest.mark.slow
+def test_verify_m7_passes_all_four_suites():
+    # minutes and about half a gigabyte: construction of the 5 040 operators dominates
+    result = subprocess.run(
+        [sys.executable, "-m", "sunbasis.cli", "verify", "--m", "7"],
+        capture_output=True,
+        text=True,
+        timeout=1800,
+    )
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert payload["passed"] is True
+    assert [(r["name"], r["passed"]) for r in payload["reports"]] == [
+        ("multiplication_table", True),
+        ("orthonormality", True),
+        ("completeness_and_nesting", True),
+        ("linear_independence", True),
+    ]
+
+
 def test_subprocess_byte_identical_runs():
     a = run_module(["basis", "--m", "3", "--kind", "hermitian"])
     b = run_module(["basis", "--m", "3", "--kind", "hermitian"])

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -433,6 +434,59 @@ def test_hermitian_invariants(n):
         assert multiply(multiply(y, p), y) == y
         # identical dimension polynomial across constructions
         assert trace(p) == trace(y)
+
+
+# -- independent oracle: the Jucys–Murphy (Gelfand–Tsetlin) idempotents
+
+
+def _addable_contents(t):
+    """Contents (column − row) of the boxes that can be added to t's shape."""
+    rows = [len(r) for r in t.rows]
+    return {r - i for i, r in enumerate(rows) if i == 0 or rows[i - 1] > r} | {-len(rows)}
+
+
+@cache
+def jm_projector(t):
+    """P_T = P_T'·Π_a (X_m − a)/(c_T(m) − a), as a dict of one-line images.
+
+    T' is T without m, X_m = Σ_{i<m} (i m), and a runs over the contents of
+    the addable boxes of T' other than c_T(m).  No symmetrizer, sandwich or
+    normalization enters, and products are ``oracle_multiply``.
+    """
+    m = t.n
+    if m == 1:
+        return {(1,): Fraction(1)}
+    parent = t.parent()
+    (c,) = [j - i for i, row in enumerate(t.rows) for j, e in enumerate(row) if e == m]
+    p = {images + (m,): q for images, q in jm_projector(parent).items()}
+    for a in sorted(_addable_contents(parent) - {c}):
+        factor = {tuple(range(1, m + 1)): Fraction(-a, c - a)}
+        for i in range(1, m):
+            swap = list(range(1, m + 1))
+            swap[i - 1], swap[m - 1] = m, i
+            factor[tuple(swap)] = Fraction(1, c - a)
+        p = oracle_multiply(p, factor)
+    return p
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_hermitian_projectors_are_the_jucys_murphy_idempotents(n):
+    young = 0
+    for t in enumerate_tableaux(n):
+        jm = to_element(n, jm_projector(t))
+        assert hermitian_projector(t).element == jm, t
+        assert hermitian_staircase(t).element == jm, t
+        young += young_projector(t).element == jm
+    # only the one-row and the one-column tableau have a Hermitian Young projector
+    assert young == min(n, 2)
+
+
+@pytest.mark.slow
+def test_hermitian_projectors_are_the_jucys_murphy_idempotents_at_m6():
+    for t in enumerate_tableaux(6):
+        jm = to_element(6, jm_projector(t))
+        assert hermitian_projector(t).element == jm, t
+        assert hermitian_staircase(t).element == jm, t
 
 
 def test_hermitian_staircase_m5_sample():

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sunbasis.algebra import AlgebraElement, dagger, multiply, proportionality
@@ -13,8 +14,10 @@ from sunbasis.projectors import (
     young_projector,
 )
 from sunbasis.tableaux import YoungTableau, enumerate_tableaux, tableau_permutation
+from sunbasis import transitions as transitions_module
 from sunbasis.transitions import (
     TransitionOperator,
+    _normalize,
     transition,
     unitary_transition_compact,
     unitary_transition_general,
@@ -288,6 +291,79 @@ def test_cross_image_products_vanish():
                 assert multiply(t1, t2).is_zero()
                 checked += 1
     assert checked > 0
+
+
+# -- normalization -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("build", [unitary_transition_compact, unitary_transition_general])
+def test_unitary_transitions_square_to_their_projectors(build, m):
+    # the full squares that _normalize no longer forms, as an oracle
+    groups: dict = {}
+    for t in enumerate_tableaux(m):
+        groups.setdefault(t.shape, []).append(t)
+    for ts in groups.values():
+        for theta, phi in itertools.product(ts, repeat=2):
+            t = build(theta, phi).element
+            assert multiply(t, dagger(t)) == hermitian_projector(theta).element
+            assert multiply(dagger(t), t) == hermitian_projector(phi).element
+
+
+def test_normalize_refuses_a_bar_outside_the_eigenspaces():
+    op = unitary_transition_general(TH3, PH3).element
+    rho = AlgebraElement.from_permutation(tableau_permutation(TH3, PH3))
+    p_theta = hermitian_projector(TH3).element
+    # each lies in E_θ·A·E_φ for no pair (θ, φ) but the one it is tried at
+    for bar, theta, phi in [
+        (op, TH3, TH3),
+        (op, PH3, PH3),
+        (rho, TH3, PH3),
+        (op + p_theta, TH3, PH3),
+        (multiply(p_theta, rho), TH3, PH3),
+    ]:
+        with pytest.raises(ValueError, match="Jucys–Murphy eigenspaces"):
+            _normalize(bar, theta, phi)
+    assert _normalize(op, TH3, PH3) == (op, Fraction(1))
+
+
+def test_normalize_refuses_a_target_that_is_not_jucys_murphy_diagonal(monkeypatch):
+    # the Young projector of 12/3 is idempotent, but Y·(1 2) != Y
+    op = unitary_transition_general(TH3, PH3).element
+    young = young_projector(TH3).element
+    assert multiply(young, young) == young
+    monkeypatch.setattr(transitions_module, "hermitian_projector", young_projector)
+    transitions_module._target_at_identity.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="not Jucys–Murphy diagonal"):
+            _normalize(op, TH3, PH3)
+    finally:
+        transitions_module._target_at_identity.cache_clear()
+
+
+@pytest.mark.parametrize("scale", [2**40, 3**45, Fraction(1, 2**64)], ids=str)
+def test_normalize_is_exact_beyond_int64(scale):
+    # entries past 2**62 take the eigen-sums and the dot products to Python ints
+    theta, phi = T((1, 2, 4), (3, 5)), T((1, 3, 5), (2, 4))
+    op = unitary_transition_compact(theta, phi)
+    element, tau_squared = _normalize(op.element.scale(scale), theta, phi)
+    assert element == op.element
+    assert tau_squared == 1 / Fraction(scale) ** 2
+
+
+def test_normalize_sums_entries_near_the_int64_guard():
+    # entries in [2**62 / m, 2**62) are stored as int64, but their eigen-sums are not
+    theta, phi = T((1, 2, 4), (3, 5)), T((1, 3, 5), (2, 4))
+    op = unitary_transition_compact(theta, phi)
+
+    def top(a):
+        return max(int(abs(v).max()) for _, v in a._parts.values())
+
+    k = next(k for k in range(100) if top(op.element.scale(2**k)) >= 2**62 // 5)
+    scaled = op.element.scale(2**k)
+    assert top(scaled) < 2**62
+    assert all(v.dtype == np.int64 for _, v in scaled._parts.values())
+    assert _normalize(scaled, theta, phi) == (op.element, Fraction(1, 4**k))
 
 
 # -- shared surface -----------------------------------------------------------
