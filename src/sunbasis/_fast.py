@@ -6,10 +6,11 @@ radicand, indexed by the lexicographic order of S_m:
     element  =  sum over radicands d of  sqrt(d)/denom_d * vector_d
 
 This module holds what that form needs beyond plain numpy: the position of
-each permutation, the composition and inverse tables, the cycle counts, and
-the exact sum and product of two such forms.  Vectors are int64 while a
-bound computed in Python integers shows that no entry can reach 2**62, and
-arrays of Python integers (dtype object) otherwise.  Every result is in
+each permutation, the composition and inverse tables, the cycle counts, the
+exact sum and product of two such forms, and the Jucys–Murphy eigen-check
+``in_eigenspaces``.  Vectors are int64 while a bound computed in Python
+integers shows that no entry can reach 2**62, and arrays of Python integers
+(dtype object) otherwise.  Every result is in
 canonical form (see ``reduce``), so equal elements have equal vectors.
 
 For the bases that the Jucys–Murphy certificate refuses, two batched
@@ -25,12 +26,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import cache
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 import numpy as np
 
 from .coefficients import PolyN, squarefree_decompose
-from .permutations import all_permutations
+from .permutations import Permutation, all_permutations
 
 # radicand -> (denominator, integer numerator vector over the permutation basis)
 Parts = dict[int, tuple[int, np.ndarray]]
@@ -73,23 +74,45 @@ def inverse_table(m: int) -> np.ndarray:
 
 
 @cache
-def _transposition_moves(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays of the transpositions (i k), i < k, in order of k, then i.
+def _transposition_moves(m: int) -> tuple[np.ndarray, ...]:
+    """Index arrays of the Jucys–Murphy elements X_k = Σ_{i<k} (i k), k = 2..m.
 
-    Returns (left, right, starts): ``left[t, q]`` is the index of t·p_q and
-    ``right[t, q]`` that of p_q·t, so that (t·a)[q] = a[left[t, q]] and
-    (a·t)[q] = a[right[t, q]]; the rows of X_k = Σ_{i<k} (i k) begin at
-    ``starts[k - 2]``.
+    Entry k - 2 has shape (2, k - 1, m!): ``[0, i - 1, q]`` is the index of
+    t·p_q and ``[1, i - 1, q]`` that of p_q·t for t = (i k), so that
+    (t·a)[q] = a[moves[0, i - 1, q]] and (a·t)[q] = a[moves[1, i - 1, q]].
     """
     table, index = composition_table(m), permutation_index(m)
-    swaps = []
+    out = []
     for k in range(2, m + 1):
-        for i in range(1, k):
-            images = list(range(1, m + 1))
-            images[i - 1], images[k - 1] = k, i
-            swaps.append(index[tuple(images)])
-    starts = np.array([(k - 1) * (k - 2) // 2 for k in range(2, m + 1)], dtype=np.intp)
-    return table[swaps], table[:, swaps].T.copy(), starts
+        swaps = [index[Permutation.transposition(m, i, k).images] for i in range(1, k)]
+        out.append(np.stack([table[swaps], table[:, swaps].T]))
+    return tuple(out)
+
+
+def in_eigenspaces(
+    m: int, vecs: list[np.ndarray], left: np.ndarray | tuple, right: np.ndarray | tuple
+) -> bool:
+    """Whether X_k·v = left[r][k - 1]·v and v·X_k = right[r][k - 1]·v for
+    every row v = vecs[r] and k = 2..m; one content tuple may serve all rows.
+
+    Each k is one gather of X_k's moves on both sides, summed on that axis,
+    in row chunks whose gathers hold at most ``_GATHER_LIMIT`` entries over
+    all k.  A sum of k - 1 entries, or a content times one, stays below m·T,
+    T the largest entry of the chunk; past the guard a chunk takes Python ints.
+    """
+    sides = np.empty((len(vecs), m, 2, 1), dtype=np.intp)
+    sides[:, :, 0, 0], sides[:, :, 1, 0] = left, right
+    step = max(1, _GATHER_LIMIT // (m * m * factorial(m)))
+    for lo in range(0, len(vecs), step):
+        vs = np.stack(vecs[lo : lo + step])
+        if vs.dtype == np.int64 and not _fits(m, _abs_max(vs)):
+            (vs,) = _objects(vs)
+        contents = sides[lo : lo + step]
+        for k, moves in enumerate(_transposition_moves(m), start=2):
+            # at [r, side]: X_k·v or v·X_k against c·v, c that side's content of k
+            if not (vs[:, moves].sum(axis=2) == contents[:, k - 1] * vs[:, None, :]).all():
+                return False
+    return True
 
 
 @cache

@@ -191,12 +191,11 @@ def _first_difference(expected: AlgebraElement, got: AlgebraElement) -> str:
 
 
 def _certificate_dtype(m: int, parts: list[_fast.Parts]) -> type:
-    """int64 when what ``_matrix_units`` forms from the stored vectors stays
-    below the guard, Python integers otherwise.
+    """int64 when the chain dots of ``_matrix_units`` stay below the guard,
+    Python integers otherwise.
 
-    With T the largest stored entry and n = m!, its chain dots reach n·T²
-    and its eigen-sums m·T, below that; it sums the dots and forms the
-    chain targets in Python integers.
+    With T the largest stored entry and n = m!, a chain dot reaches n·T²;
+    the dots are summed and the chain targets formed in Python integers.
     """
     top = max(_fast._abs_max(vec) for p in parts for _, vec in p.values())
     return np.int64 if _fast._fits(factorial(m), top, top) else object
@@ -212,8 +211,8 @@ def _matrix_units(b: BasisMatrix) -> bool:
     pairs (S, T) of degree-m tableaux; (b) X_k·O_ST = c_S(k)·O_ST and
     O_ST·X_k = c_T(k)·O_ST for k = 2..m; (c) (O_S1·O_1T)[g] = O_ST[g] and
     (O_1T·O_T1)[g] = O_11[g], g the first permutation where the right-hand
-    side is nonzero.  (b) is one ``composition_table`` gather per
-    transposition and side, (c) one dot product of length m!.
+    side is nonzero.  (b) is ``_fast.in_eigenspaces`` over the stored
+    vectors, (c) one dot product of length m!.
 
     Proof.  The X_k generate the commutative algebra of the primitive
     idempotents E_T of all standard tableaux T, X_k·E_T = E_T·X_k =
@@ -240,33 +239,17 @@ def _matrix_units(b: BasisMatrix) -> bool:
     if any(t.n != m for block in b.blocks for t in block.tableaux):
         return False
     # (b) and (c) are linear in each operator, so they read the stored vectors
-    dtype = _certificate_dtype(m, parts)
-    rows: dict[int, list[int]] = {}
-    for x, p in enumerate(parts):
-        for d in p:
-            rows.setdefault(d, []).append(x)
-
-    left, right = (np.array([_contents(t) for t in side]) for side in zip(*pairs))
-    table, inverse = _fast.composition_table(m), _fast.inverse_table(m)
-    lefts, rights, starts = _fast._transposition_moves(m)
-    step = max(1, _fast._GATHER_LIMIT // len(labels))
-    for d, xs in rows.items():
-        for lo in range(0, len(xs), step):
-            chunk = np.array(xs[lo : lo + step], dtype=np.intp)
-            vs = np.stack([parts[x][d][1] for x in chunk]).astype(dtype, copy=False)
-            for k, first in enumerate(starts.tolist(), start=2):
-                # (t·a)[p] = a[t·p] and (a·t)[p] = a[p·t] for a transposition t
-                for contents, moves in ((left, lefts), (right, rights)):
-                    if not np.array_equal(
-                        sum(vs[:, moves[t]] for t in range(first, first + k - 1)),
-                        contents[chunk, k - 1][:, None] * vs,
-                    ):
-                        return False
-
+    rows = [(x, vec) for x, p in enumerate(parts) for _, vec in p.values()]
+    left, right = (np.array([_contents(pairs[x][side]) for x, _ in rows]) for side in (0, 1))
+    if not _fast.in_eigenspaces(m, [vec for _, vec in rows], left, right):
+        return False
     # (a·c)[g] = Σ_h a[h]·c[h⁻¹g], one dot product per radicand pair √d·√e = r·√s,
     # compared over the common denominator D: D²·(a·c) against D²·z
+    dtype = _certificate_dtype(m, parts)
     den = lcm(*(denom for p in parts for denom, _ in p.values()))
-    landing = {(d, e): (s, r) for s, terms in _fast._landing(rows).items() for d, e, r in terms}
+    radicands = {d for p in parts for d in p}
+    landing = {(d, e): (s, r) for s, terms in _fast._landing(radicands).items() for d, e, r in terms}
+    table, inverse = _fast.composition_table(m), _fast.inverse_table(m)
     position = {label: x for x, label in enumerate(labels)}
     chains = [((blk, i, 0), (blk, 0, j), (blk, i, j)) for blk, i, j in labels]
     chains += [((blk, 0, j), (blk, j, 0), (blk, 0, 0)) for blk, i, j in labels if i == j]

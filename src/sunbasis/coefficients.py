@@ -15,20 +15,29 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
 SurdLike = Union[int, Fraction, "Surd"]
 
 
+_TRIAL_BOUND = 2**16
+
+
 @cache
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Write n = g*g*s with s squarefree; return (s, g).  Requires n >= 1."""
+    """Write n = g*g*s with s squarefree; return (s, g).  Requires n >= 1.
+
+    Trial division stops at B = ``_TRIAL_BOUND``.  The rest has no prime
+    factor below B: a square is taken whole by ``isqrt``, any other rest
+    below B³ is p or p·q, and a larger one raises ValueError.
+    """
     if n < 1:
         raise ValueError(f"squarefree_decompose needs n >= 1, got {n}")
-    s, g = 1, 1
+    whole, s, g = n, 1, 1
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_BOUND:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -38,6 +47,11 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if e % 2:
                 s *= d
         d += 1 if d == 2 else 2
+    root = isqrt(n)
+    if root * root == n:
+        return s, g * root
+    if n >= _TRIAL_BOUND**3:
+        raise ValueError(f"cannot find the squarefree part of {whole}: too large to factor")
     return s * n, g
 
 

@@ -13,6 +13,10 @@ S_m group algebra:
   nearest *ordered* ancestor and sandwiches the tableau's symmetrizer pair
   between alternating ancestor sets.  Equal to the staircase operator.
 
+Both Hermitian constructions are normalised by ``_hermitian_scale``: one
+Jucys–Murphy eigen-check and E_θ[e] = 1/H_λ.  The Young projector, Jucys–Murphy
+diagonal for two tableaux per degree only, is normalised by its own square.
+
 ``cancel_simplify`` evaluates sandwich products of the form
 (row set) * M * (column set) that are guaranteed to collapse to a scalar
 multiple of the tableau's Young projector, and returns that scalar.
@@ -32,7 +36,8 @@ import numpy as np
 from . import _fast
 from .algebra import AlgebraElement, _check_degree, multiply, proportionality, trace
 from .coefficients import PolyN, Surd
-from .tableaux import YoungDiagram, YoungTableau
+from .permutations import Permutation
+from .tableaux import YoungDiagram, YoungTableau, _contents
 
 SetKind = Literal["sym", "anti"]
 
@@ -133,21 +138,30 @@ class Projector:
     sets (all per-set 1/k! weights included, no other constants)."""
 
 
-def _idempotency_scale(bar: AlgebraElement) -> Surd:
-    """The c with bar*bar == c*bar; errors if the square is not proportional."""
-    c = proportionality(multiply(bar, bar), bar)
-    if c is None:
-        raise ValueError("operator square is not proportional to the operator")
-    if not c:
-        raise ValueError("operator squares to zero; cannot normalize")
-    return c
+def _hermitian_scale(bar: AlgebraElement, t: YoungTableau) -> Surd:
+    """The c with bar == c·E_t, E_t the Jucys–Murphy idempotent of ``t``.
+
+    With X_k·bar = c_t(k)·bar and bar·X_k = c_t(k)·bar for k = 2..m, bar
+    lies in E_t·A·E_t, the line of E_t (see ``transitions._normalize``), and
+    E_t[e] = f_λ/m! = 1/H_λ, H_λ the hook product; so c = bar[e]·H_λ.
+    Keppeler–Sjödahl identify the Hermitian Young projectors with the E_t.
+    """
+    contents = _contents(t)
+    vecs = [vec for _, vec in bar._parts.values()]
+    if not vecs or not _fast.in_eigenspaces(bar.m, vecs, contents, contents):
+        raise ValueError(f"bar is not a nonzero multiple of the Jucys–Murphy idempotent of {t}")
+    return bar.coefficient(Permutation.identity(t.n)) * t.shape.hook_length()
 
 
 @cache
 def young_projector(t: YoungTableau) -> Projector:
     """Rows symmetrized, then columns antisymmetrized, exactly normalized."""
     bar = multiply(rows_of(t).element(), columns_of(t).element())
-    alpha = Surd.rational(1) / _idempotency_scale(bar)
+    # bar·bar = c·bar; a Young bar is Jucys–Murphy diagonal for two tableaux only
+    c = proportionality(multiply(bar, bar), bar)
+    if not c:
+        raise ValueError("operator square is not a nonzero multiple of the operator")
+    alpha = Surd.rational(1) / c
     return Projector(t, "young", bar.scale(alpha), alpha)
 
 
@@ -202,22 +216,18 @@ def _tableau_from_sets(s: SymmetrizerSet, a: SymmetrizerSet) -> YoungTableau:
 
 @cache
 def hermitian_staircase(t: YoungTableau) -> Projector:
-    """Palindromic ancestor product; Hermitian idempotent."""
+    """Palindromic ancestor product; Hermitian idempotent.
+
+    Each Young projector is a multiple of its row set times its column set,
+    so the sets are multiplied and the product normalised once.
+    """
     n = t.n
     ancestors = [t.ancestor(k) for k in range(max(n - 2, 0), 0, -1)]
-    left = [young_projector(a).element.embed(n) for a in ancestors]
-    p = _product(n, left + [young_projector(t).element] + left[::-1])
-    c = _idempotency_scale(p)
-    if c != Surd.rational(1):
-        p = p.scale(Surd.rational(1) / c)
-    bar_factors = [fs for a in ancestors for fs in (rows_of(a, n), columns_of(a, n))]
-    bar_factors += [rows_of(t), columns_of(t)]
-    for a in reversed(ancestors):
-        bar_factors += [rows_of(a, n), columns_of(a, n)]
-    beta = proportionality(p, _product(n, [f.element() for f in bar_factors]))
-    if beta is None:
-        raise ValueError("staircase operator not proportional to its bar product")
-    return Projector(t, "staircase", p, beta)
+    pairs = [(rows_of(a, n), columns_of(a, n)) for a in ancestors]
+    sets = [s for pair in pairs + [(rows_of(t), columns_of(t))] + pairs[::-1] for s in pair]
+    bar = _product(n, [s.element() for s in sets])
+    beta = Surd.rational(1) / _hermitian_scale(bar, t)
+    return Projector(t, "staircase", bar.scale(beta), beta)
 
 
 def _product(n: int, factors: list[AlgebraElement]) -> AlgebraElement:
@@ -293,7 +303,7 @@ def hermitian_mold(t: YoungTableau) -> Projector:
     factors = mold_factors(t)
     cut = _level0_anti_indices(factors)[0]
     bar = _product(t.n, [_mold_prefix(t)] + [f.element() for f, _ in factors[cut + 1 :]])
-    beta = Surd.rational(1) / _idempotency_scale(bar)
+    beta = Surd.rational(1) / _hermitian_scale(bar, t)
     return Projector(t, "mold", bar.scale(beta), beta)
 
 
@@ -313,10 +323,11 @@ def dimension_formula(shape: YoungDiagram) -> PolyN:
 
     Product over boxes of (N + column - row), divided by the shape's hook
     length.  Agrees with ``dimension_poly`` of any projector of that shape
-    but needs no group-algebra products, so it stays cheap at high degree.
+    but needs no group-algebra products, so it stays cheap at high degree;
+    the product has integer coefficients, divided once.
     """
-    poly = PolyN.constant(1)
+    coeffs = [1]  # of N^0, N^1, ...: (N + c)·Σ a_k N^k = Σ (a_{k-1} + c·a_k) N^k
     for i, r in enumerate(shape.rows):
         for j in range(r):
-            poly = poly * PolyN({1: Surd.rational(1), 0: Surd.rational(j - i)})
-    return poly * Fraction(1, shape.hook_length())
+            coeffs = [a + (j - i) * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return PolyN({k: Fraction(a, shape.hook_length()) for k, a in enumerate(coeffs)})

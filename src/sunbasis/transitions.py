@@ -17,9 +17,11 @@ one subspace bijectively onto the other.  Three constructions are provided:
 The scalar ``tau`` is fixed by requiring ``T * dagger(T)`` to equal the
 target projector exactly; its square is always rational here, and the
 positive square root is taken (the remaining blockwise sign freedom is a
-genuine convention).  ``_normalize`` reads ``tau**-2`` off one coefficient
-of that square, once a Jucys–Murphy eigenspace check has shown it to be a
-multiple of the target, so the square itself is never formed.
+genuine convention).  Once Jucys–Murphy eigen-checks place the bare
+product in E_θ·A·E_φ, its product with its dagger is a multiple of the
+target E_θ, whose identity coefficient is 1/H_λ (H_λ the hook product), so
+``_normalize`` reads ``tau**-2`` off one dot product; neither that square
+nor the target projector is formed.
 """
 
 from __future__ import annotations
@@ -28,12 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
 from . import _fast
 from .algebra import AlgebraElement, _translate, multiply
 from .coefficients import Surd
-from .permutations import Permutation
 from .projectors import (
     _level0_anti_indices,
     _mold_prefix,
@@ -88,41 +87,6 @@ def _require_same_shape(theta: YoungTableau, phi: YoungTableau) -> None:
         )
 
 
-def _in_eigenspaces(a: AlgebraElement, left: tuple[int, ...], right: tuple[int, ...]) -> bool:
-    """Whether X_k·a = left[k - 1]·a and a·X_k = right[k - 1]·a for k = 2..m.
-
-    X_k = Σ_{i<k} (i k) is the k-th Jucys–Murphy element.  Each side is one
-    gather of the cached transposition-index array, summed per k; a sum of
-    at most m - 1 entries, or a content times an entry, stays below m·T.
-    """
-    if a.m == 1:
-        return True  # no Jucys–Murphy element to check
-    lefts, rights, starts = _fast._transposition_moves(a.m)
-    for _, vec in a._parts.values():
-        if not _fast._fits(a.m, _fast._abs_max(vec)):
-            (vec,) = _fast._objects(vec)
-        for moves, contents in ((lefts, left), (rights, right)):
-            if not np.array_equal(
-                np.add.reduceat(vec[moves], starts, axis=0),
-                np.array(contents[1:])[:, None] * vec,
-            ):
-                return False
-    return True
-
-
-@cache
-def _target_at_identity(theta: YoungTableau) -> Fraction:
-    """P_θ[e] for ``theta``'s Hermitian projector P_θ, once P_θ is shown
-    Jucys–Murphy diagonal and P_θ[e] nonzero."""
-    p = hermitian_projector(theta).element
-    if not _in_eigenspaces(p, _contents(theta), _contents(theta)):
-        raise ValueError("target projector is not Jucys–Murphy diagonal")
-    at_identity = p.coefficient(Permutation.identity(theta.n)).as_fraction()
-    if not at_identity:
-        raise ValueError("target projector vanishes at the identity; normalization undefined")
-    return at_identity
-
-
 def _normalize(
     bar: AlgebraElement, theta: YoungTableau, phi: YoungTableau
 ) -> tuple[AlgebraElement, Fraction]:
@@ -135,16 +99,17 @@ def _normalize(
     in the commutative algebra of the Jucys–Murphy elements X_k; content
     vectors separate standard tableaux, so X_k·a = c_θ(k)·a for all k puts
     a in E_θ·A, and a·X_k = c_φ(k)·a puts it in A·E_φ (Okounkov–Vershik).
-    Both checks on ``bar`` place it in E_θ·A·E_φ, and on P_θ in E_θ·A·E_θ,
-    the line of E_θ.  The X_k are Hermitian, hence so are the E_T, and
-    bar·bar† lies on that line too: bar·bar† = λ·P_θ once P_θ[e] ≠ 0, with
-    λ = (bar·bar†)[e] / P_θ[e] = Σ_g bar[g]² / P_θ[e], one dot product per
-    radicand pair.  Keppeler–Sjödahl identify P_θ with E_θ, so P_θ passes.
+    Both checks on ``bar`` place it in E_θ·A·E_φ.  The X_k are Hermitian,
+    hence so are the E_T, and bar·bar† lies in E_θ·A·E_θ, the line of E_θ:
+    bar·bar† = λ·E_θ.  E_θ[e] = f_λ/m! = 1/H_λ, H_λ the hook product of the
+    shape, so λ = H_λ·(bar·bar†)[e] = H_λ·Σ_g bar[g]², one dot product per
+    radicand pair.  ``theta``'s Hermitian projector is E_θ: its construction
+    (``projectors._hermitian_scale``) checks exactly that.
     """
     if bar.is_zero():
         raise ValueError("transition product vanished; the tableaux do not connect")
-    at_identity = _target_at_identity(theta)
-    if not _in_eigenspaces(bar, _contents(theta), _contents(phi)):
+    vecs = [vec for _, vec in bar._parts.values()]
+    if not _fast.in_eigenspaces(bar.m, vecs, _contents(theta), _contents(phi)):
         raise ValueError("transition product is not in its tableaux' Jucys–Murphy eigenspaces")
     square = Surd()
     for d, (p, v) in bar._parts.items():
@@ -152,7 +117,7 @@ def _normalize(
             if not _fast._fits(len(v), _fast._abs_max(v), _fast._abs_max(w)):
                 v, w = _fast._objects(v, w)
             square = square + Surd({d * e: Fraction(int(v @ w), p * q)})
-    scale_sq = at_identity / square.as_fraction()
+    scale_sq = 1 / (theta.shape.hook_length() * square.as_fraction())
     if scale_sq <= 0:
         raise ValueError(f"normalization square must be positive, got {scale_sq}")
     return bar.scale(Surd.sqrt(scale_sq)), scale_sq

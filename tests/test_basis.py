@@ -33,6 +33,7 @@ from sunbasis.coefficients import PolyN, Surd, squarefree_decompose
 from sunbasis.permutations import all_permutations
 from sunbasis.projectors import hermitian_projector, symmetrizer, young_projector
 from sunbasis.tableaux import YoungTableau, enumerate_tableaux
+from sunbasis.transitions import _normalize, unitary_transition_compact
 
 
 def T(*rows):
@@ -546,13 +547,47 @@ def test_malformed_bases_are_refused_not_proved(malformed):
 def test_eigen_checks_cover_every_degree_and_row_chunk(monkeypatch, m):
     # The last block's projector in place of the first block's is idempotent,
     # so only the eigen-checks refuse it: at m = 2 the one of X_2, at m = 4
-    # those of the first chunk, with gathers limited to three rows a chunk.
-    monkeypatch.setattr(_fast, "_GATHER_LIMIT", 3 * math.factorial(m))
+    # those of the first chunk, with gathers limited to three rows a chunk
+    # (the gathers of r rows hold at most r·m²·m! entries over all k).
+    monkeypatch.setattr(_fast, "_GATHER_LIMIT", 3 * m * m * math.factorial(m))
     b = assemble(m)
     assert basis_module._matrix_units(b)
     bad = _with_operator(b, 0, 0, 0, b.blocks[-1].operators[0][0])
     assert not basis_module._matrix_units(bad)
     _assert_matches_reference(bad)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_eigen_checks_hold_across_chunk_boundaries(monkeypatch, rows):
+    # chunks of one or two rows: the certificate still proves assemble(4),
+    # refuses the first block's projector put in place of the last operator,
+    # which only the eigen-checks of the last chunk see, and _normalize
+    # returns what it returns with one chunk
+    m = 4
+    b = assemble(m)
+    pairs = [(s, t) for blk in b.blocks for s in blk.tableaux for t in blk.tableaux if s != t]
+    bars = [unitary_transition_compact(s, t).element.scale(3) for s, t in pairs]
+    whole = [_normalize(bar, s, t) for bar, (s, t) in zip(bars, pairs)]
+    monkeypatch.setattr(_fast, "_GATHER_LIMIT", rows * m * m * math.factorial(m))
+    assert basis_module._matrix_units(b)
+    blk = len(b.blocks) - 1
+    bad = _with_operator(b, blk, 0, 0, b.blocks[0].operators[0][0])
+    assert b.labels()[-1] == (blk, 0, 0)
+    assert not basis_module._matrix_units(bad)
+    assert not verify_multiplication_table(bad).passed
+    assert [_normalize(bar, s, t) for bar, (s, t) in zip(bars, pairs)] == whole
+    assert all(tau_squared == Fraction(1, 9) for _, tau_squared in whole)
+
+
+def test_eigen_checks_take_python_ints_past_the_guard():
+    # X_5·v = 4·v for the constant v = t·1; at t = 2**62, 4·t wraps to 0 in
+    # int64, so only exact sums tell it from a content of 0 at k = 5
+    right = (0, 1, 2, 3, 4)
+    for t, past_guard in ((2**62, True), ((2**62 - 1) // 5, False)):
+        assert _fast._fits(5, t) is not past_guard
+        v = np.full(120, t, dtype=np.int64)
+        assert _fast.in_eigenspaces(5, [v], right, right)
+        assert not _fast.in_eigenspaces(5, [v], (0, 1, 2, 3, 0), right)
 
 
 @st.composite

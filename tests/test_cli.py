@@ -287,6 +287,14 @@ def test_represent_usage_errors(argv):
     assert rc == 2
 
 
+def test_represent_refuses_a_radicand_too_large_to_factor():
+    # (2^31 − 1)(2^61 − 1) has no prime factor below the trial bound and is no square
+    op = {"m": 2, "terms": [{"perm": [1, 2], "coeff": [[(2**31 - 1) * (2**61 - 1), "1/1"]]}]}
+    rc, out, err = run(["represent", "--N", "2", "--op", json.dumps(op)])
+    assert (rc, out) == (2, "")
+    assert "squarefree part of 4951760154835678088235319297" in err
+
+
 # -- verify ------------------------------------------------------------------
 
 

@@ -35,10 +35,27 @@ def test_squarefree_decompose():
         squarefree_decompose(0)
 
 
+def test_squarefree_decompose_past_the_trial_bound():
+    big, bigger = 2**31 - 1, 2**61 - 1  # primes past the trial bound
+    # a square is taken whole, whatever its factors
+    assert squarefree_decompose(12 * big**2) == (3, 2 * big)
+    assert squarefree_decompose((2**70 + 3) ** 2) == (1, 2**70 + 3)
+    # below the cube of the bound the rest is p or p·q
+    assert squarefree_decompose(5 * 65537) == (5 * 65537, 1)
+    assert squarefree_decompose(65537 * 65539) == (65537 * 65539, 1)
+    assert squarefree_decompose(4 * 65537**2) == (1, 2 * 65537)
+    # above it a product of large primes is refused, not factored
+    with pytest.raises(ValueError, match="squarefree part of"):
+        squarefree_decompose(big * bigger)
+    with pytest.raises(ValueError, match="squarefree part of"):
+        squarefree_decompose(65537**3)
+
+
 def test_sqrt_of_rational():
     # sqrt(4/3) = (2/3) sqrt(3)
     assert Surd.sqrt(Fraction(4, 3)).terms() == ((3, Fraction(2, 3)),)
     assert Surd.sqrt(9) == Surd.rational(3)
+    assert Surd.sqrt(Fraction(1, (2**70 + 3) ** 2)) == Surd.rational(Fraction(1, 2**70 + 3))
     with pytest.raises(ValueError):
         Surd.sqrt(0)
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from sunbasis.algebra import (
     AlgebraElement,
     dagger,
     multiply,
+    proportionality,
     scalar_product,
     trace,
 )
@@ -18,6 +19,7 @@ from sunbasis.permutations import Permutation
 from sunbasis.projectors import (
     Projector,
     SymmetrizerSet,
+    _hermitian_scale,
     alpha_formula,
     cancel_simplify,
     columns_of,
@@ -476,9 +478,24 @@ def test_hermitian_projectors_are_the_jucys_murphy_idempotents(n):
         jm = to_element(n, jm_projector(t))
         assert hermitian_projector(t).element == jm, t
         assert hermitian_staircase(t).element == jm, t
+        # E_T[e] = f_λ/m! = 1/H_λ, the coefficient the normalisation relies on
+        at_identity = hermitian_projector(t).element.coefficient(Permutation.identity(n))
+        assert at_identity == Fraction(1, t.shape.hook_length()), t
         young += young_projector(t).element == jm
     # only the one-row and the one-column tableau have a Hermitian Young projector
     assert young == min(n, 2)
+
+
+def test_hermitian_scale_refuses_a_bar_that_is_not_jucys_murphy_diagonal():
+    # the Young bar of 12/3 squares to a multiple of itself, but Y·(1 2) != Y
+    t = T((1, 2), (3,))
+    bar = multiply(rows_of(t).element(), columns_of(t).element())
+    assert proportionality(multiply(bar, bar), bar) == Surd.rational(Fraction(3, 4))
+    with pytest.raises(ValueError, match="Jucys–Murphy idempotent of"):
+        _hermitian_scale(bar, t)
+    with pytest.raises(ValueError, match="Jucys–Murphy idempotent of"):
+        _hermitian_scale(AlgebraElement.zero(3), t)
+    assert _hermitian_scale(hermitian_mold(t).element.scale(5), t) == Surd.rational(5)
 
 
 @pytest.mark.slow
