@@ -10,8 +10,10 @@ projectors, and linear independence over the permutation expansion.
 
 The multiplication table, orthonormality and linear independence are proved
 by one Jucys–Murphy certificate, ``_matrix_units``, which forms no full
-product.  A basis it refuses (the Young kind from m = 3 on, or a corrupted
-or malformed grid) is checked pair by pair with the batched integer kernels
+product.  It runs once per ``BasisMatrix`` object: ``_certified`` keeps the
+verdict for the latest basis, and the three suites share it.  A basis it
+refuses (the Young kind from m = 3 on, or a corrupted or malformed grid) is
+checked pair by pair with the batched integer kernels
 ``_fast.table_mismatches`` and ``_fast.gram_mismatches``, and ranked exactly
 with ``surd_rank``, so a failing report lists every failed pair or names the
 rank.  Only a flagged pair is recomputed on its own, for its witness.
@@ -25,14 +27,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial, lcm
 
 import numpy as np
 
 from . import _fast
 from ._linalg import surd_rank
-from .algebra import AlgebraElement, dagger, multiply, scalar_product, trace
+from .algebra import AlgebraElement, multiply, scalar_product, trace
 from .coefficients import PolyN
 from .projectors import hermitian_projector, young_projector
 from .tableaux import (
@@ -191,11 +193,12 @@ def _first_difference(expected: AlgebraElement, got: AlgebraElement) -> str:
 
 
 def _certificate_dtype(m: int, parts: list[_fast.Parts]) -> type:
-    """int64 when the chain dots of ``_matrix_units`` stay below the guard,
+    """int64 when the chain sums of ``_matrix_units`` stay below the guard,
     Python integers otherwise.
 
-    With T the largest stored entry and n = m!, a chain dot reaches n·T²;
-    the dots are summed and the chain targets formed in Python integers.
+    With T the largest entry of ``parts``, the chain factors, and n = m!, a
+    row-wise sum reaches n·T²; the sums are added and the chain targets
+    formed in Python integers.
     """
     top = max(_fast._abs_max(vec) for p in parts for _, vec in p.values())
     return np.int64 if _fast._fits(factorial(m), top, top) else object
@@ -212,7 +215,8 @@ def _matrix_units(b: BasisMatrix) -> bool:
     O_ST·X_k = c_T(k)·O_ST for k = 2..m; (c) (O_S1·O_1T)[g] = O_ST[g] and
     (O_1T·O_T1)[g] = O_11[g], g the first permutation where the right-hand
     side is nonzero.  (b) is ``_fast.in_eigenspaces`` over the stored
-    vectors, (c) one dot product of length m!.
+    vectors, (c) one row-wise sum of length m! per chain, batched in chunks
+    whose blocks hold at most ``_fast._GATHER_LIMIT`` entries together.
 
     Proof.  The X_k generate the commutative algebra of the primitive
     idempotents E_T of all standard tableaux T, X_k·E_T = E_T·X_k =
@@ -231,40 +235,118 @@ def _matrix_units(b: BasisMatrix) -> bool:
     δ_SU·tr(O_TV) = δ_SU·δ_TV·tr(O_11).  Keppeler–Sjödahl identify the
     Hermitian Young projectors with the E_T, so the Hermitian grid passes.
     """
-    m, labels = b.m, b.labels()
+    m, labels, n = b.m, b.labels(), factorial(b.m)
     pairs = [(b.blocks[blk].tableaux[i], b.blocks[blk].tableaux[j]) for blk, i, j in labels]
     parts = [b.operator(label)._parts for label in labels]
-    if len(labels) != factorial(m) or not all(parts) or len(set(pairs)) != len(pairs):
+    if len(labels) != n or not all(parts) or len(set(pairs)) != len(pairs):
         return False
     if any(t.n != m for block in b.blocks for t in block.tableaux):
         return False
     # (b) and (c) are linear in each operator, so they read the stored vectors
     rows = [(x, vec) for x, p in enumerate(parts) for _, vec in p.values()]
+    vecs = [vec for _, vec in rows]
     left, right = (np.array([_contents(pairs[x][side]) for x, _ in rows]) for side in (0, 1))
-    if not _fast.in_eigenspaces(m, [vec for _, vec in rows], left, right):
+    if not _fast.in_eigenspaces(m, vecs, left, right):
         return False
-    # (a·c)[g] = Σ_h a[h]·c[h⁻¹g], one dot product per radicand pair √d·√e = r·√s,
-    # compared over the common denominator D: D²·(a·c) against D²·z
-    dtype = _certificate_dtype(m, parts)
+    # (a·c)[g] = Σ_h a[h]·c[h⁻¹g], one row-wise sum per radicand pair √d·√e = r·√s
+    # of each chain, compared over the common denominator D: D²·(a·c) against D²·z
+    # a chunk's index, gathered and factor blocks: at most _GATHER_LIMIT entries
+    step = max(1, _fast._GATHER_LIMIT // (3 * n))
+    first = np.full(len(parts), n)  # where each operator is first nonzero
+    for lo in range(0, len(rows), step):
+        found = (np.stack(vecs[lo : lo + step]) != 0).argmax(axis=1)
+        np.minimum.at(first, [x for x, _ in rows[lo : lo + step]], found)
+    at = {label: x for x, label in enumerate(labels)}
+    chains = [(at[blk, i, 0], at[blk, 0, j], x) for x, (blk, i, j) in enumerate(labels)]
+    chains += [(at[blk, 0, j], at[blk, j, 0], at[blk, 0, 0]) for blk, i, j in labels if i == j]
+    # the factors lie in their block's first row and column: only they are stacked
+    factors = sorted({x for a, c, _ in chains for x in (a, c)})
+    row_of = {key: r for r, key in enumerate((x, d) for x in factors for d in parts[x])}
+    dtype = _certificate_dtype(m, [parts[x] for x in factors])
+    stacked = np.stack([parts[x][d][1] for x, d in row_of]).astype(dtype, copy=False)
     den = lcm(*(denom for p in parts for denom, _ in p.values()))
     radicands = {d for p in parts for d in p}
     landing = {(d, e): (s, r) for s, terms in _fast._landing(radicands).items() for d, e, r in terms}
+    # (chain, a's row, c's row, g, s, r·(D/den_a)·(D/den_c))
+    terms = [
+        (k, row_of[a, d], row_of[c, e], first[z], s, r * (den // pa) * (den // pc))
+        for k, (a, c, z) in enumerate(chains)
+        for d, (pa, _) in parts[a].items()
+        for e, (pc, _) in parts[c].items()
+        for s, r in [landing[d, e]]
+    ]
     table, inverse = _fast.composition_table(m), _fast.inverse_table(m)
-    position = {label: x for x, label in enumerate(labels)}
-    chains = [((blk, i, 0), (blk, 0, j), (blk, i, j)) for blk, i, j in labels]
-    chains += [((blk, 0, j), (blk, j, 0), (blk, 0, 0)) for blk, i, j in labels if i == j]
-    for chain in chains:
-        a, c, z = (parts[position[label]] for label in chain)
-        g = min(int(np.flatnonzero(vec)[0]) for _, vec in z.values())
-        partner = table[inverse, g]
-        got: dict[int, int] = {}
-        for d, (pa, va) in a.items():
-            for e, (pc, vc) in c.items():
-                s, r = landing[d, e]
-                dot = int(va.astype(dtype, copy=False) @ vc[partner].astype(dtype, copy=False))
-                got[s] = got.get(s, 0) + r * (den // pa) * (den // pc) * dot
-        want = {s: den * (den // pz) * int(vz[g]) for s, (pz, vz) in z.items()}
-        if {s: v for s, v in got.items() if v} != {s: v for s, v in want.items() if v}:
+    got: list[dict[int, int]] = [{} for _ in chains]
+    for lo in range(0, len(terms), step):
+        ks, ra, rc, gs, ss, scales = zip(*terms[lo : lo + step])
+        # h⁻¹g = (g⁻¹h)⁻¹ over h: row g⁻¹ of the table, then the inverse
+        partner = inverse[table[inverse[list(gs)]]]
+        partner += n * np.array(rc)[:, None]
+        products = stacked.ravel()[partner]
+        products *= stacked[list(ra)]
+        sums = products.sum(axis=1).tolist()
+        for k, s, scale, total in zip(ks, ss, scales, sums):
+            got[k][s] = got[k].get(s, 0) + scale * total
+    for k, (_, _, z) in enumerate(chains):
+        g = first[z]
+        want = {s: den * (den // pz) * int(vz[g]) for s, (pz, vz) in parts[z].items()}
+        if {s: v for s, v in got[k].items() if v} != {s: v for s, v in want.items() if v}:
+            return False
+    return True
+
+
+class _Identity:
+    """A key that is equal only to itself: it hashes the object's id and holds
+    the object, so that the id is not reused while the key is cached."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj: object):
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Identity) and other.obj is self.obj
+
+
+@lru_cache(maxsize=1)
+def _latest_proof(key: _Identity) -> bool:
+    return _matrix_units(key.obj)
+
+
+def _certified(b: BasisMatrix) -> bool:
+    """``_matrix_units(b)``, computed once for the latest basis object.
+
+    The three certificate suites share it.  It is keyed by identity, since
+    hashing a basis hashes every operator vector, so an equal basis parsed
+    anew is proved anew.
+    """
+    return _latest_proof(_Identity(b))
+
+
+def _transposes_are_adjoints(b: BasisMatrix) -> bool:
+    """Whether O_ST† = O_TS for every operator of ``b``.
+
+    (x†)[g] = x[g⁻¹], so, in row chunks, the stored vectors of the operators
+    on and above each block's diagonal are gathered once by ``inverse_table``
+    and compared with those of the transposed labels, under the same
+    radicands and denominators.
+    """
+    rows = []
+    for block in b.blocks:
+        for i, row in enumerate(block.operators):
+            for j in range(i, block.size):
+                x, y = row[j]._parts, block.operators[j][i]._parts
+                if x.keys() != y.keys() or any(x[d][0] != y[d][0] for d in x):
+                    return False
+                rows.extend((x[d][1], y[d][1]) for d in x)
+    inverse = _fast.inverse_table(b.m)
+    step = max(1, _fast._GATHER_LIMIT // len(inverse))
+    for lo in range(0, len(rows), step):
+        xs, ys = (np.stack(side) for side in zip(*rows[lo : lo + step]))
+        if not np.array_equal(np.take(xs, inverse, axis=1), ys):
             return False
     return True
 
@@ -278,15 +360,17 @@ def verify_multiplication_table(
     tableau both — and then equals the outer-endpoint operator; everything
     else must vanish: O_ij·O_kl = δ_jk·O_il, with O_ij^λ·O_kl^μ = 0 for λ ≠ μ.
 
-    A basis that ``_matrix_units`` certifies passes with all (m!)² pairs
-    counted.  Any other has every pair checked by ``_fast.table_mismatches``,
-    and a failure names the first permutation whose coefficient differs,
-    with the expected and the actual coefficient.
+    A basis that the Jucys–Murphy certificate ``_matrix_units`` proves
+    passes with all (m!)² pairs counted; the proof is shared with the other
+    two certificate suites and runs once per basis object.  Any other has
+    every pair checked by ``_fast.table_mismatches``, and a failure names
+    the first permutation whose coefficient differs, with the expected and
+    the actual coefficient.
     ``jobs`` is accepted for compatibility and ignored: the check runs in
     this process.
     """
     labels = b.labels()
-    if _matrix_units(b):
+    if _certified(b):
         return VerificationReport("multiplication_table", len(labels) ** 2)
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
@@ -337,8 +421,10 @@ def verify_orthonormality(
     the dimension polynomial of its block's diagram.  With ``sample`` the
     report covers that many pairs drawn uniformly with ``seed`` instead of
     all of them.  A basis that ``_matrix_units`` certifies, with every
-    O_ij† equal to O_ji, passes; any other has every pair compared exactly
-    by ``_fast.gram_mismatches``, one Gram matrix per power of N.
+    O_ij† equal to O_ji, passes; the certificate is shared with the table
+    and independence suites and runs once per basis object.  Any other
+    basis has every pair compared exactly by ``_fast.gram_mismatches``, one
+    Gram matrix per power of N.
     ``jobs`` is accepted for compatibility and ignored: the check runs in
     this process.
     """
@@ -347,9 +433,7 @@ def verify_orthonormality(
     _check_sample(sample)
     labels = b.labels()
     n = len(labels)
-    if _matrix_units(b) and all(
-        dagger(b.operator((blk, i, j))) == b.operator((blk, j, i)) for blk, i, j in labels
-    ):
+    if _certified(b) and _transposes_are_adjoints(b):
         return VerificationReport("orthonormality", n * n if sample is None else sample)
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
@@ -421,12 +505,14 @@ def verify_linear_independence(b: BasisMatrix) -> VerificationReport:
 
     Each operator expands to a coefficient row over the m! permutations;
     the stacked matrix must have full rank over the surd field.  A basis
-    that ``_matrix_units`` certifies passes.  Any other is ranked exactly:
+    that ``_matrix_units`` certifies passes, with the proof shared with the
+    table and orthonormality suites and run once per basis object.  Any
+    other is ranked exactly:
     ``_fast._stack`` puts every operator over one denominator D as integer
     vectors, x = (1/D)·Σ_d √d·V_d[x], whose sparse rows go to ``surd_rank``,
     so a failing report names the actual rank.
     """
-    if _matrix_units(b):
+    if _certified(b):
         return VerificationReport("linear_independence", 1)
     ops = [op for _, op in b.flat()]
     expected = factorial(b.m)

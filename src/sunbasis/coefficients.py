@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
@@ -183,18 +183,15 @@ class Surd:
             raise ZeroDivisionError("inverse of zero surd")
         if self.is_rational():
             return Surd.rational(1 / self._terms[0][1])
-        # pick a prime p dividing some radicand, split x = a + sqrt(p)*b with
-        # a, b free of p, then 1/x = (a - sqrt(p) b) / (a^2 - p b^2); the
-        # denominator has strictly fewer primes under its radicals.
-        p = None
+        # refine the radicands by gcds down to one element p > 1 of their
+        # coprime base, so that each radicand is a multiple of p or prime to
+        # it; split x = a + sqrt(p)*b with a, b prime to p, then
+        # 1/x = (a - sqrt(p) b) / (a^2 - p b^2), whose radicals have strictly
+        # fewer prime factors.  No radicand is factored.
+        p = 0
         for d, _ in self._terms:
-            if d > 1:
-                q = 2
-                while d % q:
-                    q += 1
-                p = q
-                break
-        assert p is not None
+            if gcd(p, d) > 1:
+                p = gcd(p, d)
         a: dict[int, Fraction] = {}
         b: dict[int, Fraction] = {}
         for d, c in self._terms:

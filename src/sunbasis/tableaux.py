@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import factorial
 
 from .permutations import Permutation
@@ -54,7 +54,11 @@ class YoungDiagram:
         return self.conjugate().rows
 
     def hook_length(self) -> int:
-        """Product over boxes of (arm + leg + 1)."""
+        """Product over boxes of (arm + leg + 1), computed once per diagram."""
+        return self._hook_product
+
+    @cached_property
+    def _hook_product(self) -> int:
         cols = self.column_lengths()
         h = 1
         for i, r in enumerate(self.rows):
@@ -91,9 +95,7 @@ class YoungTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        shape = tuple(len(r) for r in self.rows)
-        YoungDiagram(shape)  # validates shape
-        n = sum(shape)
+        n = self.shape.n  # building the shape validates it
         entries = [e for row in self.rows for e in row]
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"entries must be 1..{n} exactly once: {self.rows}")
@@ -105,8 +107,9 @@ class YoungTableau:
             if any(upper[j] >= lower[j] for j in range(len(lower))):
                 raise ValueError(f"column not increasing at rows {i},{i+1}")
 
-    @property
+    @cached_property
     def shape(self) -> YoungDiagram:
+        """The diagram of the filling, built once per tableau."""
         return YoungDiagram(tuple(len(r) for r in self.rows))
 
     @property

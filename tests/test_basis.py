@@ -579,6 +579,35 @@ def test_eigen_checks_hold_across_chunk_boundaries(monkeypatch, rows):
     assert all(tau_squared == Fraction(1, 9) for _, tau_squared in whole)
 
 
+def test_chain_products_refuse_a_doubled_operator_in_the_last_chunk(monkeypatch):
+    # O_ST with S and T both other than the block's first tableau enters one
+    # chain only, as the target of O_S1·O_1T, and that chain is the one at
+    # the label's position.  Doubled it stays on its Jucys–Murphy line, so the
+    # eigen-checks pass it and only the row-wise sums of the last chunk see it.
+    m = 5
+    b = assemble(m)
+    labels = b.labels()
+    chains = len(labels) + sum(block.size for block in b.blocks)
+    per_chunk = 50
+    monkeypatch.setattr(_fast, "_GATHER_LIMIT", 3 * per_chunk * math.factorial(m))
+    x = max(x for x, (_, i, j) in enumerate(labels) if i and j and i != j)
+    assert -(-chains // per_chunk) >= 3
+    assert x >= (chains - 1) // per_chunk * per_chunk
+    blk, i, j = labels[x]
+    bad = _scaled(b, blk, [(i, j)], 2)
+    eigen_checks = []
+    check = _fast.in_eigenspaces
+
+    def spy(*args):
+        eigen_checks.append(check(*args))
+        return eigen_checks[-1]
+
+    monkeypatch.setattr(_fast, "in_eigenspaces", spy)
+    assert basis_module._matrix_units(b)
+    assert not basis_module._matrix_units(bad)
+    assert eigen_checks == [True, True]
+
+
 def test_eigen_checks_take_python_ints_past_the_guard():
     # X_5·v = 4·v for the constant v = t·1; at t = 2**62, 4·t wraps to 0 in
     # int64, so only exact sums tell it from a content of 0 at k = 5
@@ -996,6 +1025,67 @@ def test_warm_cache_suite_matches_cold():
     assert [r.checked for r in cold] == [576, 576, 5, 1]
 
 
+def _count_eigen_checks(monkeypatch) -> list[int]:
+    """Spy on ``_fast.in_eigenspaces``: the row count of every call."""
+    calls = []
+    check = _fast.in_eigenspaces
+
+    def spy(m, vecs, left, right):
+        calls.append(len(vecs))
+        return check(m, vecs, left, right)
+
+    monkeypatch.setattr(_fast, "in_eigenspaces", spy)
+    return calls
+
+
+def test_run_suite_proves_the_cached_basis_once(monkeypatch):
+    run_suite(5)  # every projector and the basis cached
+    basis_module._latest_proof.cache_clear()
+    calls = _count_eigen_checks(monkeypatch)
+    reports = run_suite(5)
+    assert [r.passed for r in reports] == [True] * 4
+    assert calls == [120]
+
+
+def test_an_equal_but_distinct_basis_is_proved_afresh(monkeypatch):
+    b = assemble(4)
+    assert verify_multiplication_table(b).passed
+    copy = basis_from_json(basis_to_json(b))
+    assert copy == b and copy is not b
+    calls = _count_eigen_checks(monkeypatch)
+    assert verify_multiplication_table(copy).passed
+    assert verify_orthonormality(copy).passed
+    assert verify_linear_independence(copy).passed
+    assert calls == [24]
+
+
+def test_a_corrupted_grid_after_a_good_one_is_refused():
+    b = assemble(4)
+    assert [verify_multiplication_table(b).passed, verify_orthonormality(b).passed] == [True, True]
+    bad = _corrupted(b)
+    assert not verify_multiplication_table(bad).passed
+    assert not verify_orthonormality(bad).passed
+    _assert_matches_reference(bad)
+    # and the good one again, now that the corrupted one is the latest
+    assert verify_linear_independence(b) == VerificationReport("linear_independence", 1)
+
+
+def test_clearing_the_caches_makes_the_proof_cold(monkeypatch):
+    b = assemble(4)
+    verify_multiplication_table(b)
+    calls = _count_eigen_checks(monkeypatch)
+    verify_orthonormality(b)
+    assert calls == []
+    _clear_caches()
+    assert basis_module._latest_proof.cache_info().currsize == 0
+    b = assemble(4)
+    calls.clear()
+    verify_orthonormality(b)
+    verify_linear_independence(b)
+    # the projectors of assemble(4) check their own bars, then the grid is proved once
+    assert calls[-1] == 24 and calls.count(24) == 1
+
+
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError, match="unknown suites"):
         run_suite(3, "hermitian", ("table", "unitarity"))
@@ -1053,7 +1143,7 @@ def _certificate_dtype(b: BasisMatrix):
     return basis_module._certificate_dtype(b.m, [op._parts for _, op in b.flat()])
 
 
-def test_certificate_takes_int64_from_its_own_bound():
+def _assert_certificate_dtype_follows_its_bound():
     # O_01·s and O_10/s are still matrix units, and O_01·s holds the largest
     # stored entry T = s·t: the largest such s with n·T² below 2**62 keeps
     # the certificate in int64 and the next one does not, while the pair
@@ -1086,6 +1176,18 @@ def test_certificate_takes_int64_from_its_own_bound():
         assert _certificate_dtype(bad) is dtype
         assert not basis_module._matrix_units(bad)
         _assert_matches_reference(bad)
+
+
+def test_certificate_takes_int64_from_its_own_bound():
+    _assert_certificate_dtype_follows_its_bound()
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3])
+def test_certificate_takes_either_dtype_across_chain_chunks(monkeypatch, per_chunk):
+    # the ten chains of m = 3, one or three to a chunk of row-wise sums,
+    # whose index, gathered and factor blocks share the limit
+    monkeypatch.setattr(_fast, "_GATHER_LIMIT", 3 * per_chunk * math.factorial(3))
+    _assert_certificate_dtype_follows_its_bound()
 
 
 def test_certificate_keeps_int64_when_only_the_denominator_crosses():

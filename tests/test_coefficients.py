@@ -124,6 +124,24 @@ def test_field_inverse(a):
         assert (1 / a) * a == Surd.rational(1)
 
 
+def test_inverse_of_a_surd_with_a_large_prime_radicand():
+    # the split needs no prime factor of 2**31 - 1, only the radicand itself
+    x = Surd({2**31 - 1: 1}) + 1
+    assert x * x.inverse() == Surd.rational(1)
+
+
+# radicands sharing factors in every way, with two past the trial bound
+mixed_radicands = st.sampled_from(
+    [1, 2, 3, 5, 6, 10, 14, 15, 21, 30, 35, 42, 2**31 - 1, 2 * (2**31 - 1)]
+)
+
+
+@given(st.dictionaries(mixed_radicands, rationals, min_size=1, max_size=4).map(Surd))
+def test_field_inverse_over_mixed_radicands(x):
+    if x:
+        assert x * x.inverse() == Surd.rational(1)
+
+
 @given(st.fractions(min_value=Fraction(1, 40), max_value=50, max_denominator=40))
 def test_sqrt_roundtrip(q):
     r = Surd.sqrt(q)

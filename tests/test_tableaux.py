@@ -50,6 +50,35 @@ def test_hook_lengths():
     assert YoungDiagram((5,)).hook_length() == 120
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hook_lengths_are_computed_once_and_unchanged(n):
+    for d in partitions(n):
+        cols = [sum(1 for r in d.rows if r > c) for c in range(d.rows[0])]
+        hooks = [r - j + cols[j] - i - 1 for i, r in enumerate(d.rows) for j in range(r)]
+        product = 1
+        for h in hooks:
+            product *= h
+        assert d.hook_length() == d.hook_length() == product
+        assert d.tableau_count() * product == factorial(n)
+
+
+def test_shape_is_built_once_and_leaves_identity_alone():
+    t = T((1, 2, 5), (3, 4))
+    fresh = T((1, 2, 5), (3, 4))
+    assert t.shape is t.shape
+    assert t.shape == YoungDiagram((3, 2))
+    # a tableau that holds its shape compares, orders, hashes and prints as
+    # one that does not
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    assert not t < fresh and not fresh < t
+    assert sorted([T((1, 3, 5), (2, 4)), t]) == [t, T((1, 3, 5), (2, 4))]
+    assert tableau_to_json(t) == tableau_to_json(fresh)
+    d = YoungDiagram((3, 2))
+    d.hook_length()
+    assert d == YoungDiagram((3, 2)) and hash(d) == hash(YoungDiagram((3, 2)))
+    assert repr(d) == "YoungDiagram(rows=(3, 2))"
+
+
 def test_tableau_counts():
     assert YoungDiagram((4, 3, 1)).tableau_count() == 70
     assert YoungDiagram((2, 1)).tableau_count() == 2
