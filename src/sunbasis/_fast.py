@@ -77,40 +77,37 @@ def inverse_table(m: int) -> np.ndarray:
 def _transposition_moves(m: int) -> tuple[np.ndarray, ...]:
     """Index arrays of the Jucys–Murphy elements X_k = Σ_{i<k} (i k), k = 2..m.
 
-    Entry k - 2 has shape (2, k - 1, m!): ``[0, i - 1, q]`` is the index of
-    t·p_q and ``[1, i - 1, q]`` that of p_q·t for t = (i k), so that
-    (t·a)[q] = a[moves[0, i - 1, q]] and (a·t)[q] = a[moves[1, i - 1, q]].
+    Entry k - 2 has shape (k - 1, m!): ``[i - 1, q]`` is the index of t·p_q
+    for t = (i k), so that (t·a)[q] = a[moves[i - 1, q]].
     """
     table, index = composition_table(m), permutation_index(m)
-    out = []
-    for k in range(2, m + 1):
-        swaps = [index[Permutation.transposition(m, i, k).images] for i in range(1, k)]
-        out.append(np.stack([table[swaps], table[:, swaps].T]))
-    return tuple(out)
+    return tuple(
+        table[[index[Permutation.transposition(m, i, k).images] for i in range(1, k)]]
+        for k in range(2, m + 1)
+    )
 
 
-def in_eigenspaces(
-    m: int, vecs: list[np.ndarray], left: np.ndarray | tuple, right: np.ndarray | tuple
-) -> bool:
-    """Whether X_k·v = left[r][k - 1]·v and v·X_k = right[r][k - 1]·v for
-    every row v = vecs[r] and k = 2..m; one content tuple may serve all rows.
+def in_eigenspaces(m: int, vecs: list[np.ndarray], contents: np.ndarray | tuple) -> bool:
+    """Whether X_k·v = contents[r][k - 1]·v for every row v = vecs[r] and
+    k = 2..m; one content tuple may serve all rows.
 
-    Each k is one gather of X_k's moves on both sides, summed on that axis,
-    in row chunks whose gathers hold at most ``_GATHER_LIMIT`` entries over
-    all k.  A sum of k - 1 entries, or a content times one, stays below m·T,
-    T the largest entry of the chunk; past the guard a chunk takes Python ints.
+    X_k is Hermitian, so v·X_k = c·v is the same identity as X_k·v† = c·v†:
+    a caller checks a right side on the adjoint's vectors.  Each k is one
+    gather of X_k's moves, summed over its transpositions, in row chunks
+    whose gathers hold at most ``_GATHER_LIMIT`` entries over all k.  A sum
+    of k - 1 entries, or a content times one, stays below m·T, T the largest
+    entry of the chunk; past the guard a chunk takes Python ints.
     """
-    sides = np.empty((len(vecs), m, 2, 1), dtype=np.intp)
-    sides[:, :, 0, 0], sides[:, :, 1, 0] = left, right
+    contents = np.broadcast_to(np.asarray(contents, dtype=np.intp), (len(vecs), m))
     step = max(1, _GATHER_LIMIT // (m * m * factorial(m)))
     for lo in range(0, len(vecs), step):
         vs = np.stack(vecs[lo : lo + step])
         if vs.dtype == np.int64 and not _fits(m, _abs_max(vs)):
             (vs,) = _objects(vs)
-        contents = sides[lo : lo + step]
         for k, moves in enumerate(_transposition_moves(m), start=2):
-            # at [r, side]: X_k·v or v·X_k against c·v, c that side's content of k
-            if not (vs[:, moves].sum(axis=2) == contents[:, k - 1] * vs[:, None, :]).all():
+            # at row r: X_k·v against c·v, c the row's content of k
+            c = contents[lo : lo + step, k - 1, None]
+            if not (np.take(vs, moves, axis=1).sum(axis=1) == c * vs).all():
                 return False
     return True
 

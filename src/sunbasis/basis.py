@@ -204,6 +204,31 @@ def _certificate_dtype(m: int, parts: list[_fast.Parts]) -> type:
     return np.int64 if _fast._fits(factorial(m), top, top) else object
 
 
+def _transposes_are_adjoints(b: BasisMatrix) -> bool:
+    """Whether O_ST† = O_TS for every operator of ``b``.
+
+    (x†)[g] = x[g⁻¹], so, in row chunks, the stored vectors of the operators
+    on and above each block's diagonal are gathered once by ``inverse_table``
+    and compared with those of the transposed labels, under the same
+    radicands and denominators.
+    """
+    rows = []
+    for block in b.blocks:
+        for i, row in enumerate(block.operators):
+            for j in range(i, block.size):
+                x, y = row[j]._parts, block.operators[j][i]._parts
+                if x.keys() != y.keys() or any(x[d][0] != y[d][0] for d in x):
+                    return False
+                rows.extend((x[d][1], y[d][1]) for d in x)
+    inverse = _fast.inverse_table(b.m)
+    step = max(1, _fast._GATHER_LIMIT // len(inverse))
+    for lo in range(0, len(rows), step):
+        xs, ys = (np.stack(side) for side in zip(*rows[lo : lo + step]))
+        if not np.array_equal(np.take(xs, inverse, axis=1), ys):
+            return False
+    return True
+
+
 def _matrix_units(b: BasisMatrix) -> bool:
     """Whether a Jucys–Murphy certificate proves ``b`` a matrix-unit basis.
 
@@ -211,18 +236,21 @@ def _matrix_units(b: BasisMatrix) -> bool:
     T = ``tableaux[j]``, 1 for its first tableau, X_k = Σ_{i<k} (i k) and
     c_T(k) for the content (column − row) of k in T.  The certificate holds
     when (a) there are m! operators, none zero, with pairwise distinct
-    pairs (S, T) of degree-m tableaux; (b) X_k·O_ST = c_S(k)·O_ST and
-    O_ST·X_k = c_T(k)·O_ST for k = 2..m; (c) (O_S1·O_1T)[g] = O_ST[g] and
+    pairs (S, T) of degree-m tableaux, and O_ST† = O_TS; (b) X_k·O_ST =
+    c_S(k)·O_ST for k = 2..m; (c) (O_S1·O_1T)[g] = O_ST[g] and
     (O_1T·O_T1)[g] = O_11[g], g the first permutation where the right-hand
-    side is nonzero.  (b) is ``_fast.in_eigenspaces`` over the stored
-    vectors, (c) one row-wise sum of length m! per chain, batched in chunks
-    whose blocks hold at most ``_fast._GATHER_LIMIT`` entries together.
+    side is nonzero.  The adjoints are ``_transposes_are_adjoints``, (b) is
+    ``_fast.in_eigenspaces`` over the stored vectors, (c) one row-wise sum
+    of length m! per chain, batched in chunks whose blocks hold at most
+    ``_fast._GATHER_LIMIT`` entries together.
 
     Proof.  The X_k generate the commutative algebra of the primitive
     idempotents E_T of all standard tableaux T, X_k·E_T = E_T·X_k =
     c_T(k)·E_T, and content vectors separate standard tableaux
     (Okounkov–Vershik).  So X_k·a = c_S(k)·a for all k gives
-    (c_U(k) − c_S(k))·E_U·a = 0, hence a = E_S·a; the right side is alike.
+    (c_U(k) − c_S(k))·E_U·a = 0, hence a = E_S·a.  The X_k are Hermitian,
+    so (b) for O_TS and O_TS† = O_ST give the right side: O_ST·X_k =
+    (X_k·O_TS)† = c_T(k)·O_ST, hence a = a·E_T for a = O_ST.
     (b) thus puts O_ST in E_S·A·E_T, the line of the seminormal unit E_ST
     when S, T have one shape and 0 otherwise: O_ST = c_ST·E_ST, c_ST ≠ 0.
     As E_ST·E_UV = δ_TU·E_SV and E_ST[g] ≠ 0 where O_ST[g] ≠ 0, (c) reads
@@ -230,7 +258,7 @@ def _matrix_units(b: BasisMatrix) -> bool:
     c_ST·c_TV = c_S1·(c_1T·c_T1)·c_1V = c_SV: O_ST·O_TV = O_SV, and
     O_ST·O_UV = 0 for T ≠ U.  By (a) a tableau lies in one block only, so
     that is the whole table, and the operators are nonzero elements of
-    distinct summands of A = ⊕ E_S·A·E_T, hence independent.  If also
+    distinct summands of A = ⊕ E_S·A·E_T, hence independent.  As
     O_ST† = O_TS, the cyclic trace gives ⟨O_ST, O_UV⟩ = tr(O_TS·O_UV) =
     δ_SU·tr(O_TV) = δ_SU·δ_TV·tr(O_11).  Keppeler–Sjödahl identify the
     Hermitian Young projectors with the E_T, so the Hermitian grid passes.
@@ -242,11 +270,12 @@ def _matrix_units(b: BasisMatrix) -> bool:
         return False
     if any(t.n != m for block in b.blocks for t in block.tableaux):
         return False
+    if not _transposes_are_adjoints(b):
+        return False
     # (b) and (c) are linear in each operator, so they read the stored vectors
     rows = [(x, vec) for x, p in enumerate(parts) for _, vec in p.values()]
     vecs = [vec for _, vec in rows]
-    left, right = (np.array([_contents(pairs[x][side]) for x, _ in rows]) for side in (0, 1))
-    if not _fast.in_eigenspaces(m, vecs, left, right):
+    if not _fast.in_eigenspaces(m, vecs, np.array([_contents(pairs[x][0]) for x, _ in rows])):
         return False
     # (a·c)[g] = Σ_h a[h]·c[h⁻¹g], one row-wise sum per radicand pair √d·√e = r·√s
     # of each chain, compared over the common denominator D: D²·(a·c) against D²·z
@@ -326,31 +355,6 @@ def _certified(b: BasisMatrix) -> bool:
     return _latest_proof(_Identity(b))
 
 
-def _transposes_are_adjoints(b: BasisMatrix) -> bool:
-    """Whether O_ST† = O_TS for every operator of ``b``.
-
-    (x†)[g] = x[g⁻¹], so, in row chunks, the stored vectors of the operators
-    on and above each block's diagonal are gathered once by ``inverse_table``
-    and compared with those of the transposed labels, under the same
-    radicands and denominators.
-    """
-    rows = []
-    for block in b.blocks:
-        for i, row in enumerate(block.operators):
-            for j in range(i, block.size):
-                x, y = row[j]._parts, block.operators[j][i]._parts
-                if x.keys() != y.keys() or any(x[d][0] != y[d][0] for d in x):
-                    return False
-                rows.extend((x[d][1], y[d][1]) for d in x)
-    inverse = _fast.inverse_table(b.m)
-    step = max(1, _fast._GATHER_LIMIT // len(inverse))
-    for lo in range(0, len(rows), step):
-        xs, ys = (np.stack(side) for side in zip(*rows[lo : lo + step]))
-        if not np.array_equal(np.take(xs, inverse, axis=1), ys):
-            return False
-    return True
-
-
 def verify_multiplication_table(
     b: BasisMatrix, *, jobs: int | None = None
 ) -> VerificationReport:
@@ -420,9 +424,11 @@ def verify_orthonormality(
     Distinct operators must pair to zero; an operator against itself gives
     the dimension polynomial of its block's diagram.  With ``sample`` the
     report covers that many pairs drawn uniformly with ``seed`` instead of
-    all of them.  A basis that ``_matrix_units`` certifies, with every
-    O_ij† equal to O_ji, passes; the certificate is shared with the table
-    and independence suites and runs once per basis object.  Any other
+    all of them.  A basis that ``_matrix_units`` certifies passes: the
+    certificate checks O_ij† = O_ji first, since it proves the right-hand
+    eigen-identities as the left-hand ones of the adjoints, and the cyclic
+    trace then gives every pairing.  It is shared with the table and
+    independence suites and runs once per basis object.  Any other
     basis has every pair compared exactly by ``_fast.gram_mismatches``, one
     Gram matrix per power of N.
     ``jobs`` is accepted for compatibility and ignored: the check runs in
@@ -433,7 +439,7 @@ def verify_orthonormality(
     _check_sample(sample)
     labels = b.labels()
     n = len(labels)
-    if _certified(b) and _transposes_are_adjoints(b):
+    if _certified(b):
         return VerificationReport("orthonormality", n * n if sample is None else sample)
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]

@@ -272,10 +272,6 @@ class PolyN:
         return PolyN({0: Surd._coerce(x)})
 
     @staticmethod
-    def n_power(k: int, coeff: SurdLike = 1) -> "PolyN":
-        return PolyN({k: Surd._coerce(coeff)})
-
-    @staticmethod
     def _coerce(x: Union["PolyN", SurdLike]) -> "PolyN":
         if isinstance(x, PolyN):
             return x

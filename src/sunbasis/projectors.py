@@ -13,9 +13,11 @@ S_m group algebra:
   nearest *ordered* ancestor and sandwiches the tableau's symmetrizer pair
   between alternating ancestor sets.  Equal to the staircase operator.
 
-Both Hermitian constructions are normalised by ``_hermitian_scale``: one
-Jucys–Murphy eigen-check and E_θ[e] = 1/H_λ.  The Young projector, Jucys–Murphy
-diagonal for two tableaux per degree only, is normalised by its own square.
+``_normalize`` scales every Hermitian operator, both Hermitian projectors and
+the unitary transitions, by one rule: a Jucys–Murphy eigen-check and
+E_θ[e] = 1/H_λ, a projector being the transition from its tableau to itself.
+The Young projector, Jucys–Murphy diagonal for two tableaux per degree only,
+is normalised by its own square.
 
 ``cancel_simplify`` evaluates sandwich products of the form
 (row set) * M * (column set) that are guaranteed to collapse to a scalar
@@ -29,14 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, prod
-from typing import Literal, Optional
+from typing import Literal
 
 import numpy as np
 
 from . import _fast
-from .algebra import AlgebraElement, _check_degree, multiply, proportionality, trace
+from .algebra import AlgebraElement, _check_degree, dagger, multiply, proportionality, trace
 from .coefficients import PolyN, Surd
-from .permutations import Permutation
 from .tableaux import YoungDiagram, YoungTableau, _contents
 
 SetKind = Literal["sym", "anti"]
@@ -138,19 +139,43 @@ class Projector:
     sets (all per-set 1/k! weights included, no other constants)."""
 
 
-def _hermitian_scale(bar: AlgebraElement, t: YoungTableau) -> Surd:
-    """The c with bar == c·E_t, E_t the Jucys–Murphy idempotent of ``t``.
+def _normalize(
+    bar: AlgebraElement, theta: YoungTableau, phi: YoungTableau
+) -> tuple[AlgebraElement, Fraction]:
+    """Scale ``bar`` so that the result times its own dagger is E_θ.
 
-    With X_k·bar = c_t(k)·bar and bar·X_k = c_t(k)·bar for k = 2..m, bar
-    lies in E_t·A·E_t, the line of E_t (see ``transitions._normalize``), and
-    E_t[e] = f_λ/m! = 1/H_λ, H_λ the hook product; so c = bar[e]·H_λ.
-    Keppeler–Sjödahl identify the Hermitian Young projectors with the E_t.
+    ``bar`` is a transition's bare product from ``phi`` to ``theta``, or with
+    θ = φ a Hermitian projector's.  Returns the scaled element and τ², the
+    square of the scale, a positive rational; the positive root is taken.
+
+    Proof.  Content vectors separate standard tableaux, so X_k·a = c_θ(k)·a
+    for k = 2..m puts a in E_θ·A, E_θ the Jucys–Murphy idempotent of θ
+    (Okounkov–Vershik).  One ``_fast.in_eigenspaces`` call checks bar's
+    vectors with θ's contents and bar†'s with φ's; X_k is Hermitian, so the
+    second is bar·X_k = c_φ(k)·bar, and bar lies in E_θ·A·E_φ.  Then
+    bar·bar† lies in E_θ·A·E_θ, the line of E_θ: bar·bar† = λ·E_θ.  As
+    E_θ[e] = f_λ/m! = 1/H_λ, H_λ the hook product, λ = H_λ·Σ_g bar[g]², one
+    dot product per radicand pair, and τ² = 1/λ.  A Hermitian bar c·E_θ is
+    scaled to E_θ when c > 0, as for the mold's palindrome B·f·B†, f a
+    Hermitian idempotent: c/H_λ = Σ_g (B·f)[g]² > 0.
     """
-    contents = _contents(t)
+    if bar.is_zero():
+        raise ValueError("product vanished; it lies in no Jucys–Murphy eigenspace")
     vecs = [vec for _, vec in bar._parts.values()]
-    if not vecs or not _fast.in_eigenspaces(bar.m, vecs, contents, contents):
-        raise ValueError(f"bar is not a nonzero multiple of the Jucys–Murphy idempotent of {t}")
-    return bar.coefficient(Permutation.identity(t.n)) * t.shape.hook_length()
+    adjoint = [vec for _, vec in dagger(bar)._parts.values()]
+    contents = [_contents(theta)] * len(vecs) + [_contents(phi)] * len(adjoint)
+    if not _fast.in_eigenspaces(bar.m, vecs + adjoint, contents):
+        raise ValueError("product is not in its tableaux' Jucys–Murphy eigenspaces")
+    square = Surd()
+    for d, (p, v) in bar._parts.items():
+        for e, (q, w) in bar._parts.items():
+            if not _fast._fits(len(v), _fast._abs_max(v), _fast._abs_max(w)):
+                v, w = _fast._objects(v, w)
+            square = square + Surd({d * e: Fraction(int(v @ w), p * q)})
+    scale_sq = 1 / (theta.shape.hook_length() * square.as_fraction())
+    if scale_sq <= 0:
+        raise ValueError(f"normalization square must be positive, got {scale_sq}")
+    return bar.scale(Surd.sqrt(scale_sq)), scale_sq
 
 
 @cache
@@ -225,9 +250,8 @@ def hermitian_staircase(t: YoungTableau) -> Projector:
     ancestors = [t.ancestor(k) for k in range(max(n - 2, 0), 0, -1)]
     pairs = [(rows_of(a, n), columns_of(a, n)) for a in ancestors]
     sets = [s for pair in pairs + [(rows_of(t), columns_of(t))] + pairs[::-1] for s in pair]
-    bar = _product(n, [s.element() for s in sets])
-    beta = Surd.rational(1) / _hermitian_scale(bar, t)
-    return Projector(t, "staircase", bar.scale(beta), beta)
+    element, tau_squared = _normalize(_product(n, [s.element() for s in sets]), t, t)
+    return Projector(t, "staircase", element, Surd.sqrt(tau_squared))
 
 
 def _product(n: int, factors: list[AlgebraElement]) -> AlgebraElement:
@@ -303,14 +327,12 @@ def hermitian_mold(t: YoungTableau) -> Projector:
     factors = mold_factors(t)
     cut = _level0_anti_indices(factors)[0]
     bar = _product(t.n, [_mold_prefix(t)] + [f.element() for f, _ in factors[cut + 1 :]])
-    beta = Surd.rational(1) / _hermitian_scale(bar, t)
-    return Projector(t, "mold", bar.scale(beta), beta)
+    element, tau_squared = _normalize(bar, t, t)
+    return Projector(t, "mold", element, Surd.sqrt(tau_squared))
 
 
-@cache
-def hermitian_projector(t: YoungTableau) -> Projector:
-    """Canonical Hermitian projector used by transitions and basis assembly."""
-    return hermitian_mold(t)
+# the canonical Hermitian projector, used by transitions and basis assembly
+hermitian_projector = hermitian_mold
 
 
 def dimension_poly(p: Projector) -> PolyN:

@@ -19,7 +19,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial
 

@@ -17,11 +17,12 @@ one subspace bijectively onto the other.  Three constructions are provided:
 The scalar ``tau`` is fixed by requiring ``T * dagger(T)`` to equal the
 target projector exactly; its square is always rational here, and the
 positive square root is taken (the remaining blockwise sign freedom is a
-genuine convention).  Once Jucys–Murphy eigen-checks place the bare
-product in E_θ·A·E_φ, its product with its dagger is a multiple of the
-target E_θ, whose identity coefficient is 1/H_λ (H_λ the hook product), so
-``_normalize`` reads ``tau**-2`` off one dot product; neither that square
-nor the target projector is formed.
+genuine convention).  ``projectors._normalize``, the rule that also
+scales the Hermitian projectors, places the bare product in E_θ·A·E_φ by
+Jucys–Murphy eigen-checks of it and its adjoint; its product with its
+dagger is then a multiple of the target E_θ, whose identity coefficient is
+1/H_λ (H_λ the hook product), so ``tau**-2`` is read off one dot product;
+neither that square nor the target projector is formed.
 """
 
 from __future__ import annotations
@@ -30,18 +31,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from . import _fast
 from .algebra import AlgebraElement, _translate, multiply
-from .coefficients import Surd
 from .projectors import (
     _level0_anti_indices,
     _mold_prefix,
     _mold_suffix,
+    _normalize,
     hermitian_projector,
     mold_factors,
     young_projector,
 )
-from .tableaux import YoungTableau, _contents, tableau_permutation
+from .tableaux import YoungTableau, tableau_permutation
 
 __all__ = [
     "TransitionOperator",
@@ -85,42 +85,6 @@ def _require_same_shape(theta: YoungTableau, phi: YoungTableau) -> None:
             "transition requires tableaux of equal shape, got "
             f"{theta.shape.rows} and {phi.shape.rows}"
         )
-
-
-def _normalize(
-    bar: AlgebraElement, theta: YoungTableau, phi: YoungTableau
-) -> tuple[AlgebraElement, Fraction]:
-    """Scale ``bar`` so the result times its own dagger equals ``theta``'s projector.
-
-    Returns the scaled element together with the square of the scaling
-    factor, which must come out as a positive rational.
-
-    Proof.  Write E_T for the primitive idempotent of a standard tableau T
-    in the commutative algebra of the Jucys–Murphy elements X_k; content
-    vectors separate standard tableaux, so X_k·a = c_θ(k)·a for all k puts
-    a in E_θ·A, and a·X_k = c_φ(k)·a puts it in A·E_φ (Okounkov–Vershik).
-    Both checks on ``bar`` place it in E_θ·A·E_φ.  The X_k are Hermitian,
-    hence so are the E_T, and bar·bar† lies in E_θ·A·E_θ, the line of E_θ:
-    bar·bar† = λ·E_θ.  E_θ[e] = f_λ/m! = 1/H_λ, H_λ the hook product of the
-    shape, so λ = H_λ·(bar·bar†)[e] = H_λ·Σ_g bar[g]², one dot product per
-    radicand pair.  ``theta``'s Hermitian projector is E_θ: its construction
-    (``projectors._hermitian_scale``) checks exactly that.
-    """
-    if bar.is_zero():
-        raise ValueError("transition product vanished; the tableaux do not connect")
-    vecs = [vec for _, vec in bar._parts.values()]
-    if not _fast.in_eigenspaces(bar.m, vecs, _contents(theta), _contents(phi)):
-        raise ValueError("transition product is not in its tableaux' Jucys–Murphy eigenspaces")
-    square = Surd()
-    for d, (p, v) in bar._parts.items():
-        for e, (q, w) in bar._parts.items():
-            if not _fast._fits(len(v), _fast._abs_max(v), _fast._abs_max(w)):
-                v, w = _fast._objects(v, w)
-            square = square + Surd({d * e: Fraction(int(v @ w), p * q)})
-    scale_sq = 1 / (theta.shape.hook_length() * square.as_fraction())
-    if scale_sq <= 0:
-        raise ValueError(f"normalization square must be positive, got {scale_sq}")
-    return bar.scale(Surd.sqrt(scale_sq)), scale_sq
 
 
 @cache

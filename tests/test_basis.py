@@ -14,7 +14,14 @@ import sunbasis
 from sunbasis import _fast
 from sunbasis import basis as basis_module
 from sunbasis._linalg import surd_rank
-from sunbasis.algebra import AlgebraElement, element_from_json, multiply, scalar_product, trace
+from sunbasis.algebra import (
+    AlgebraElement,
+    dagger,
+    element_from_json,
+    multiply,
+    scalar_product,
+    trace,
+)
 from sunbasis.basis import (
     BasisBlock,
     BasisMatrix,
@@ -31,9 +38,9 @@ from sunbasis.basis import (
 )
 from sunbasis.coefficients import PolyN, Surd, squarefree_decompose
 from sunbasis.permutations import all_permutations
-from sunbasis.projectors import hermitian_projector, symmetrizer, young_projector
-from sunbasis.tableaux import YoungTableau, enumerate_tableaux
-from sunbasis.transitions import _normalize, unitary_transition_compact
+from sunbasis.projectors import _normalize, hermitian_projector, symmetrizer, young_projector
+from sunbasis.tableaux import YoungTableau, _contents, enumerate_tableaux
+from sunbasis.transitions import unitary_transition_compact
 
 
 def T(*rows):
@@ -473,10 +480,11 @@ def _scaled(b: BasisMatrix, blk: int, cells, c) -> BasisMatrix:
 
 
 # Rescalings keep every operator on its Jucys–Murphy line, so only the
-# certificate's chain products can refuse them.  Doubling row 1 passes every
-# chain O_S1·O_1T = O_ST and needs O_1T·O_T1 = O_11 to be caught.  Doubling
-# row 1 and halving column 1 conjugates the block by a diagonal matrix: still
-# a matrix-unit basis, but no longer orthonormal.
+# certificate's adjoint check and chain products can refuse them.  Doubling
+# O_00, or negating O_12 and O_21, keeps O_ST† = O_TS and is caught by the
+# chains.  Doubling row 1 and halving column 1 conjugates the block by a
+# diagonal matrix: still a matrix-unit basis, but not closed under the
+# adjoint, so the certificate refuses it and the pair kernels prove the table.
 SIMILAR = "row 1 doubled, column 1 halved"
 RESCALED = {
     "O_00 doubled": lambda b, blk: _scaled(b, blk, [(0, 0)], 2),
@@ -496,7 +504,7 @@ def test_rescaled_units_are_left_to_the_kernels(planted, seed):
         b = _relabelled(b, seed)
     blk = next(k for k, block in enumerate(b.blocks) if block.diagram.rows == (3, 1))
     bad = RESCALED[planted](b, blk)
-    assert basis_module._matrix_units(bad) == (planted == SIMILAR)
+    assert not basis_module._matrix_units(bad)
     assert verify_multiplication_table(bad).passed == (planted == SIMILAR)
     _assert_matches_reference(bad)
 
@@ -582,8 +590,9 @@ def test_eigen_checks_hold_across_chunk_boundaries(monkeypatch, rows):
 def test_chain_products_refuse_a_doubled_operator_in_the_last_chunk(monkeypatch):
     # O_ST with S and T both other than the block's first tableau enters one
     # chain only, as the target of O_S1·O_1T, and that chain is the one at
-    # the label's position.  Doubled it stays on its Jucys–Murphy line, so the
-    # eigen-checks pass it and only the row-wise sums of the last chunk see it.
+    # the label's position.  Doubled with O_TS, it stays on its Jucys–Murphy
+    # line and the grid stays closed under the adjoint, so the eigen-checks
+    # pass it and only the row-wise sums of the last chunk see it.
     m = 5
     b = assemble(m)
     labels = b.labels()
@@ -591,10 +600,10 @@ def test_chain_products_refuse_a_doubled_operator_in_the_last_chunk(monkeypatch)
     per_chunk = 50
     monkeypatch.setattr(_fast, "_GATHER_LIMIT", 3 * per_chunk * math.factorial(m))
     x = max(x for x, (_, i, j) in enumerate(labels) if i and j and i != j)
-    assert -(-chains // per_chunk) >= 3
-    assert x >= (chains - 1) // per_chunk * per_chunk
     blk, i, j = labels[x]
-    bad = _scaled(b, blk, [(i, j)], 2)
+    assert -(-chains // per_chunk) >= 3
+    assert min(x, labels.index((blk, j, i))) >= (chains - 1) // per_chunk * per_chunk
+    bad = _scaled(b, blk, [(i, j), (j, i)], 2)
     eigen_checks = []
     check = _fast.in_eigenspaces
 
@@ -608,15 +617,28 @@ def test_chain_products_refuse_a_doubled_operator_in_the_last_chunk(monkeypatch)
     assert eigen_checks == [True, True]
 
 
+@pytest.mark.parametrize("m", [4, "5 relabelled"])
+def test_adjoint_vectors_carry_the_right_eigen_identities(m):
+    b = _relabelled(assemble(5), 3) if m == "5 relabelled" else assemble(m)
+    # the certificate checks only left sides, X_k·O_ST = c_S(k)·O_ST; the
+    # right side O_ST·X_k = c_T(k)·O_ST is the left side of O_ST† with T's
+    # contents, which separate T from every other tableau of the block
+    for block in b.blocks:
+        for i, s in enumerate(block.tableaux):
+            for j, t in enumerate(block.tableaux):
+                vecs = [vec for _, vec in dagger(block.operators[i][j])._parts.values()]
+                assert _fast.in_eigenspaces(b.m, vecs, _contents(t))
+                assert _fast.in_eigenspaces(b.m, vecs, _contents(s)) is (s == t)
+
+
 def test_eigen_checks_take_python_ints_past_the_guard():
     # X_5·v = 4·v for the constant v = t·1; at t = 2**62, 4·t wraps to 0 in
     # int64, so only exact sums tell it from a content of 0 at k = 5
-    right = (0, 1, 2, 3, 4)
     for t, past_guard in ((2**62, True), ((2**62 - 1) // 5, False)):
         assert _fast._fits(5, t) is not past_guard
         v = np.full(120, t, dtype=np.int64)
-        assert _fast.in_eigenspaces(5, [v], right, right)
-        assert not _fast.in_eigenspaces(5, [v], (0, 1, 2, 3, 0), right)
+        assert _fast.in_eigenspaces(5, [v], (0, 1, 2, 3, 4))
+        assert not _fast.in_eigenspaces(5, [v], (0, 1, 2, 3, 0))
 
 
 @st.composite
@@ -1030,9 +1052,9 @@ def _count_eigen_checks(monkeypatch) -> list[int]:
     calls = []
     check = _fast.in_eigenspaces
 
-    def spy(m, vecs, left, right):
+    def spy(m, vecs, contents):
         calls.append(len(vecs))
-        return check(m, vecs, left, right)
+        return check(m, vecs, contents)
 
     monkeypatch.setattr(_fast, "in_eigenspaces", spy)
     return calls
@@ -1143,43 +1165,47 @@ def _certificate_dtype(b: BasisMatrix):
     return basis_module._certificate_dtype(b.m, [op._parts for _, op in b.flat()])
 
 
-def _assert_certificate_dtype_follows_its_bound():
-    # O_01·s and O_10/s are still matrix units, and O_01·s holds the largest
-    # stored entry T = s·t: the largest such s with n·T² below 2**62 keeps
-    # the certificate in int64 and the next one does not, while the pair
-    # kernels' stack is past its n²·T²·Σg bound on both sides
+def _assert_certificate_dtype_follows_its_bound(monkeypatch):
+    # s·O_01 and s·O_10 keep O_ST† = O_TS and every operator on its
+    # Jucys–Murphy line, but O_01·O_10 = s²·O_00: only the chain products
+    # refuse them.  s·O_01 holds the largest stored entry T = s·t: the largest
+    # such s with n·T² below 2**62 keeps the certificate in int64 and the next
+    # one does not, while the pair kernels' stack is past its n²·T²·Σg bound
+    # on both sides
     b = assemble(3, "hermitian")
+    assert basis_module._matrix_units(b)
     ops = b.blocks[1].operators
     ((denom, vec),) = ops[0][1]._parts.values()
     n, t = 6, int(abs(vec).max())
-
-    def similar(k):
-        return _with_operator(
-            _with_operator(b, 1, 0, 1, ops[0][1].scale(k)), 1, 1, 0, ops[1][0].scale(Fraction(1, k))
-        )
-
     # scales near the bound with no factor to cancel against the denominator
     near = math.isqrt((2**62 - 1) // (n * t * t))
     ks = [k for k in range(near - 10, near + 10) if math.gcd(k, denom) == 1]
     below = max(k for k in ks if n * (k * t) ** 2 < 2**62)
     above = min(k for k in ks if k > below)
+    eigen_checks = []
+    check = _fast.in_eigenspaces
+
+    def spy(*args):
+        eigen_checks.append(check(*args))
+        return eigen_checks[-1]
+
+    monkeypatch.setattr(_fast, "in_eigenspaces", spy)
     for k, dtype in ((below, np.int64), (above, object)):
-        good = similar(k)
-        top = max(int(abs(v).max()) for _, op in good.flat() for _, v in op._parts.values())
+        bad = _scaled(b, 1, [(0, 1), (1, 0)], k)
+        top = max(int(abs(v).max()) for _, op in bad.flat() for _, v in op._parts.values())
         assert top == k * t
         assert (n * top * top < 2**62) is (dtype is np.int64)
-        assert _certificate_dtype(good) is dtype
-        assert _stack_dtype(good) is object
-        assert basis_module._matrix_units(good)
-        assert verify_multiplication_table(good).passed
-        bad = _with_operator(good, 1, 0, 0, good.blocks[1].operators[0][0].scale(2))
         assert _certificate_dtype(bad) is dtype
+        assert _stack_dtype(bad) is object
+        eigen_checks.clear()
+        assert basis_module._transposes_are_adjoints(bad)
         assert not basis_module._matrix_units(bad)
+        assert eigen_checks == [True]
         _assert_matches_reference(bad)
 
 
-def test_certificate_takes_int64_from_its_own_bound():
-    _assert_certificate_dtype_follows_its_bound()
+def test_certificate_takes_int64_from_its_own_bound(monkeypatch):
+    _assert_certificate_dtype_follows_its_bound(monkeypatch)
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3])
@@ -1187,7 +1213,7 @@ def test_certificate_takes_either_dtype_across_chain_chunks(monkeypatch, per_chu
     # the ten chains of m = 3, one or three to a chunk of row-wise sums,
     # whose index, gathered and factor blocks share the limit
     monkeypatch.setattr(_fast, "_GATHER_LIMIT", 3 * per_chunk * math.factorial(3))
-    _assert_certificate_dtype_follows_its_bound()
+    _assert_certificate_dtype_follows_its_bound(monkeypatch)
 
 
 def test_certificate_keeps_int64_when_only_the_denominator_crosses():

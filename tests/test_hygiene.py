@@ -1,0 +1,56 @@
+"""Source hygiene that no installed linter checks: every import is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "sunbasis").glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name a module binds by import, with the line of its import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Every name the module reads, in code, in string annotations and in ``__all__``."""
+    trees = [tree]
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation) if annotation else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                trees.append(ast.parse(node.value, mode="eval"))
+    used = {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    imported = _imported(tree).items()
+    unused = [f"{path.name}:{line} {name}" for name, line in imported if name not in used]
+    assert not unused, f"imported but never used: {', '.join(unused)}"

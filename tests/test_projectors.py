@@ -19,7 +19,7 @@ from sunbasis.permutations import Permutation
 from sunbasis.projectors import (
     Projector,
     SymmetrizerSet,
-    _hermitian_scale,
+    _normalize,
     alpha_formula,
     cancel_simplify,
     columns_of,
@@ -491,11 +491,12 @@ def test_hermitian_scale_refuses_a_bar_that_is_not_jucys_murphy_diagonal():
     t = T((1, 2), (3,))
     bar = multiply(rows_of(t).element(), columns_of(t).element())
     assert proportionality(multiply(bar, bar), bar) == Surd.rational(Fraction(3, 4))
-    with pytest.raises(ValueError, match="Jucys–Murphy idempotent of"):
-        _hermitian_scale(bar, t)
-    with pytest.raises(ValueError, match="Jucys–Murphy idempotent of"):
-        _hermitian_scale(AlgebraElement.zero(3), t)
-    assert _hermitian_scale(hermitian_mold(t).element.scale(5), t) == Surd.rational(5)
+    with pytest.raises(ValueError, match="Jucys–Murphy eigenspaces"):
+        _normalize(bar, t, t)
+    with pytest.raises(ValueError, match="vanished"):
+        _normalize(AlgebraElement.zero(3), t, t)
+    e_t = hermitian_mold(t).element
+    assert _normalize(e_t.scale(5), t, t) == (e_t, Fraction(1, 25))
 
 
 @pytest.mark.slow

@@ -8,6 +8,7 @@ from sunbasis.algebra import AlgebraElement, dagger, multiply, proportionality
 from sunbasis.coefficients import Surd
 from sunbasis.permutations import Permutation
 from sunbasis.projectors import (
+    _normalize,
     hermitian_projector,
     mold_factors,
     symmetrizer,
@@ -16,7 +17,6 @@ from sunbasis.projectors import (
 from sunbasis.tableaux import YoungTableau, enumerate_tableaux, tableau_permutation
 from sunbasis.transitions import (
     TransitionOperator,
-    _normalize,
     transition,
     unitary_transition_compact,
     unitary_transition_general,
