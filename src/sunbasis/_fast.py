@@ -12,25 +12,16 @@ exact sum and product of two such forms, and the Jucys–Murphy eigen-check
 integers shows that no entry can reach 2**62, and arrays of Python integers
 (dtype object) otherwise.  Every result is in
 canonical form (see ``reduce``), so equal elements have equal vectors.
-
-For the bases that the Jucys–Murphy certificate refuses, two batched
-kernels check identities over every ordered pair at once: ``table_mismatches``
-forms each left factor's products with all right factors by one integer
-matmul with its left-regular matrix, and ``gram_mismatches`` every trace
-pairing as one Gram matrix per power of N and landing radicand.  Both read
-the list from ``_stack``, which puts it over one common denominator D and
-makes the one int64-or-Python-int choice per call.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
 from functools import cache
 from math import factorial, gcd, lcm, prod
 
 import numpy as np
 
-from .coefficients import PolyN, squarefree_decompose
+from .coefficients import squarefree_decompose
 from .permutations import Permutation, all_permutations
 
 # radicand -> (denominator, integer numerator vector over the permutation basis)
@@ -238,10 +229,7 @@ def convolve(m: int, x: Parts, y: Parts) -> Parts:
     return canonical(acc)
 
 
-# -- batched checks over many elements -----------------------------------------
-
-
-def _landing(radicands: Iterable[int]) -> dict[int, list[tuple[int, int, int]]]:
+def _landing(radicands: set[int]) -> dict[int, list[tuple[int, int, int]]]:
     """Every ordered pair of radicands as (d, e, g) with √d·√e = g·√s, keyed by s."""
     out: dict[int, list[tuple[int, int, int]]] = {}
     for d in radicands:
@@ -249,134 +237,3 @@ def _landing(radicands: Iterable[int]) -> dict[int, list[tuple[int, int, int]]]:
             s, g = squarefree_decompose(d * e)
             out.setdefault(s, []).append((d, e, g))
     return out
-
-
-def _stack(
-    elements: list[Parts],
-) -> tuple[int, type, dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """The elements over one common denominator D: x = (1/D)·Σ_d √d·V_d[x].
-
-    Returns D, the dtype and, per radicand d, the indices of the elements
-    with a part there and the integer matrix V_d of their rows.  The dtype is
-    the kernels' one overflow decision: int64 when n²·T²·Σg and D·T lie below
-    the guard (n entries per row, T the largest entry, Σg the sum of g over
-    all radicand pairs √d·√e = g·√s), which bounds every matmul, sum and
-    comparison they form, and Python integers otherwise.
-    """
-    den = lcm(*(denom for parts in elements for denom, _ in parts.values()))
-    rows: dict[int, list[int]] = {}
-    vecs: dict[int, list[tuple[np.ndarray, int]]] = {}
-    n = top = 0
-    for x, parts in enumerate(elements):
-        for d, (denom, vec) in parts.items():
-            scale = den // denom
-            n, top = vec.size, max(top, _abs_max(vec) * scale)
-            rows.setdefault(d, []).append(x)
-            vecs.setdefault(d, []).append((vec, scale))
-    spread = sum(g for terms in _landing(rows).values() for _, _, g in terms)
-    dtype = np.int64 if _fits(n, n, top, top, spread) and _fits(den, top) else object
-    groups = {
-        d: (
-            np.array(rows[d], dtype=np.intp),
-            np.stack([vec.astype(dtype) * scale for vec, scale in vecs[d]]),
-        )
-        for d in sorted(rows)
-    }
-    return den, dtype, groups
-
-
-def _left_blocks(m: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Column blocks of the left-regular index matrix, bounded in memory.
-
-    Yields (cols, left) with left[j, c] the index of p_k p_j⁻¹ for k the
-    c-th index of ``cols``, so that a[left] is the block of the left-regular
-    matrix of a whose product with b gives (a·b)[cols] as b @ a[left].
-    """
-    table, inv = composition_table(m), inverse_table(m)
-    n = table.shape[0]
-    step = max(1, _GATHER_LIMIT // n)
-    for lo in range(0, n, step):
-        yield slice(lo, lo + step), table[lo : lo + step][:, inv].T
-
-
-def table_mismatches(
-    m: int, elements: list[Parts], targets: list[tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """Boolean matrix of the pairs (x, y) whose product x·y is not its target.
-
-    ``targets[x] = (ys, zs)`` says that x·ys[i] must equal the element zs[i];
-    every other product with x must vanish.  Over the common denominator D
-    of ``_stack``, x·y = (1/D²)·Σ √d·√e·V_d[x]·V_e[y] and z = (1/D)·Σ √s·V_s[z].
-    One integer matmul V_e @ L(V_d[x]) forms x's products with every element
-    of radicand group e, L the left-regular matrix from ``_left_blocks``.
-    Those landing under s, scaled by g where √d·√e = g·√s, are added in place
-    one s at a time and checked as got == D·V_s[z].
-    """
-    den, dtype, groups = _stack(elements)
-    landing = _landing(groups)
-    count = len(elements)
-    row_of = {}
-    for d, (rows, _) in groups.items():
-        row_of[d] = np.full(count, -1, dtype=np.intp)
-        row_of[d][rows] = np.arange(len(rows))
-    bad = np.zeros((count, count), dtype=bool)
-    for cols, left in _left_blocks(m):
-        shape = (count, left.shape[1])
-        for x, parts in enumerate(elements):
-            ys, zs = targets[x]
-            lts = {d: groups[d][1][row_of[d][x]][left] for d in parts}
-            # a target may lie under a radicand that no product lands on
-            for s in landing.keys() | groups.keys():
-                got = np.zeros(shape, dtype)
-                for d, e, g in landing.get(s, ()):
-                    if d in lts:
-                        rows, mat = groups[e]
-                        got[rows] += g * (mat @ lts[d])
-                want = np.zeros((len(ys), shape[1]), dtype)
-                if s in groups:
-                    where = row_of[s][zs]
-                    want[where >= 0] = den * groups[s][1][where[where >= 0], cols]
-                # every product vanishes but those with a target
-                wrong = (got != 0).any(axis=1)
-                wrong[ys] = (got[ys] != want).any(axis=1)
-                bad[x] |= wrong
-    return bad
-
-
-def gram_mismatches(m: int, elements: list[Parts], diagonal: list[PolyN]) -> np.ndarray:
-    """Boolean matrix of the pairs (x, y) whose pairing ⟨x, y⟩ is not δ_xy·diagonal[x].
-
-    ⟨x, y⟩ = tr(x†·y) weights x_g·y_h by N^k, k the cycle count of p_g⁻¹p_h,
-    a class function, so G_k = [that count is k] is read off the left-regular
-    index blocks.  D² times the N^k coefficient of every pair is one Gram
-    matrix per landing radicand s, the sum of g·V_d·G_k·V_eᵀ over the pairs
-    √d·√e = g·√s, added in place; only one Gram matrix is alive at a time.
-    ``diagonal`` holds the expected self-pairings as ``PolyN``s: each
-    coefficient q must appear as q·D² on the diagonal, and every coefficient
-    off it must vanish.
-    """
-    den, dtype, groups = _stack(elements)
-    landing = _landing(groups)
-    count = len(elements)
-    want = [
-        {(k, s): q for k, c in poly.coeffs() for s, q in c.terms()} for poly in diagonal
-    ]
-    cycles = cycle_count_vector(m)
-    bad = np.zeros((count, count), dtype=bool)
-    off = ~np.eye(count, dtype=bool)
-    diag = np.arange(count)
-    for k in range(1, m + 1):
-        weighted = {d: np.zeros_like(mat) for d, (_, mat) in groups.items()}  # V_d·G_k
-        for cols, left in _left_blocks(m):
-            block = cycles[left] == k
-            for d, (_, mat) in groups.items():
-                weighted[d][:, cols] = mat @ block
-        for s in landing.keys() | {s for _, s in set().union(*want)}:
-            gram = np.zeros((count, count), dtype)
-            for d, e, g in landing.get(s, ()):
-                gram[np.ix_(groups[d][0], groups[e][0])] += g * (weighted[d] @ groups[e][1].T)
-            bad |= (gram != 0) & off
-            # Python-int comparisons: a wrong q·D² may lie beyond int64
-            expected = np.array([w.get((k, s), 0) for w in want], dtype=object) * den**2
-            bad[diag, diag] |= gram.diagonal() != expected
-    return bad

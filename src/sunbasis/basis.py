@@ -13,10 +13,12 @@ by one Jucys–Murphy certificate, ``_matrix_units``, which forms no full
 product.  It runs once per ``BasisMatrix`` object: ``_certified`` keeps the
 verdict for the latest basis, and the three suites share it.  A basis it
 refuses (the Young kind from m = 3 on, or a corrupted or malformed grid) is
-checked pair by pair with the batched integer kernels
-``_fast.table_mismatches`` and ``_fast.gram_mismatches``, and ranked exactly
-with ``surd_rank``, so a failing report lists every failed pair or names the
-rank.  Only a flagged pair is recomputed on its own, for its witness.
+checked operator by operator: an operator that passes the two-sided
+Jucys–Murphy eigen-check with its own tableaux' contents is on the line of
+one matrix unit, so only the pairs that touch an operator off its line are
+formed in full, and the chains of operators on their lines are read off one
+coefficient each.  It is ranked exactly with ``surd_rank``, so a failing
+report lists every failed pair or names the rank.
 
 Verification reports are structured: every failed identity carries an exact
 witness string, and a report with no failures means every instance of the
@@ -28,6 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import groupby
 from math import factorial, lcm
 
 import numpy as np
@@ -36,7 +39,7 @@ from . import _fast
 from ._linalg import surd_rank
 from .algebra import AlgebraElement, multiply, scalar_product, trace
 from .coefficients import PolyN
-from .projectors import hermitian_projector, young_projector
+from .projectors import _in_line, hermitian_projector, young_projector
 from .tableaux import (
     YoungDiagram,
     YoungTableau,
@@ -240,9 +243,7 @@ def _matrix_units(b: BasisMatrix) -> bool:
     c_S(k)·O_ST for k = 2..m; (c) (O_S1·O_1T)[g] = O_ST[g] and
     (O_1T·O_T1)[g] = O_11[g], g the first permutation where the right-hand
     side is nonzero.  The adjoints are ``_transposes_are_adjoints``, (b) is
-    ``_fast.in_eigenspaces`` over the stored vectors, (c) one row-wise sum
-    of length m! per chain, batched in chunks whose blocks hold at most
-    ``_fast._GATHER_LIMIT`` entries together.
+    ``_fast.in_eigenspaces`` over the stored vectors, (c) ``_chains_hold``.
 
     Proof.  The X_k generate the commutative algebra of the primitive
     idempotents E_T of all standard tableaux T, X_k·E_T = E_T·X_k =
@@ -277,18 +278,32 @@ def _matrix_units(b: BasisMatrix) -> bool:
     vecs = [vec for _, vec in rows]
     if not _fast.in_eigenspaces(m, vecs, np.array([_contents(pairs[x][0]) for x, _ in rows])):
         return False
-    # (a·c)[g] = Σ_h a[h]·c[h⁻¹g], one row-wise sum per radicand pair √d·√e = r·√s
-    # of each chain, compared over the common denominator D: D²·(a·c) against D²·z
-    # a chunk's index, gathered and factor blocks: at most _GATHER_LIMIT entries
-    step = max(1, _fast._GATHER_LIMIT // (3 * n))
-    first = np.full(len(parts), n)  # where each operator is first nonzero
-    for lo in range(0, len(rows), step):
-        found = (np.stack(vecs[lo : lo + step]) != 0).argmax(axis=1)
-        np.minimum.at(first, [x for x, _ in rows[lo : lo + step]], found)
     at = {label: x for x, label in enumerate(labels)}
     chains = [(at[blk, i, 0], at[blk, 0, j], x) for x, (blk, i, j) in enumerate(labels)]
     chains += [(at[blk, 0, j], at[blk, j, 0], at[blk, 0, 0]) for blk, i, j in labels if i == j]
-    # the factors lie in their block's first row and column: only they are stacked
+    return all(_chains_hold(m, parts, chains))
+
+
+def _chains_hold(
+    m: int, parts: list[_fast.Parts], chains: list[tuple[int, int, int]]
+) -> list[bool]:
+    """Whether (a·c)[g] = z[g] for each chain (a, c, z) of indices into
+    ``parts``, g the first permutation where z is nonzero; ``chains`` is not
+    empty.
+
+    (a·c)[g] = Σ_h a[h]·c[h⁻¹g] is one row-wise sum of length m! per radicand
+    pair √d·√e = r·√s, compared over the common denominator D of ``parts``:
+    D²·(a·c)[g] against D²·z[g].  Only the factors are stacked,
+    and the sums run in chunks whose index, gathered and factor blocks hold
+    at most ``_fast._GATHER_LIMIT`` entries together.
+    """
+    n = factorial(m)
+    step = max(1, _fast._GATHER_LIMIT // (3 * n))
+    rows = [(z, vec) for z in sorted({z for _, _, z in chains}) for _, vec in parts[z].values()]
+    first = np.full(len(parts), n)  # where each target is first nonzero
+    for lo in range(0, len(rows), step):
+        found = (np.stack([vec for _, vec in rows[lo : lo + step]]) != 0).argmax(axis=1)
+        np.minimum.at(first, [z for z, _ in rows[lo : lo + step]], found)
     factors = sorted({x for a, c, _ in chains for x in (a, c)})
     row_of = {key: r for r, key in enumerate((x, d) for x in factors for d in parts[x])}
     dtype = _certificate_dtype(m, [parts[x] for x in factors])
@@ -316,12 +331,12 @@ def _matrix_units(b: BasisMatrix) -> bool:
         sums = products.sum(axis=1).tolist()
         for k, s, scale, total in zip(ks, ss, scales, sums):
             got[k][s] = got[k].get(s, 0) + scale * total
+    holds = []
     for k, (_, _, z) in enumerate(chains):
         g = first[z]
         want = {s: den * (den // pz) * int(vz[g]) for s, (pz, vz) in parts[z].items()}
-        if {s: v for s, v in got[k].items() if v} != {s: v for s, v in want.items() if v}:
-            return False
-    return True
+        holds.append({s: v for s, v in got[k].items() if v} == {s: v for s, v in want.items() if v})
+    return holds
 
 
 class _Identity:
@@ -355,6 +370,26 @@ def _certified(b: BasisMatrix) -> bool:
     return _latest_proof(_Identity(b))
 
 
+def _on_lines(b: BasisMatrix) -> list[bool]:
+    """Whether each operator of ``b``, in label order, is on its line.
+
+    O_ST is on its line when ``projectors._in_line`` holds with its
+    tableaux S and T: then O_ST = c·E_ST, c ≠ 0 (see ``_matrix_units``).
+    Two such operators multiply to 0 unless they chain as O_ST·O_TV, to a
+    multiple of E_SV, and ⟨O_ST, O_UV⟩ = tr(O_ST†·O_UV), with O_ST† in
+    E_T·A·E_S, is 0 unless S = U, and then tr(E_T·a·E_V) = 0 for T ≠ V.
+    That tells operators apart only when the tableaux of ``b`` are pairwise
+    distinct and of degree m; otherwise no operator counts as on its line.
+    """
+    tableaux = [t for block in b.blocks for t in block.tableaux]
+    if len(set(tableaux)) != len(tableaux) or any(t.n != b.m for t in tableaux):
+        return [False] * len(b.labels())
+    return [
+        _in_line(b.operator((blk, i, j)), b.blocks[blk].tableaux[i], b.blocks[blk].tableaux[j])
+        for blk, i, j in b.labels()
+    ]
+
+
 def verify_multiplication_table(
     b: BasisMatrix, *, jobs: int | None = None
 ) -> VerificationReport:
@@ -366,12 +401,14 @@ def verify_multiplication_table(
 
     A basis that the Jucys–Murphy certificate ``_matrix_units`` proves
     passes with all (m!)² pairs counted; the proof is shared with the other
-    two certificate suites and runs once per basis object.  Any other has
-    every pair checked by ``_fast.table_mismatches``, and a failure names
-    the first permutation whose coefficient differs, with the expected and
-    the actual coefficient.
-    ``jobs`` is accepted for compatibility and ignored: the check runs in
-    this process.
+    two certificate suites and runs once per basis object.  Any other is
+    checked operator by operator (``_on_lines``): a pair of operators on
+    their lines holds unless it chains, and a chain whose target is on its
+    line too holds iff one coefficient does (``_chains_hold``).  Every other
+    pair is multiplied: those with an operator off its line, and the chains
+    whose target is.  A failure names the first permutation whose
+    coefficient differs, with the expected and the actual coefficient.
+    ``jobs`` is accepted for compatibility and ignored.
     """
     labels = b.labels()
     if _certified(b):
@@ -379,32 +416,41 @@ def verify_multiplication_table(
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
     position = {label: k for k, label in enumerate(labels)}
-    # O_ij·O_jl = O_il within a block
-    targets = []
-    for blk, i, j in labels:
-        size = range(b.blocks[blk].size)
-        targets.append(
-            (
-                np.array([position[(blk, j, l)] for l in size], dtype=np.intp),
-                np.array([position[(blk, i, l)] for l in size], dtype=np.intp),
-            )
-        )
-    bad = _fast.table_mismatches(b.m, [op._parts for op in ops], targets)
-    failures = []
-    for a, c in np.argwhere(bad).tolist():
-        (ba, ia, ja), (bc, kc, lc) = labels[a], labels[c]
-        if ba == bc and ja == kc:
-            k = position[(ba, ia, lc)]
-            expected, rhs = ops[k], names[k]
-        else:
-            expected, rhs = AlgebraElement.zero(b.m), "0"
-        failures.append(
-            CheckFailure(
+    on = _on_lines(b)
+    # O_ij·O_jl = O_il within a block, in the order of the labels
+    target = {
+        (a, position[blk, j, l]): position[blk, i, l]
+        for a, (blk, i, j) in enumerate(labels)
+        for l in range(b.blocks[blk].size)
+    }
+    failures = {}
+
+    def check(a: int, c: int) -> None:
+        z = target.get((a, c))
+        expected, rhs = (AlgebraElement.zero(b.m), "0") if z is None else (ops[z], names[z])
+        got = multiply(ops[a], ops[c])
+        if got != expected:
+            failures[a, c] = CheckFailure(
                 identity=f"{names[a]} * {names[c]} == {rhs}",
-                witness=_first_difference(expected, multiply(ops[a], ops[c])),
+                witness=_first_difference(expected, got),
             )
-        )
-    return VerificationReport("multiplication_table", len(labels) ** 2, tuple(failures))
+
+    # one call per block, so that only its operators are stacked
+    lined = [(a, c, z) for (a, c), z in target.items() if on[a] and on[c] and on[z]]
+    parts = [op._parts for op in ops]
+    for _, chains in groupby(lined, key=lambda chain: labels[chain[0]][0]):
+        chains = list(chains)
+        for (a, c, _), holds in zip(chains, _chains_hold(b.m, parts, chains)):
+            if not holds:
+                check(a, c)
+    off = [x for x, ok in enumerate(on) if not ok]
+    suspects = {pair for x in off for y in range(len(ops)) for pair in ((x, y), (y, x))}
+    suspects.update(pair for pair, z in target.items() if not on[z])
+    for a, c in suspects:
+        check(a, c)
+    return VerificationReport(
+        "multiplication_table", len(labels) ** 2, tuple(failures[k] for k in sorted(failures))
+    )
 
 
 def _check_sample(sample: int | None) -> None:
@@ -428,43 +474,46 @@ def verify_orthonormality(
     certificate checks O_ij† = O_ji first, since it proves the right-hand
     eigen-identities as the left-hand ones of the adjoints, and the cyclic
     trace then gives every pairing.  It is shared with the table and
-    independence suites and runs once per basis object.  Any other
-    basis has every pair compared exactly by ``_fast.gram_mismatches``, one
-    Gram matrix per power of N.
-    ``jobs`` is accepted for compatibility and ignored: the check runs in
-    this process.
+    independence suites and runs once per basis object.  Any other basis is
+    checked operator by operator: two distinct operators on their lines
+    pair to 0 (``_on_lines``), so only the self-pairings and the pairs with
+    an operator off its line are computed, once each.
+    ``jobs`` is accepted for compatibility and ignored.
     """
     if b.kind != "hermitian":
         raise ValueError("orthonormality holds only for the hermitian basis kind")
     _check_sample(sample)
     labels = b.labels()
     n = len(labels)
+    checked = n * n if sample is None else sample
     if _certified(b):
-        return VerificationReport("orthonormality", n * n if sample is None else sample)
+        return VerificationReport("orthonormality", checked)
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
     dims = [trace(block.operators[0][0]) for block in b.blocks]
-    diagonal = [dims[blk] for blk, _, _ in labels]
-    bad = _fast.gram_mismatches(b.m, [op._parts for op in ops], diagonal)
+    on = _on_lines(b)
     if sample is None:
-        checked, flagged = n * n, np.argwhere(bad).tolist()
+        off = [x for x, ok in enumerate(on) if not ok]
+        touched = {pair for x in off for y in range(n) for pair in ((x, y), (y, x))}
+        pairs = sorted(touched | {(x, x) for x in range(n)})
     else:
         rng = random.Random(seed)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(sample)]
-        checked, flagged = sample, [(a, c) for a, c in pairs if bad[a, c]]
-    failures = []
-    for a, c in flagged:
+    found: dict[tuple[int, int], CheckFailure | None] = {}
+    for a, c in pairs:
+        if (a, c) in found or (a != c and on[a] and on[c]):
+            continue
         if a == c:
             expected, rhs = dims[labels[a][0]], f"dim({names[a]})"
         else:
             expected, rhs = PolyN(), "0"
-        failures.append(
-            CheckFailure(
-                identity=f"<{names[a]}, {names[c]}> == {rhs}",
-                witness=f"expected {expected}, got {scalar_product(ops[a], ops[c])}",
-            )
+        value = scalar_product(ops[a], ops[c])
+        found[a, c] = None if value == expected else CheckFailure(
+            identity=f"<{names[a]}, {names[c]}> == {rhs}",
+            witness=f"expected {expected}, got {value}",
         )
-    return VerificationReport("orthonormality", checked, tuple(failures))
+    failures = tuple(found[pair] for pair in pairs if found.get(pair))
+    return VerificationReport("orthonormality", checked, failures)
 
 
 def verify_completeness_and_nesting(m: int) -> VerificationReport:
@@ -513,21 +562,19 @@ def verify_linear_independence(b: BasisMatrix) -> VerificationReport:
     the stacked matrix must have full rank over the surd field.  A basis
     that ``_matrix_units`` certifies passes, with the proof shared with the
     table and orthonormality suites and run once per basis object.  Any
-    other is ranked exactly:
-    ``_fast._stack`` puts every operator over one denominator D as integer
-    vectors, x = (1/D)·Σ_d √d·V_d[x], whose sparse rows go to ``surd_rank``,
-    so a failing report names the actual rank.
+    other is ranked exactly by ``surd_rank``, so a failing report names the
+    actual rank.  Each row is its operator's integer vectors over the
+    operator's own common denominator: scaling a row keeps the rank.
     """
     if _certified(b):
         return VerificationReport("linear_independence", 1)
     ops = [op for _, op in b.flat()]
     expected = factorial(b.m)
-    _, _, groups = _fast._stack([op._parts for op in ops])
-    rows: list[dict[int, dict[int, int]]] = [{} for _ in ops]
-    for d, (which, mat) in groups.items():
-        for x, vec in zip(which.tolist(), mat):
-            pos = np.flatnonzero(vec)
-            rows[x][d] = dict(zip(pos.tolist(), vec[pos].tolist()))
+    rows = []
+    for op in ops:
+        den = lcm(*(denom for denom, _ in op._parts.values()))
+        scaled = {d: (vec.tolist(), den // denom) for d, (denom, vec) in op._parts.items()}
+        rows.append({d: {k: v * s for k, v in enumerate(vec) if v} for d, (vec, s) in scaled.items()})
     rank = surd_rank(rows)
     failures = ()
     if rank != expected:

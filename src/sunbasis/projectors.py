@@ -139,6 +139,21 @@ class Projector:
     sets (all per-set 1/k! weights included, no other constants)."""
 
 
+def _in_line(a: AlgebraElement, theta: YoungTableau, phi: YoungTableau) -> bool:
+    """Whether ``a`` is nonzero and X_k·a = c_θ(k)·a, a·X_k = c_φ(k)·a for
+    k = 2..m, which puts it on the line E_θ·A·E_φ (see ``_normalize``).
+
+    One ``_fast.in_eigenspaces`` call checks a's vectors with θ's contents and
+    a†'s with φ's; X_k is Hermitian, so the second is the right side.
+    """
+    if a.is_zero():
+        return False
+    vecs = [vec for _, vec in a._parts.values()]
+    adjoint = [vec for _, vec in dagger(a)._parts.values()]
+    contents = [_contents(theta)] * len(vecs) + [_contents(phi)] * len(adjoint)
+    return _fast.in_eigenspaces(a.m, vecs + adjoint, contents)
+
+
 def _normalize(
     bar: AlgebraElement, theta: YoungTableau, phi: YoungTableau
 ) -> tuple[AlgebraElement, Fraction]:
@@ -150,9 +165,8 @@ def _normalize(
 
     Proof.  Content vectors separate standard tableaux, so X_k·a = c_θ(k)·a
     for k = 2..m puts a in E_θ·A, E_θ the Jucys–Murphy idempotent of θ
-    (Okounkov–Vershik).  One ``_fast.in_eigenspaces`` call checks bar's
-    vectors with θ's contents and bar†'s with φ's; X_k is Hermitian, so the
-    second is bar·X_k = c_φ(k)·bar, and bar lies in E_θ·A·E_φ.  Then
+    (Okounkov–Vershik).  ``_in_line`` checks that and the right side
+    bar·X_k = c_φ(k)·bar, so bar lies in E_θ·A·E_φ.  Then
     bar·bar† lies in E_θ·A·E_θ, the line of E_θ: bar·bar† = λ·E_θ.  As
     E_θ[e] = f_λ/m! = 1/H_λ, H_λ the hook product, λ = H_λ·Σ_g bar[g]², one
     dot product per radicand pair, and τ² = 1/λ.  A Hermitian bar c·E_θ is
@@ -161,10 +175,7 @@ def _normalize(
     """
     if bar.is_zero():
         raise ValueError("product vanished; it lies in no Jucys–Murphy eigenspace")
-    vecs = [vec for _, vec in bar._parts.values()]
-    adjoint = [vec for _, vec in dagger(bar)._parts.values()]
-    contents = [_contents(theta)] * len(vecs) + [_contents(phi)] * len(adjoint)
-    if not _fast.in_eigenspaces(bar.m, vecs + adjoint, contents):
+    if not _in_line(bar, theta, phi):
         raise ValueError("product is not in its tableaux' Jucys–Murphy eigenspaces")
     square = Surd()
     for d, (p, v) in bar._parts.items():

@@ -49,9 +49,10 @@ def T(*rows):
 
 # -- per-pair references ---------------------------------------------------------
 #
-# The suites compare every pair at once with batched integer kernels; these
-# loops compute each product and pairing on its own and are the reference
-# the kernels' reports must equal, failures, order and witness text included.
+# The suites prove a basis with one certificate, or check a refused one
+# operator by operator; these loops compute each product and pairing on its
+# own and are the reference the suites' reports must equal, failures, order
+# and witness text included.
 
 
 def reference_table(b: BasisMatrix) -> VerificationReport:
@@ -324,7 +325,7 @@ def test_unseeded_sampling_is_reproducible():
     assert run_suite(4, suites=("ortho",), sample=40) == run_suite(4, suites=("ortho",), sample=40)
 
 
-# -- batched kernels against the per-pair references -------------------------------
+# -- the suites against the per-pair references ------------------------------------
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -441,10 +442,10 @@ def test_table_catches_corruptions_outside_the_reference_row_and_column(
 
 def _refuse_kernels(monkeypatch) -> None:
     def refuse(*args):
-        raise AssertionError("a certified basis needs no kernel")
+        raise AssertionError("a certified basis needs no pair product")
 
-    monkeypatch.setattr(_fast, "table_mismatches", refuse)
-    monkeypatch.setattr(_fast, "gram_mismatches", refuse)
+    monkeypatch.setattr(basis_module, "multiply", refuse)
+    monkeypatch.setattr(basis_module, "scalar_product", refuse)
     monkeypatch.setattr(basis_module, "surd_rank", refuse)
 
 
@@ -459,18 +460,48 @@ def test_passing_basis_runs_no_kernel(monkeypatch, m):
     assert verify_linear_independence(b) == VerificationReport("linear_independence", 1)
 
 
-def test_failing_table_runs_the_kernel_once_over_every_pair(monkeypatch):
-    bad = _corrupted(assemble(4))
+def _count_pair_products(monkeypatch, name: str) -> list[tuple]:
+    """Spy on ``basis.<name>``, ``multiply`` or ``scalar_product``: every call's operators."""
     calls = []
-    kernel = _fast.table_mismatches
+    real = getattr(basis_module, name)
 
-    def spy(m, elements, targets):
-        calls.append(len(elements))
-        return kernel(m, elements, targets)
+    def spy(x, y):
+        calls.append((x, y))
+        return real(x, y)
 
-    monkeypatch.setattr(_fast, "table_mismatches", spy)
-    assert not verify_multiplication_table(bad).passed
-    assert calls == [24]
+    monkeypatch.setattr(basis_module, name, spy)
+    return calls
+
+
+def test_failing_table_forms_one_product_per_failure(monkeypatch):
+    # the doubled transition stays on its line, so every chain through it is
+    # read off one coefficient, and only the failed ones are multiplied
+    bad = _corrupted(assemble(5))
+    calls = _count_pair_products(monkeypatch, "multiply")
+    report = verify_multiplication_table(bad)
+    assert report.failures
+    assert len(calls) == len(report.failures)
+    assert report == reference_table(bad)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+@pytest.mark.parametrize("planted", ["zero operator", "last projector first"])
+def test_an_operator_off_its_line_costs_its_row_and_column(monkeypatch, m, planted):
+    # the operator off its line is multiplied with every operator on both
+    # sides, 2·m! − 1 pairs, and so is every chain whose target it is, f_λ of
+    # them: every other pair is on its lines
+    b = assemble(m)
+    if planted == "zero operator":
+        blk = next(k for k, block in enumerate(b.blocks) if block.size >= 2)
+        bad = _with_operator(b, blk, 1, 0, AlgebraElement.zero(m))
+    else:
+        blk = 0
+        bad = _with_operator(b, blk, 0, 0, b.blocks[-1].operators[0][0])
+    calls = _count_pair_products(monkeypatch, "multiply")
+    report = verify_multiplication_table(bad)
+    assert not report.passed
+    assert len(calls) <= 2 * math.factorial(m) + bad.blocks[blk].size
+    assert report == reference_table(bad)
 
 
 def _scaled(b: BasisMatrix, blk: int, cells, c) -> BasisMatrix:
@@ -479,20 +510,24 @@ def _scaled(b: BasisMatrix, blk: int, cells, c) -> BasisMatrix:
     return b
 
 
+def _similar(b: BasisMatrix, blk: int) -> BasisMatrix:
+    others = [k for k in range(b.blocks[blk].size) if k != 1]
+    doubled = _scaled(b, blk, [(1, k) for k in others], 2)
+    return _scaled(doubled, blk, [(k, 1) for k in others], Fraction(1, 2))
+
+
 # Rescalings keep every operator on its Jucys–Murphy line, so only the
 # certificate's adjoint check and chain products can refuse them.  Doubling
 # O_00, or negating O_12 and O_21, keeps O_ST† = O_TS and is caught by the
 # chains.  Doubling row 1 and halving column 1 conjugates the block by a
 # diagonal matrix: still a matrix-unit basis, but not closed under the
-# adjoint, so the certificate refuses it and the pair kernels prove the table.
+# adjoint, so the certificate refuses it and its chains prove the table.
 SIMILAR = "row 1 doubled, column 1 halved"
 RESCALED = {
     "O_00 doubled": lambda b, blk: _scaled(b, blk, [(0, 0)], 2),
     "O_12 and O_21 negated": lambda b, blk: _scaled(b, blk, [(1, 2), (2, 1)], -1),
     "row 1 doubled": lambda b, blk: _scaled(b, blk, [(1, 0), (1, 1), (1, 2)], 2),
-    SIMILAR: lambda b, blk: _scaled(
-        _scaled(b, blk, [(1, 0), (1, 2)], 2), blk, [(0, 1), (2, 1)], Fraction(1, 2)
-    ),
+    SIMILAR: _similar,
 }
 
 
@@ -506,6 +541,27 @@ def test_rescaled_units_are_left_to_the_kernels(planted, seed):
     bad = RESCALED[planted](b, blk)
     assert not basis_module._matrix_units(bad)
     assert verify_multiplication_table(bad).passed == (planted == SIMILAR)
+    _assert_matches_reference(bad)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_a_refused_grid_on_its_lines_forms_no_table_product(monkeypatch, m):
+    # every operator of the similar grid is on its line: the table passes on
+    # its chains' coefficients alone, and orthonormality, which fails, pairs
+    # only the m! operators with themselves
+    b = assemble(4) if m == 4 else _relabelled(assemble(5), 5)
+    rows = (3, 1) if m == 4 else (4, 1)
+    blk = next(k for k, block in enumerate(b.blocks) if block.diagram.rows == rows)
+    bad = RESCALED[SIMILAR](b, blk)
+    products = _count_pair_products(monkeypatch, "multiply")
+    pairings = _count_pair_products(monkeypatch, "scalar_product")
+    size = math.factorial(m) ** 2
+    assert verify_multiplication_table(bad) == VerificationReport("multiplication_table", size)
+    assert products == []
+    report = verify_orthonormality(bad)
+    assert not report.passed
+    assert len(pairings) == math.factorial(m)
+    assert all(x is y for x, y in pairings)
     _assert_matches_reference(bad)
 
 
@@ -711,22 +767,18 @@ def _stack_bounds(b: BasisMatrix) -> tuple[int, int, int, int]:
     return math.factorial(b.m), den, top, spread
 
 
-def _stack_dtype(b: BasisMatrix):
-    return _fast._stack([op._parts for _, op in b.flat()])[1]
-
-
 def test_kernels_match_reference_at_the_single_bound():
-    # a dense operator with integer entries up to t is stacked as t·D, so the
-    # largest t with n²·(t·D)²·Σg below 2**62 keeps int64 and t + 1 does not
+    # a dense operator with integer entries up to t, t·D over the basis's
+    # common denominator D: the largest t with n²·(t·D)²·Σg below 2**62, and
+    # t + 1, the two sides of a bound on every product and pairing
     b = assemble(3, "hermitian")
     n, den, _, spread = _stack_bounds(b)
     t = math.isqrt((2**62 - 1) // (n * n * spread * den * den))
     assert n * n * (t * den) ** 2 * spread < 2**62 <= n * n * ((t + 1) * den) ** 2 * spread
-    for top, dtype in ((t, np.int64), (t + 1, object)):
+    for top in (t, t + 1):
         dense = AlgebraElement(3, {p: top - i for i, p in enumerate(all_permutations(3))})
         bad = _with_operator(b, 1, 0, 1, dense)
         assert _stack_bounds(bad)[2] == top * den
-        assert _stack_dtype(bad) is dtype
         _assert_matches_reference(bad)
 
 
@@ -747,7 +799,6 @@ def test_kernels_match_reference_when_the_denominator_alone_crosses_the_bound():
     )
     n, den, top, spread = _stack_bounds(scaled)
     assert n * n * top * top * spread < 2**62 <= den * top
-    assert _stack_dtype(scaled) is object
     _assert_matches_reference(scaled)
 
 
@@ -782,7 +833,6 @@ def test_multiplication_table_at_m6():
     assert report.checked == 518_400
 
 
-@pytest.mark.slow
 def test_planted_table_corruption_at_m6_names_a_permutation():
     report = verify_multiplication_table(_corrupted(assemble(6, "hermitian")))
     assert not report.passed
@@ -795,7 +845,6 @@ def test_orthonormality_exhaustive_at_m6():
     assert report.checked == 518_400
 
 
-@pytest.mark.slow
 def test_planted_corruption_at_m6_is_caught():
     b = assemble(6, "hermitian")
     bad = _corrupted(b)
@@ -1170,8 +1219,7 @@ def _assert_certificate_dtype_follows_its_bound(monkeypatch):
     # Jucys–Murphy line, but O_01·O_10 = s²·O_00: only the chain products
     # refuse them.  s·O_01 holds the largest stored entry T = s·t: the largest
     # such s with n·T² below 2**62 keeps the certificate in int64 and the next
-    # one does not, while the pair kernels' stack is past its n²·T²·Σg bound
-    # on both sides
+    # one does not
     b = assemble(3, "hermitian")
     assert basis_module._matrix_units(b)
     ops = b.blocks[1].operators
@@ -1196,7 +1244,6 @@ def _assert_certificate_dtype_follows_its_bound(monkeypatch):
         assert top == k * t
         assert (n * top * top < 2**62) is (dtype is np.int64)
         assert _certificate_dtype(bad) is dtype
-        assert _stack_dtype(bad) is object
         eigen_checks.clear()
         assert basis_module._transposes_are_adjoints(bad)
         assert not basis_module._matrix_units(bad)
@@ -1217,9 +1264,9 @@ def test_certificate_takes_either_dtype_across_chain_chunks(monkeypatch, per_chu
 
 
 def test_certificate_keeps_int64_when_only_the_denominator_crosses():
-    # every operator over 2**62: D·T passes the pair kernels' guard, but the
-    # certificate reads the stored vectors and forms its targets as Python
-    # integers; the rescaled grid is no matrix-unit basis, and is refused
+    # every operator over 2**62: D·T passes 2**62, but the certificate reads
+    # the stored vectors and forms its targets as Python integers; the
+    # rescaled grid is no matrix-unit basis, and is refused
     b = assemble(3, "hermitian")
     for scale in (Fraction(1, 2**62), 1):
         scaled = BasisMatrix(
@@ -1237,5 +1284,4 @@ def test_certificate_keeps_int64_when_only_the_denominator_crosses():
         _, den, top, _ = _stack_bounds(scaled)
         assert (den * top >= 2**62) is (scale != 1)
         assert _certificate_dtype(scaled) is np.int64
-        assert _stack_dtype(scaled) is (object if scale != 1 else np.int64)
         assert basis_module._matrix_units(scaled) is (scale == 1)

@@ -15,6 +15,7 @@ from sunbasis.algebra import element_from_json
 from sunbasis.basis import assemble, basis_from_json
 from sunbasis.cli import (
     _DIMS_MAX_DEGREE,
+    _TABLEAUX_MAX_DEGREE,
     latex_permutation,
     latex_poly,
     latex_rational,
@@ -384,6 +385,16 @@ def test_dims_above_the_degree_cap_is_usage_error():
     assert err == f"error: dims takes --m up to {_DIMS_MAX_DEGREE}, got {_DIMS_MAX_DEGREE + 1}\n"
     # a degree the process could not finish is refused just as fast
     assert run(["dims", "--m", "1000"])[0] == 2
+
+
+def test_tableaux_above_the_degree_cap_is_usage_error():
+    over = _TABLEAUX_MAX_DEGREE + 1
+    rc, out, err = run(["tableaux", "--m", str(over)])
+    assert (rc, out) == (2, "")
+    assert err == f"error: tableaux takes --m up to {_TABLEAUX_MAX_DEGREE}, got {over}\n"
+    # with a shape too, and at a degree that would exhaust memory
+    assert run(["tableaux", "--m", str(over), "--shape", f"[{over}]"])[0] == 2
+    assert run(["tableaux", "--m", "40"])[0] == 2
 
 
 def test_unknown_format_is_usage_error():
