@@ -288,6 +288,17 @@ def scalar_product(a: AlgebraElement, b: AlgebraElement) -> PolyN:
     return trace(AlgebraElement._raw(a.m, _fast.convolve(a.m, dagger(a)._parts, b._parts)))
 
 
+def _square_sum(a: AlgebraElement) -> Surd:
+    """Σ_g a[g]², the identity coefficient of a·a†: one dot product per radicand pair."""
+    total = Surd()
+    for d, (p, v) in a._parts.items():
+        for e, (q, w) in a._parts.items():
+            if not _fast._fits(len(v), _fast._abs_max(v), _fast._abs_max(w)):
+                v, w = _fast._objects(v, w)
+            total = total + Surd({d * e: Fraction(int(v @ w), p * q)})
+    return total
+
+
 def proportionality(a: AlgebraElement, b: AlgebraElement) -> Optional[Surd]:
     """The scalar c with a == c*b if one exists (b nonzero), else None.
 

@@ -37,9 +37,9 @@ import numpy as np
 
 from . import _fast
 from ._linalg import surd_rank
-from .algebra import AlgebraElement, multiply, scalar_product, trace
+from .algebra import AlgebraElement, _square_sum, multiply, scalar_product, trace
 from .coefficients import PolyN
-from .projectors import _in_line, hermitian_projector, young_projector
+from .projectors import _in_line, dimension_formula, hermitian_projector, young_projector
 from .tableaux import (
     YoungDiagram,
     YoungTableau,
@@ -476,8 +476,9 @@ def verify_orthonormality(
     trace then gives every pairing.  It is shared with the table and
     independence suites and runs once per basis object.  Any other basis is
     checked operator by operator: two distinct operators on their lines
-    pair to 0 (``_on_lines``), so only the self-pairings and the pairs with
-    an operator off its line are computed, once each.
+    pair to 0 (``_on_lines``), and one on its line pairs with itself to
+    dim(λ)·H_λ·Σ_g O[g]², λ the shape of its tableaux, so only the pairs with
+    an operator off its line are formed, once each.
     ``jobs`` is accepted for compatibility and ignored.
     """
     if b.kind != "hermitian":
@@ -490,7 +491,7 @@ def verify_orthonormality(
         return VerificationReport("orthonormality", checked)
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
-    dims = [trace(block.operators[0][0]) for block in b.blocks]
+    dims = {k: trace(block.operators[0][0]) for k, block in enumerate(b.blocks) if block.size}
     on = _on_lines(b)
     if sample is None:
         off = [x for x, ok in enumerate(on) if not ok]
@@ -507,7 +508,13 @@ def verify_orthonormality(
             expected, rhs = dims[labels[a][0]], f"dim({names[a]})"
         else:
             expected, rhs = PolyN(), "0"
-        value = scalar_product(ops[a], ops[c])
+        if a == c and on[a]:
+            # O†·O = μ·E_T, μ = H_λ·(O·O†)[e] = H_λ·Σ_g O[g]², and tr(E_T) = dim λ
+            blk, i, _ = labels[a]
+            shape = b.blocks[blk].tableaux[i].shape
+            value = dimension_formula(shape) * (shape.hook_length() * _square_sum(ops[a]))
+        else:
+            value = scalar_product(ops[a], ops[c])
         found[a, c] = None if value == expected else CheckFailure(
             identity=f"<{names[a]}, {names[c]}> == {rhs}",
             witness=f"expected {expected}, got {value}",

@@ -4,8 +4,8 @@ Three constructions, all returning exactly normalized idempotents in the
 S_m group algebra:
 
 * ``young_projector`` -- row symmetrizers times column antisymmetrizers,
-  rescaled so the square equals the operator itself.  Not Hermitian for
-  mixed shapes.
+  scaled by the closed form ``alpha_formula``.  Not Hermitian for mixed
+  shapes.
 * ``hermitian_staircase`` -- the palindromic product of the Young projectors
   of all ancestors around the tableau's own Young projector.  Hermitian,
   same image as the Young projector.
@@ -13,11 +13,12 @@ S_m group algebra:
   nearest *ordered* ancestor and sandwiches the tableau's symmetrizer pair
   between alternating ancestor sets.  Equal to the staircase operator.
 
-``_normalize`` scales every Hermitian operator, both Hermitian projectors and
-the unitary transitions, by one rule: a Jucys–Murphy eigen-check and
-E_θ[e] = 1/H_λ, a projector being the transition from its tableau to itself.
-The Young projector, Jucys–Murphy diagonal for two tableaux per degree only,
-is normalised by its own square.
+A projector is the transition from its tableau to itself: ``_mold_bar``
+cuts two mold sequences at a full antisymmetrizer set and glues them across
+the relabelling, and it forms the bare product of ``hermitian_mold`` and of
+every compact transition.  ``_normalize`` scales every Hermitian operator,
+both Hermitian projectors and the unitary transitions, by one rule: a
+Jucys–Murphy eigen-check and E_θ[e] = 1/H_λ.
 
 ``cancel_simplify`` evaluates sandwich products of the form
 (row set) * M * (column set) that are guaranteed to collapse to a scalar
@@ -36,9 +37,18 @@ from typing import Literal
 import numpy as np
 
 from . import _fast
-from .algebra import AlgebraElement, _check_degree, dagger, multiply, proportionality, trace
+from .algebra import (
+    AlgebraElement,
+    _check_degree,
+    _square_sum,
+    _translate,
+    dagger,
+    multiply,
+    proportionality,
+    trace,
+)
 from .coefficients import PolyN, Surd
-from .tableaux import YoungDiagram, YoungTableau, _contents
+from .tableaux import YoungDiagram, YoungTableau, _contents, tableau_permutation
 
 SetKind = Literal["sym", "anti"]
 
@@ -177,28 +187,10 @@ def _normalize(
         raise ValueError("product vanished; it lies in no Jucys–Murphy eigenspace")
     if not _in_line(bar, theta, phi):
         raise ValueError("product is not in its tableaux' Jucys–Murphy eigenspaces")
-    square = Surd()
-    for d, (p, v) in bar._parts.items():
-        for e, (q, w) in bar._parts.items():
-            if not _fast._fits(len(v), _fast._abs_max(v), _fast._abs_max(w)):
-                v, w = _fast._objects(v, w)
-            square = square + Surd({d * e: Fraction(int(v @ w), p * q)})
-    scale_sq = 1 / (theta.shape.hook_length() * square.as_fraction())
+    scale_sq = 1 / (theta.shape.hook_length() * _square_sum(bar).as_fraction())
     if scale_sq <= 0:
         raise ValueError(f"normalization square must be positive, got {scale_sq}")
     return bar.scale(Surd.sqrt(scale_sq)), scale_sq
-
-
-@cache
-def young_projector(t: YoungTableau) -> Projector:
-    """Rows symmetrized, then columns antisymmetrized, exactly normalized."""
-    bar = multiply(rows_of(t).element(), columns_of(t).element())
-    # bar·bar = c·bar; a Young bar is Jucys–Murphy diagonal for two tableaux only
-    c = proportionality(multiply(bar, bar), bar)
-    if not c:
-        raise ValueError("operator square is not a nonzero multiple of the operator")
-    alpha = Surd.rational(1) / c
-    return Projector(t, "young", bar.scale(alpha), alpha)
 
 
 def alpha_formula(t: YoungTableau) -> Fraction:
@@ -211,6 +203,14 @@ def alpha_formula(t: YoungTableau) -> Fraction:
     for c in t.shape.column_lengths():
         num *= factorial(c)
     return Fraction(num, t.shape.hook_length())
+
+
+@cache
+def young_projector(t: YoungTableau) -> Projector:
+    """Rows symmetrized, then columns antisymmetrized, scaled by ``alpha_formula``."""
+    alpha = Surd.rational(alpha_formula(t))
+    bar = multiply(rows_of(t).element(), columns_of(t).element())
+    return Projector(t, "young", bar.scale(alpha), alpha)
 
 
 def cancel_simplify(
@@ -321,24 +321,32 @@ def _mold_prefix(t: YoungTableau) -> AlgebraElement:
     return _product(t.n, [f.element() for f, _ in factors[: cut + 1]])
 
 
-@cache
-def _mold_suffix(t: YoungTableau, cut: int) -> AlgebraElement:
-    """The product of ``t``'s mold factors after position ``cut``, one of its
-    full antisymmetrizer sets."""
-    return _product(t.n, [f.element() for f, _ in mold_factors(t)[cut + 1 :]])
+def _mold_bar(theta: YoungTableau, phi: YoungTableau) -> AlgebraElement:
+    """The bare mold product from ``phi``'s image onto ``theta``'s: θ's prefix
+    through its cut antisymmetrizer set, ρ = ``tableau_permutation(θ, φ)``,
+    then φ's factors after its cut, one sparse set at a time.
+
+    θ is cut at its first full antisymmetrizer set, φ at its first when both
+    sequences hold two (both cuts on one side) and at its last otherwise.
+    As the cut sets match across ρ (A_θ·ρ = ρ·A_φ), the product is a multiple
+    of P_θ·ρ·P_φ; with θ = φ, ρ = e and it is the projector's palindrome.
+    """
+    before, after = mold_factors(theta), mold_factors(phi)
+    hits_theta, hits_phi = _level0_anti_indices(before), _level0_anti_indices(after)
+    cut = hits_phi[0] if len(hits_theta) == len(hits_phi) == 2 else hits_phi[-1]
+    rho = tableau_permutation(theta, phi)
+    a_theta, a_phi = before[hits_theta[0]][0].element(), after[cut][0].element()
+    if _translate(a_theta, rho, left=False) != _translate(a_phi, rho, left=True):
+        raise ValueError("cut antisymmetrizer sets do not match across the relabelling")
+    prefix = _translate(_mold_prefix(theta), rho, left=False)
+    return _product(theta.n, [prefix] + [f.element() for f, _ in after[cut + 1 :]])
 
 
 @cache
 def hermitian_mold(t: YoungTableau) -> Projector:
-    """Shortened Hermitian construction; equals hermitian_staircase exactly.
-
-    Its bar product continues the prefix that the compact transitions share
-    through the remaining factors, one sparse set at a time.
-    """
-    factors = mold_factors(t)
-    cut = _level0_anti_indices(factors)[0]
-    bar = _product(t.n, [_mold_prefix(t)] + [f.element() for f, _ in factors[cut + 1 :]])
-    element, tau_squared = _normalize(bar, t, t)
+    """Shortened Hermitian construction, the transition from ``t`` to itself;
+    equals hermitian_staircase exactly."""
+    element, tau_squared = _normalize(_mold_bar(t, t), t, t)
     return Projector(t, "mold", element, Surd.sqrt(tau_squared))
 
 

@@ -12,7 +12,8 @@ one subspace bijectively onto the other.  Three constructions are provided:
 * ``compact`` — an equal operator assembled from far fewer symmetrizer-set
   factors by cutting both shortened Hermitian factor sequences at a full
   antisymmetrizer set and gluing the halves across the relabelling
-  permutation.
+  permutation: ``projectors._mold_bar``, which also forms the Hermitian
+  projector as the transition from a tableau to itself.
 
 The scalar ``tau`` is fixed by requiring ``T * dagger(T)`` to equal the
 target projector exactly; its square is always rational here, and the
@@ -32,15 +33,7 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import AlgebraElement, _translate, multiply
-from .projectors import (
-    _level0_anti_indices,
-    _mold_prefix,
-    _mold_suffix,
-    _normalize,
-    hermitian_projector,
-    mold_factors,
-    young_projector,
-)
+from .projectors import _mold_bar, _normalize, hermitian_projector, young_projector
 from .tableaux import YoungTableau, tableau_permutation
 
 __all__ = [
@@ -135,41 +128,16 @@ def unitary_transition_general(theta: YoungTableau, phi: YoungTableau) -> Transi
     )
 
 
-def _cut_sites(theta: YoungTableau, phi: YoungTableau) -> tuple[int, int]:
-    """Indices of the antisymmetrizer factors to cut at, target side first.
-
-    With two copies in both sequences the cut must sit on the same side of
-    both, and the left-most pair is used; otherwise the left-most copy of
-    the target sequence meets the right-most copy of the source sequence
-    (each being the only copy when the centre is symmetrizer-flanked).
-    """
-    hits_theta = _level0_anti_indices(mold_factors(theta))
-    hits_phi = _level0_anti_indices(mold_factors(phi))
-    if len(hits_theta) == 2 and len(hits_phi) == 2:
-        return hits_theta[0], hits_phi[0]
-    return hits_theta[0], hits_phi[-1]
-
-
 @cache
 def unitary_transition_compact(theta: YoungTableau, phi: YoungTableau) -> TransitionOperator:
     """Unitary transition assembled from cut halves of the two factor sequences.
 
-    The target sequence is kept up to and including its cut antisymmetrizer
-    set, the source sequence strictly after its own, and the relabelling
-    permutation joins them; since the cut sets match across the relabelling
-    (``A_theta * rho == rho * A_phi``), the glued product equals the full
-    sandwich of ``unitary_transition_general`` after normalization — at a
-    fraction of the factor count.
+    ``projectors._mold_bar`` glues them across the relabelling permutation;
+    normalized, the product equals the full sandwich of
+    ``unitary_transition_general`` at a fraction of the factor count.
     """
     _require_same_shape(theta, phi)
-    i_theta, i_phi = _cut_sites(theta, phi)
-    rho = tableau_permutation(theta, phi)
-    a_theta = mold_factors(theta)[i_theta][0].element()
-    a_phi = mold_factors(phi)[i_phi][0].element()
-    if _translate(a_theta, rho, left=False) != _translate(a_phi, rho, left=True):
-        raise ValueError("cut antisymmetrizer sets do not match across the relabelling")
-    bar = multiply(_translate(_mold_prefix(theta), rho, left=False), _mold_suffix(phi, i_phi))
-    element, tau_squared = _normalize(bar, theta, phi)
+    element, tau_squared = _normalize(_mold_bar(theta, phi), theta, phi)
     return TransitionOperator(
         from_tableau=phi,
         to_tableau=theta,

@@ -16,6 +16,7 @@ from sunbasis import basis as basis_module
 from sunbasis._linalg import surd_rank
 from sunbasis.algebra import (
     AlgebraElement,
+    _square_sum,
     dagger,
     element_from_json,
     multiply,
@@ -38,7 +39,13 @@ from sunbasis.basis import (
 )
 from sunbasis.coefficients import PolyN, Surd, squarefree_decompose
 from sunbasis.permutations import all_permutations
-from sunbasis.projectors import _normalize, hermitian_projector, symmetrizer, young_projector
+from sunbasis.projectors import (
+    _normalize,
+    dimension_formula,
+    hermitian_projector,
+    symmetrizer,
+    young_projector,
+)
 from sunbasis.tableaux import YoungTableau, _contents, enumerate_tableaux
 from sunbasis.transitions import unitary_transition_compact
 
@@ -83,7 +90,6 @@ def reference_orthonormality(b: BasisMatrix, sample=None, seed=0) -> Verificatio
     labels = b.labels()
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
-    dims = [trace(block.operators[0][0]) for block in b.blocks]
     n = len(labels)
     if sample is None:
         pairs = [(a, c) for a in range(n) for c in range(n)]
@@ -94,7 +100,7 @@ def reference_orthonormality(b: BasisMatrix, sample=None, seed=0) -> Verificatio
     for a, c in pairs:
         value = scalar_product(ops[a], ops[c])
         if labels[a] == labels[c]:
-            expected, rhs = dims[labels[a][0]], f"dim({names[a]})"
+            expected, rhs = trace(b.blocks[labels[a][0]].operators[0][0]), f"dim({names[a]})"
         else:
             expected, rhs = PolyN(), "0"
         if value != expected:
@@ -304,6 +310,36 @@ def test_orthonormality_witness_gives_expected_and_actual():
     assert [(f.identity, f.witness) for f in report.failures] == [
         (f"<{name}, {name}> == dim({name})", f"expected {dim}, got {dim * 4}")
     ]
+
+
+def test_orthonormality_reads_a_dimension_only_where_a_self_pairing_needs_it():
+    # a block with no tableaux has no first operator; O_11 of the (3) block
+    # after it, doubled, is the one operator that fails against itself
+    data = basis_to_json(assemble(3))
+    data["blocks"].insert(0, {"diagram": [2, 1], "tableaux": [], "operators": []})
+    b = basis_from_json(data)
+    bad = _with_operator(b, 1, 0, 0, b.blocks[1].operators[0][0].scale(2))
+    report = verify_orthonormality(bad)
+    name = bad.describe((1, 0, 0))
+    dim = trace(assemble(3).blocks[0].operators[0][0])
+    assert [(f.identity, f.witness) for f in report.failures] == [
+        (f"<{name}, {name}> == dim({name})", f"expected {dim * 2}, got {dim * 4}")
+    ]
+    assert report == reference_orthonormality(bad)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_a_self_pairing_on_its_line_is_read_off_its_coefficients(m):
+    # ⟨O, O⟩ = dim(λ)·H_λ·Σ_g O[g]² for O on its line, at any scale
+    b = assemble(m)
+    for c in (2, Surd.sqrt(2), 1 + Surd.sqrt(3), Fraction(-1, 3)):
+        for label, op in b.flat():
+            blk, i, _ = label
+            shape = b.blocks[blk].tableaux[i].shape
+            o = op.scale(c)
+            want = scalar_product(o, o)
+            got = dimension_formula(shape) * (shape.hook_length() * _square_sum(o))
+            assert got == want, (label, c)
 
 
 def test_orthonormality_rejects_non_positive_sample():
@@ -547,8 +583,8 @@ def test_rescaled_units_are_left_to_the_kernels(planted, seed):
 @pytest.mark.parametrize("m", [4, 5])
 def test_a_refused_grid_on_its_lines_forms_no_table_product(monkeypatch, m):
     # every operator of the similar grid is on its line: the table passes on
-    # its chains' coefficients alone, and orthonormality, which fails, pairs
-    # only the m! operators with themselves
+    # its chains' coefficients alone, and orthonormality, which fails, reads
+    # each self-pairing off the operator's coefficients
     b = assemble(4) if m == 4 else _relabelled(assemble(5), 5)
     rows = (3, 1) if m == 4 else (4, 1)
     blk = next(k for k, block in enumerate(b.blocks) if block.diagram.rows == rows)
@@ -560,8 +596,7 @@ def test_a_refused_grid_on_its_lines_forms_no_table_product(monkeypatch, m):
     assert products == []
     report = verify_orthonormality(bad)
     assert not report.passed
-    assert len(pairings) == math.factorial(m)
-    assert all(x is y for x, y in pairings)
+    assert pairings == []
     _assert_matches_reference(bad)
 
 

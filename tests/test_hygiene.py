@@ -1,4 +1,5 @@
-"""Source hygiene that no installed linter checks: every import is used."""
+"""Source hygiene that no installed linter checks: every import is used, and
+every private function and class is read."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,34 @@ def test_every_import_is_used(path):
     imported = _imported(tree).items()
     unused = [f"{path.name}:{line} {name}" for name, line in imported if name not in used]
     assert not unused, f"imported but never used: {', '.join(unused)}"
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Every name read under ``node``, bare or as an attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_every_private_function_and_class_is_read():
+    # a private function or class that no code of the package reads is dead;
+    # reads inside its own definition, recursion included, do not count
+    statements = [
+        (path, node)
+        for path in SOURCES
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    reads = [_reads(node) for _, node in statements]
+    unread = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for k, (path, node) in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(node.name in r for j, r in enumerate(reads) if j != k)
+    ]
+    assert not unread, f"private but never read: {', '.join(unread)}"

@@ -9,6 +9,7 @@ from sunbasis.coefficients import Surd
 from sunbasis.permutations import Permutation
 from sunbasis.projectors import (
     _normalize,
+    hermitian_mold,
     hermitian_projector,
     mold_factors,
     symmetrizer,
@@ -220,10 +221,13 @@ def test_compact_m5_sample_pairs():
         assert multiply(dagger(c.element), c.element) == p_phi
 
 
-def test_compact_same_tableau_is_projector():
-    for t in enumerate_tableaux(4):
+@pytest.mark.parametrize("n", range(1, 6))
+def test_compact_same_tableau_is_projector(n):
+    # a projector is the transition from its tableau to itself
+    for t in enumerate_tableaux(n):
         op = unitary_transition_compact(t, t)
-        assert op.element == hermitian_projector(t).element
+        assert op.element == hermitian_mold(t).element
+        assert Surd.sqrt(op.tau_squared) == hermitian_mold(t).normalization
 
 
 def test_compact_cut_cases_all_occur_at_m4():
