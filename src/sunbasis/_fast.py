@@ -78,8 +78,8 @@ def _transposition_moves(m: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def in_eigenspaces(m: int, vecs: list[np.ndarray], contents: np.ndarray | tuple) -> bool:
-    """Whether X_k·v = contents[r][k - 1]·v for every row v = vecs[r] and
+def in_eigenspaces(m: int, vecs: list[np.ndarray], contents: np.ndarray | tuple) -> np.ndarray:
+    """Per row, whether X_k·v = contents[r][k - 1]·v for v = vecs[r] and
     k = 2..m; one content tuple may serve all rows.
 
     X_k is Hermitian, so v·X_k = c·v is the same identity as X_k·v† = c·v†:
@@ -90,6 +90,7 @@ def in_eigenspaces(m: int, vecs: list[np.ndarray], contents: np.ndarray | tuple)
     entry of the chunk; past the guard a chunk takes Python ints.
     """
     contents = np.broadcast_to(np.asarray(contents, dtype=np.intp), (len(vecs), m))
+    held = np.ones(len(vecs), dtype=bool)
     step = max(1, _GATHER_LIMIT // (m * m * factorial(m)))
     for lo in range(0, len(vecs), step):
         vs = np.stack(vecs[lo : lo + step])
@@ -98,9 +99,8 @@ def in_eigenspaces(m: int, vecs: list[np.ndarray], contents: np.ndarray | tuple)
         for k, moves in enumerate(_transposition_moves(m), start=2):
             # at row r: X_k·v against c·v, c the row's content of k
             c = contents[lo : lo + step, k - 1, None]
-            if not (np.take(vs, moves, axis=1).sum(axis=1) == c * vs).all():
-                return False
-    return True
+            held[lo : lo + step] &= (np.take(vs, moves, axis=1).sum(axis=1) == c * vs).all(axis=1)
+    return held
 
 
 @cache

@@ -8,17 +8,16 @@ four properties that make it a basis: matrix-unit multiplication,
 orthonormality of the trace pairing, completeness/nesting of the
 projectors, and linear independence over the permutation expansion.
 
-The multiplication table, orthonormality and linear independence are proved
-by one Jucys–Murphy certificate, ``_matrix_units``, which forms no full
-product.  It runs once per ``BasisMatrix`` object: ``_certified`` keeps the
-verdict for the latest basis, and the three suites share it.  A basis it
-refuses (the Young kind from m = 3 on, or a corrupted or malformed grid) is
-checked operator by operator: an operator that passes the two-sided
-Jucys–Murphy eigen-check with its own tableaux' contents is on the line of
-one matrix unit, so only the pairs that touch an operator off its line are
-formed in full, and the chains of operators on their lines are read off one
-coefficient each.  It is ranked exactly with ``surd_rank``, so a failing
-report lists every failed pair or names the rank.
+The multiplication table, orthonormality and linear independence share one
+Jucys–Murphy verdict per ``BasisMatrix`` object, ``_judge``, which forms no
+full product.  It tells, per operator, whether the operator is on the line
+of one matrix unit, and whether its block is proved.  A proved block costs
+the suites nothing; in an unproved one only the pairs that touch an
+operator off its line are formed in full, and the chains of operators on
+their lines are read off one coefficient each.  Operators on their lines
+are independent; a grid with one off its line is ranked exactly with
+``surd_rank``.  So a failing report lists every failed pair or names the
+rank.
 
 Verification reports are structured: every failed identity carries an exact
 witness string, and a report with no failures means every instance of the
@@ -196,7 +195,7 @@ def _first_difference(expected: AlgebraElement, got: AlgebraElement) -> str:
 
 
 def _certificate_dtype(m: int, parts: list[_fast.Parts]) -> type:
-    """int64 when the chain sums of ``_matrix_units`` stay below the guard,
+    """int64 when the sums of ``_chains_hold`` stay below the guard,
     Python integers otherwise.
 
     With T the largest entry of ``parts``, the chain factors, and n = m!, a
@@ -205,83 +204,6 @@ def _certificate_dtype(m: int, parts: list[_fast.Parts]) -> type:
     """
     top = max(_fast._abs_max(vec) for p in parts for _, vec in p.values())
     return np.int64 if _fast._fits(factorial(m), top, top) else object
-
-
-def _transposes_are_adjoints(b: BasisMatrix) -> bool:
-    """Whether O_ST† = O_TS for every operator of ``b``.
-
-    (x†)[g] = x[g⁻¹], so, in row chunks, the stored vectors of the operators
-    on and above each block's diagonal are gathered once by ``inverse_table``
-    and compared with those of the transposed labels, under the same
-    radicands and denominators.
-    """
-    rows = []
-    for block in b.blocks:
-        for i, row in enumerate(block.operators):
-            for j in range(i, block.size):
-                x, y = row[j]._parts, block.operators[j][i]._parts
-                if x.keys() != y.keys() or any(x[d][0] != y[d][0] for d in x):
-                    return False
-                rows.extend((x[d][1], y[d][1]) for d in x)
-    inverse = _fast.inverse_table(b.m)
-    step = max(1, _fast._GATHER_LIMIT // len(inverse))
-    for lo in range(0, len(rows), step):
-        xs, ys = (np.stack(side) for side in zip(*rows[lo : lo + step]))
-        if not np.array_equal(np.take(xs, inverse, axis=1), ys):
-            return False
-    return True
-
-
-def _matrix_units(b: BasisMatrix) -> bool:
-    """Whether a Jucys–Murphy certificate proves ``b`` a matrix-unit basis.
-
-    Write O_ST for ``operators[i][j]`` of a block, S = ``tableaux[i]``,
-    T = ``tableaux[j]``, 1 for its first tableau, X_k = Σ_{i<k} (i k) and
-    c_T(k) for the content (column − row) of k in T.  The certificate holds
-    when (a) there are m! operators, none zero, with pairwise distinct
-    pairs (S, T) of degree-m tableaux, and O_ST† = O_TS; (b) X_k·O_ST =
-    c_S(k)·O_ST for k = 2..m; (c) (O_S1·O_1T)[g] = O_ST[g] and
-    (O_1T·O_T1)[g] = O_11[g], g the first permutation where the right-hand
-    side is nonzero.  The adjoints are ``_transposes_are_adjoints``, (b) is
-    ``_fast.in_eigenspaces`` over the stored vectors, (c) ``_chains_hold``.
-
-    Proof.  The X_k generate the commutative algebra of the primitive
-    idempotents E_T of all standard tableaux T, X_k·E_T = E_T·X_k =
-    c_T(k)·E_T, and content vectors separate standard tableaux
-    (Okounkov–Vershik).  So X_k·a = c_S(k)·a for all k gives
-    (c_U(k) − c_S(k))·E_U·a = 0, hence a = E_S·a.  The X_k are Hermitian,
-    so (b) for O_TS and O_TS† = O_ST give the right side: O_ST·X_k =
-    (X_k·O_TS)† = c_T(k)·O_ST, hence a = a·E_T for a = O_ST.
-    (b) thus puts O_ST in E_S·A·E_T, the line of the seminormal unit E_ST
-    when S, T have one shape and 0 otherwise: O_ST = c_ST·E_ST, c_ST ≠ 0.
-    As E_ST·E_UV = δ_TU·E_SV and E_ST[g] ≠ 0 where O_ST[g] ≠ 0, (c) reads
-    c_S1·c_1T = c_ST and c_1T·c_T1 = c_11, and S = T = 1 gives c_11 = 1, so
-    c_ST·c_TV = c_S1·(c_1T·c_T1)·c_1V = c_SV: O_ST·O_TV = O_SV, and
-    O_ST·O_UV = 0 for T ≠ U.  By (a) a tableau lies in one block only, so
-    that is the whole table, and the operators are nonzero elements of
-    distinct summands of A = ⊕ E_S·A·E_T, hence independent.  As
-    O_ST† = O_TS, the cyclic trace gives ⟨O_ST, O_UV⟩ = tr(O_TS·O_UV) =
-    δ_SU·tr(O_TV) = δ_SU·δ_TV·tr(O_11).  Keppeler–Sjödahl identify the
-    Hermitian Young projectors with the E_T, so the Hermitian grid passes.
-    """
-    m, labels, n = b.m, b.labels(), factorial(b.m)
-    pairs = [(b.blocks[blk].tableaux[i], b.blocks[blk].tableaux[j]) for blk, i, j in labels]
-    parts = [b.operator(label)._parts for label in labels]
-    if len(labels) != n or not all(parts) or len(set(pairs)) != len(pairs):
-        return False
-    if any(t.n != m for block in b.blocks for t in block.tableaux):
-        return False
-    if not _transposes_are_adjoints(b):
-        return False
-    # (b) and (c) are linear in each operator, so they read the stored vectors
-    rows = [(x, vec) for x, p in enumerate(parts) for _, vec in p.values()]
-    vecs = [vec for _, vec in rows]
-    if not _fast.in_eigenspaces(m, vecs, np.array([_contents(pairs[x][0]) for x, _ in rows])):
-        return False
-    at = {label: x for x, label in enumerate(labels)}
-    chains = [(at[blk, i, 0], at[blk, 0, j], x) for x, (blk, i, j) in enumerate(labels)]
-    chains += [(at[blk, 0, j], at[blk, j, 0], at[blk, 0, 0]) for blk, i, j in labels if i == j]
-    return all(_chains_hold(m, parts, chains))
 
 
 def _chains_hold(
@@ -356,38 +278,101 @@ class _Identity:
 
 
 @lru_cache(maxsize=1)
-def _latest_proof(key: _Identity) -> bool:
-    return _matrix_units(key.obj)
-
-
-def _certified(b: BasisMatrix) -> bool:
-    """``_matrix_units(b)``, computed once for the latest basis object.
-
-    The three certificate suites share it.  It is keyed by identity, since
-    hashing a basis hashes every operator vector, so an equal basis parsed
-    anew is proved anew.
-    """
-    return _latest_proof(_Identity(b))
-
-
-def _on_lines(b: BasisMatrix) -> list[bool]:
-    """Whether each operator of ``b``, in label order, is on its line.
-
-    O_ST is on its line when ``projectors._in_line`` holds with its
-    tableaux S and T: then O_ST = c·E_ST, c ≠ 0 (see ``_matrix_units``).
-    Two such operators multiply to 0 unless they chain as O_ST·O_TV, to a
-    multiple of E_SV, and ⟨O_ST, O_UV⟩ = tr(O_ST†·O_UV), with O_ST† in
-    E_T·A·E_S, is 0 unless S = U, and then tr(E_T·a·E_V) = 0 for T ≠ V.
-    That tells operators apart only when the tableaux of ``b`` are pairwise
-    distinct and of degree m; otherwise no operator counts as on its line.
-    """
+def _verdict(key: _Identity) -> tuple[np.ndarray, np.ndarray]:
+    b = key.obj
+    labels = b.labels()
     tableaux = [t for block in b.blocks for t in block.tableaux]
     if len(set(tableaux)) != len(tableaux) or any(t.n != b.m for t in tableaux):
-        return [False] * len(b.labels())
-    return [
-        _in_line(b.operator((blk, i, j)), b.blocks[blk].tableaux[i], b.blocks[blk].tableaux[j])
-        for blk, i, j in b.labels()
+        return (np.zeros(len(labels), dtype=bool),) * 2
+    at = {label: x for x, label in enumerate(labels)}
+    flip = [at[blk, j, i] for blk, i, j in labels]
+    parts = [b.operator(label)._parts for label in labels]
+    # O_ST† = O_TS: (x†)[g] = x[g⁻¹] under the same radicands and denominators
+    keys = [[(d, den) for d, (den, _) in p.items()] for p in parts]
+    adjoint = np.array([keys[x] == keys[y] for x, y in enumerate(flip)], dtype=bool)
+    rows = [
+        (x, vec, parts[y][d][1])
+        for x, y in enumerate(flip)
+        if x <= y and adjoint[x]
+        for d, (_, vec) in parts[x].items()
     ]
+    inverse = _fast.inverse_table(b.m)
+    step = max(1, _fast._GATHER_LIMIT // len(inverse))
+    for lo in range(0, len(rows), step):
+        xs, vs, ws = zip(*rows[lo : lo + step])
+        same = (np.take(np.stack(vs), inverse, axis=1) == np.stack(ws)).all(axis=1)
+        adjoint[np.array(xs)[~same]] = False
+    adjoint &= adjoint[flip]
+    # the left eigen rows of every operator; those of O_TS are O_ST's right side
+    owner = np.array([x for x, p in enumerate(parts) for _ in p], dtype=np.intp)
+    left = np.array([bool(p) for p in parts], dtype=bool)
+    # a row tableau's contents serve the block.size labels of its row
+    sizes = [block.size for block in b.blocks for _ in block.tableaux]
+    content = np.array([_contents(t) for t in tableaux], dtype=np.intp).reshape(-1, b.m)
+    vecs = [vec for p in parts for _, vec in p.values()]
+    left[owner[~_fast.in_eigenspaces(b.m, vecs, np.repeat(content, sizes, axis=0)[owner])]] = False
+    on = left & left[flip]
+    for x in np.flatnonzero(~adjoint).tolist():
+        blk, i, j = labels[x]
+        on[x] = _in_line(b.operator(labels[x]), b.blocks[blk].tableaux[i], b.blocks[blk].tableaux[j])
+    block_of = np.array([blk for blk, _, _ in labels], dtype=np.intp)
+    proved = np.ones(len(b.blocks), dtype=bool)
+    proved[block_of[~(on & adjoint)]] = False
+    # the chains of the blocks that pass (a)
+    closed = proved.tolist()
+    candidate = [(x, label) for x, label in enumerate(labels) if closed[label[0]]]
+    chains = [(at[blk, i, 0], at[blk, 0, j], x) for x, (blk, i, j) in candidate]
+    chains += [(at[blk, 0, j], at[blk, j, 0], at[blk, 0, 0]) for _, (blk, i, j) in candidate if i == j]
+    if chains:
+        held = _chains_hold(b.m, parts, chains)
+        proved[[labels[z][0] for (_, _, z), ok in zip(chains, held) if not ok]] = False
+    return on, proved[block_of]
+
+
+def _judge(b: BasisMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Per operator of ``b`` in label order: whether it is on its line, and
+    whether its block is proved.
+
+    Write O_ST for ``operators[i][j]`` of a block, S = ``tableaux[i]``,
+    T = ``tableaux[j]``, 1 for its first tableau, X_k = Σ_{i<k} (i k) and
+    c_T(k) for the content (column − row) of k in T.  Nothing is on its
+    line unless the tableaux of ``b`` are pairwise distinct and of degree m.
+    Then O_ST is on its line when it is nonzero, X_k·O_ST = c_S(k)·O_ST and
+    O_ST·X_k = c_T(k)·O_ST for k = 2..m.  A block is proved when (a) its
+    operators are on their lines and O_ST† = O_TS, and (b)
+    (O_S1·O_1T)[g] = O_ST[g] and (O_1T·O_T1)[g] = O_11[g], g the first
+    permutation where the right-hand side is nonzero (``_chains_hold``).
+
+    The left sides are one ``_fast.in_eigenspaces`` mask over the stored
+    vectors.  The X_k are Hermitian, so where O_ST† = O_TS the left side of
+    O_TS is the right side of O_ST; any other operator runs
+    ``projectors._in_line``.  Only blocks that pass (a) run their chains.
+
+    Proof.  The X_k generate the commutative algebra of the primitive
+    idempotents E_T of all standard tableaux T, X_k·E_T = E_T·X_k =
+    c_T(k)·E_T, and content vectors separate standard tableaux
+    (Okounkov–Vershik).  So X_k·a = c_S(k)·a for all k gives
+    (c_U(k) − c_S(k))·E_U·a = 0, hence a = E_S·a, and the right side gives
+    a = a·E_T: an operator on its line lies in E_S·A·E_T, the line of the
+    seminormal unit E_ST when S, T have one shape and 0 otherwise, so
+    O_ST = c_ST·E_ST with c_ST ≠ 0.  Hence two operators on their lines
+    multiply to 0 unless they chain as O_ST·O_TV, as E_ST·E_UV = δ_TU·E_SV,
+    and pair to 0 unless they are one operator: O_ST† lies in E_T·A·E_S,
+    so tr(O_ST†·O_UV) = 0 for S ≠ U, and tr(E_T·a·E_V) = tr(E_V·E_T·a) = 0
+    for T ≠ V.  Operators on their lines, as nonzero elements of distinct
+    summands of A = ⊕ E_S·A·E_T, are independent.  In a block that passes
+    (a), E_ST[g] ≠ 0 where O_ST[g] ≠ 0, so (b) reads c_S1·c_1T = c_ST and
+    c_1T·c_T1 = c_11, and S = T = 1 gives c_11 = 1, so c_ST·c_TV =
+    c_S1·(c_1T·c_T1)·c_1V = c_SV: O_ST·O_TV = O_SV.  As O_ST† = O_TS, the
+    cyclic trace gives ⟨O_ST, O_ST⟩ = tr(O_TS·O_ST) = tr(O_TT) =
+    tr(O_T1·O_1T) = tr(O_11).  So every product and pairing of a proved
+    block's operators holds.  Keppeler–Sjödahl identify the Hermitian Young
+    projectors with the E_T, so every block of the Hermitian grid is proved.
+
+    The three suites share the verdict of the latest basis object, keyed by
+    identity, as hashing a basis hashes every operator vector.
+    """
+    return _verdict(_Identity(b))
 
 
 def verify_multiplication_table(
@@ -399,28 +384,27 @@ def verify_multiplication_table(
     tableau both — and then equals the outer-endpoint operator; everything
     else must vanish: O_ij·O_kl = δ_jk·O_il, with O_ij^λ·O_kl^μ = 0 for λ ≠ μ.
 
-    A basis that the Jucys–Murphy certificate ``_matrix_units`` proves
-    passes with all (m!)² pairs counted; the proof is shared with the other
-    two certificate suites and runs once per basis object.  Any other is
-    checked operator by operator (``_on_lines``): a pair of operators on
-    their lines holds unless it chains, and a chain whose target is on its
-    line too holds iff one coefficient does (``_chains_hold``).  Every other
-    pair is multiplied: those with an operator off its line, and the chains
-    whose target is.  A failure names the first permutation whose
-    coefficient differs, with the expected and the actual coefficient.
+    Every pair within a block that ``_judge`` proves holds, and so does every
+    pair of operators on their lines that does not chain.  A chain of an
+    unproved block whose operators are on their lines holds iff one
+    coefficient does (``_chains_hold``).  Every other pair is multiplied:
+    those with an operator off its line, and the chains whose target is.  A
+    failure names the first permutation whose coefficient differs, with the
+    expected and the actual coefficient.
     ``jobs`` is accepted for compatibility and ignored.
     """
     labels = b.labels()
-    if _certified(b):
+    on, proved = _judge(b)
+    if proved.all():
         return VerificationReport("multiplication_table", len(labels) ** 2)
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
     position = {label: k for k, label in enumerate(labels)}
-    on = _on_lines(b)
-    # O_ij·O_jl = O_il within a block, in the order of the labels
+    # O_ij·O_jl = O_il within an unproved block, in the order of the labels
     target = {
         (a, position[blk, j, l]): position[blk, i, l]
         for a, (blk, i, j) in enumerate(labels)
+        if not proved[a]
         for l in range(b.blocks[blk].size)
     }
     failures = {}
@@ -470,16 +454,11 @@ def verify_orthonormality(
     Distinct operators must pair to zero; an operator against itself gives
     the dimension polynomial of its block's diagram.  With ``sample`` the
     report covers that many pairs drawn uniformly with ``seed`` instead of
-    all of them.  A basis that ``_matrix_units`` certifies passes: the
-    certificate checks O_ij† = O_ji first, since it proves the right-hand
-    eigen-identities as the left-hand ones of the adjoints, and the cyclic
-    trace then gives every pairing.  It is shared with the table and
-    independence suites and runs once per basis object.  Any other basis is
-    checked operator by operator: two distinct operators on their lines
-    pair to 0 (``_on_lines``), and one on its line pairs with itself to
-    dim(λ)·H_λ·Σ_g O[g]², λ the shape of its tableaux, so only the pairs with
-    an operator off its line are formed, once each.
-    ``jobs`` is accepted for compatibility and ignored.
+    all of them.  Pairs within a block that ``_judge`` proves hold, and so
+    do two distinct operators on their lines.  An operator on its line in an
+    unproved block pairs with itself to dim(λ)·H_λ·Σ_g O[g]², λ the shape of
+    its tableaux, so only the pairs with an operator off its line are formed,
+    once each.  ``jobs`` is accepted for compatibility and ignored.
     """
     if b.kind != "hermitian":
         raise ValueError("orthonormality holds only for the hermitian basis kind")
@@ -487,22 +466,22 @@ def verify_orthonormality(
     labels = b.labels()
     n = len(labels)
     checked = n * n if sample is None else sample
-    if _certified(b):
+    on, proved = _judge(b)
+    if proved.all():
         return VerificationReport("orthonormality", checked)
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
     dims = {k: trace(block.operators[0][0]) for k, block in enumerate(b.blocks) if block.size}
-    on = _on_lines(b)
     if sample is None:
         off = [x for x, ok in enumerate(on) if not ok]
         touched = {pair for x in off for y in range(n) for pair in ((x, y), (y, x))}
-        pairs = sorted(touched | {(x, x) for x in range(n)})
+        pairs = sorted(touched | {(x, x) for x in range(n) if not proved[x]})
     else:
         rng = random.Random(seed)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(sample)]
     found: dict[tuple[int, int], CheckFailure | None] = {}
     for a, c in pairs:
-        if (a, c) in found or (a != c and on[a] and on[c]):
+        if (a, c) in found or (a != c and on[a] and on[c]) or (a == c and proved[a]):
             continue
         if a == c:
             expected, rhs = dims[labels[a][0]], f"dim({names[a]})"
@@ -566,28 +545,29 @@ def verify_linear_independence(b: BasisMatrix) -> VerificationReport:
     """Check that the m! operators span the full group algebra.
 
     Each operator expands to a coefficient row over the m! permutations;
-    the stacked matrix must have full rank over the surd field.  A basis
-    that ``_matrix_units`` certifies passes, with the proof shared with the
-    table and orthonormality suites and run once per basis object.  Any
-    other is ranked exactly by ``surd_rank``, so a failing report names the
-    actual rank.  Each row is its operator's integer vectors over the
-    operator's own common denominator: scaling a row keeps the rank.
+    the stacked matrix must have full rank over the surd field.  Operators
+    that ``_judge`` puts on their lines are independent, so when all of them
+    are, the rank is their number.  Otherwise the rows are ranked exactly by
+    ``surd_rank``, so a failing report names the actual rank.  Each row is
+    its operator's integer vectors over the operator's own common
+    denominator: scaling a row keeps the rank.
     """
-    if _certified(b):
-        return VerificationReport("linear_independence", 1)
-    ops = [op for _, op in b.flat()]
+    on, _ = _judge(b)
     expected = factorial(b.m)
-    rows = []
-    for op in ops:
-        den = lcm(*(denom for denom, _ in op._parts.values()))
-        scaled = {d: (vec.tolist(), den // denom) for d, (denom, vec) in op._parts.items()}
-        rows.append({d: {k: v * s for k, v in enumerate(vec) if v} for d, (vec, s) in scaled.items()})
-    rank = surd_rank(rows)
+    if on.all():
+        rank = len(on)
+    else:
+        rows = []
+        for _, op in b.flat():
+            den = lcm(*(denom for denom, _ in op._parts.values()))
+            scaled = {d: (vec.tolist(), den // denom) for d, (denom, vec) in op._parts.items()}
+            rows.append({d: {k: v * s for k, v in enumerate(vec) if v} for d, (vec, s) in scaled.items()})
+        rank = surd_rank(rows)
     failures = ()
     if rank != expected:
         failures = (
             CheckFailure(
-                identity=f"rank of the {len(ops)}x{expected} expansion == {expected}",
+                identity=f"rank of the {len(on)}x{expected} expansion == {expected}",
                 witness=f"got rank {rank}",
             ),
         )

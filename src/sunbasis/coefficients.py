@@ -242,7 +242,6 @@ class Surd:
 
 
 ZERO = Surd()
-ONE = Surd.rational(1)
 
 # Operand types the binary operators accept; any other operand gets
 # NotImplemented, so Python tries the other operand's reflected method.

@@ -161,7 +161,7 @@ def _in_line(a: AlgebraElement, theta: YoungTableau, phi: YoungTableau) -> bool:
     vecs = [vec for _, vec in a._parts.values()]
     adjoint = [vec for _, vec in dagger(a)._parts.values()]
     contents = [_contents(theta)] * len(vecs) + [_contents(phi)] * len(adjoint)
-    return _fast.in_eigenspaces(a.m, vecs + adjoint, contents)
+    return bool(_fast.in_eigenspaces(a.m, vecs + adjoint, contents).all())
 
 
 def _normalize(

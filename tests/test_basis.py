@@ -56,7 +56,7 @@ def T(*rows):
 
 # -- per-pair references ---------------------------------------------------------
 #
-# The suites prove a basis with one certificate, or check a refused one
+# The suites prove a basis block by block, and check an unproved block
 # operator by operator; these loops compute each product and pairing on its
 # own and are the reference the suites' reports must equal, failures, order
 # and witness text included.
@@ -159,6 +159,12 @@ def _relabelled(b: BasisMatrix, seed: int) -> BasisMatrix:
             )
         )
     return BasisMatrix(b.m, b.kind, tuple(blocks))
+
+
+def _unproved(b: BasisMatrix) -> set[int]:
+    """The blocks of ``b`` that ``_judge`` does not prove."""
+    _, proved = basis_module._judge(b)
+    return {blk for (blk, _, _), ok in zip(b.labels(), proved) if not ok}
 
 
 def _assert_matches_reference(b: BasisMatrix) -> None:
@@ -431,8 +437,8 @@ def test_planted_corruption_at_m5_names_a_permutation():
 
 
 # Each corruption below sits outside every block's first row and column, the
-# factors of the certificate's chain products.  The certificate must still
-# refuse it, and the table suite report every failed pair.
+# factors of the verdict's chain products.  Its block must still go
+# unproved, and the table suite report every failed pair.
 OUTSIDE_REFERENCE = {
     "O_12 doubled": lambda b, blk: _with_operator(
         b, blk, 1, 2, b.blocks[blk].operators[1][2].scale(2)
@@ -478,7 +484,7 @@ def test_table_catches_corruptions_outside_the_reference_row_and_column(
 
 def _refuse_kernels(monkeypatch) -> None:
     def refuse(*args):
-        raise AssertionError("a certified basis needs no pair product")
+        raise AssertionError("a proved basis needs no pair product")
 
     monkeypatch.setattr(basis_module, "multiply", refuse)
     monkeypatch.setattr(basis_module, "scalar_product", refuse)
@@ -496,14 +502,14 @@ def test_passing_basis_runs_no_kernel(monkeypatch, m):
     assert verify_linear_independence(b) == VerificationReport("linear_independence", 1)
 
 
-def _count_pair_products(monkeypatch, name: str) -> list[tuple]:
-    """Spy on ``basis.<name>``, ``multiply`` or ``scalar_product``: every call's operators."""
+def _calls(monkeypatch, name: str) -> list[tuple]:
+    """Spy on ``basis.<name>``, such as ``multiply``: every call's arguments."""
     calls = []
     real = getattr(basis_module, name)
 
-    def spy(x, y):
-        calls.append((x, y))
-        return real(x, y)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(basis_module, name, spy)
     return calls
@@ -513,7 +519,7 @@ def test_failing_table_forms_one_product_per_failure(monkeypatch):
     # the doubled transition stays on its line, so every chain through it is
     # read off one coefficient, and only the failed ones are multiplied
     bad = _corrupted(assemble(5))
-    calls = _count_pair_products(monkeypatch, "multiply")
+    calls = _calls(monkeypatch, "multiply")
     report = verify_multiplication_table(bad)
     assert report.failures
     assert len(calls) == len(report.failures)
@@ -533,7 +539,7 @@ def test_an_operator_off_its_line_costs_its_row_and_column(monkeypatch, m, plant
     else:
         blk = 0
         bad = _with_operator(b, blk, 0, 0, b.blocks[-1].operators[0][0])
-    calls = _count_pair_products(monkeypatch, "multiply")
+    calls = _calls(monkeypatch, "multiply")
     report = verify_multiplication_table(bad)
     assert not report.passed
     assert len(calls) <= 2 * math.factorial(m) + bad.blocks[blk].size
@@ -553,11 +559,11 @@ def _similar(b: BasisMatrix, blk: int) -> BasisMatrix:
 
 
 # Rescalings keep every operator on its Jucys–Murphy line, so only the
-# certificate's adjoint check and chain products can refuse them.  Doubling
-# O_00, or negating O_12 and O_21, keeps O_ST† = O_TS and is caught by the
-# chains.  Doubling row 1 and halving column 1 conjugates the block by a
-# diagonal matrix: still a matrix-unit basis, but not closed under the
-# adjoint, so the certificate refuses it and its chains prove the table.
+# verdict's adjoint flags and chain products can leave the block unproved.
+# Doubling O_00, or negating O_12 and O_21, keeps O_ST† = O_TS and is caught
+# by the chains.  Doubling row 1 and halving column 1 conjugates the block by
+# a diagonal matrix: still a matrix-unit basis, but not closed under the
+# adjoint, so the block is not proved and its chains prove the table.
 SIMILAR = "row 1 doubled, column 1 halved"
 RESCALED = {
     "O_00 doubled": lambda b, blk: _scaled(b, blk, [(0, 0)], 2),
@@ -575,7 +581,8 @@ def test_rescaled_units_are_left_to_the_kernels(planted, seed):
         b = _relabelled(b, seed)
     blk = next(k for k, block in enumerate(b.blocks) if block.diagram.rows == (3, 1))
     bad = RESCALED[planted](b, blk)
-    assert not basis_module._matrix_units(bad)
+    assert basis_module._judge(bad)[0].all()
+    assert _unproved(bad) == {blk}
     assert verify_multiplication_table(bad).passed == (planted == SIMILAR)
     _assert_matches_reference(bad)
 
@@ -589,8 +596,8 @@ def test_a_refused_grid_on_its_lines_forms_no_table_product(monkeypatch, m):
     rows = (3, 1) if m == 4 else (4, 1)
     blk = next(k for k, block in enumerate(b.blocks) if block.diagram.rows == rows)
     bad = RESCALED[SIMILAR](b, blk)
-    products = _count_pair_products(monkeypatch, "multiply")
-    pairings = _count_pair_products(monkeypatch, "scalar_product")
+    products = _calls(monkeypatch, "multiply")
+    pairings = _calls(monkeypatch, "scalar_product")
     size = math.factorial(m) ** 2
     assert verify_multiplication_table(bad) == VerificationReport("multiplication_table", size)
     assert products == []
@@ -633,12 +640,22 @@ def _tableau_of_the_wrong_degree() -> BasisMatrix:
 
 
 @pytest.mark.parametrize(
-    "malformed",
-    [_duplicated_symmetric_block, _missing_block, _repeated_tableau, _tableau_of_the_wrong_degree],
+    "malformed, genuine",
+    [
+        (_duplicated_symmetric_block, False),
+        (_missing_block, True),
+        (_repeated_tableau, False),
+        (_tableau_of_the_wrong_degree, False),
+    ],
 )
-def test_malformed_bases_are_refused_not_proved(malformed):
+def test_malformed_bases_are_judged_by_their_tableaux(malformed, genuine):
+    # repeated tableaux, or tableaux of another degree, put no operator on
+    # its line; the five genuine units of a grid without its last block are
+    # proved, and only independence, which counts them, fails
     bad = malformed()
-    assert not basis_module._matrix_units(bad)
+    on, proved = basis_module._judge(bad)
+    assert on.tolist() == proved.tolist() == [genuine] * len(bad.labels())
+    assert verify_linear_independence(bad).passed is False
     _assert_matches_reference(bad)
 
 
@@ -650,17 +667,18 @@ def test_eigen_checks_cover_every_degree_and_row_chunk(monkeypatch, m):
     # (the gathers of r rows hold at most r·m²·m! entries over all k).
     monkeypatch.setattr(_fast, "_GATHER_LIMIT", 3 * m * m * math.factorial(m))
     b = assemble(m)
-    assert basis_module._matrix_units(b)
+    assert not _unproved(b)
     bad = _with_operator(b, 0, 0, 0, b.blocks[-1].operators[0][0])
-    assert not basis_module._matrix_units(bad)
+    assert basis_module._judge(bad)[0].tolist() == [False] + [True] * (len(b.labels()) - 1)
+    assert _unproved(bad) == {0}
     _assert_matches_reference(bad)
 
 
 @pytest.mark.parametrize("rows", [1, 2])
 def test_eigen_checks_hold_across_chunk_boundaries(monkeypatch, rows):
-    # chunks of one or two rows: the certificate still proves assemble(4),
-    # refuses the first block's projector put in place of the last operator,
-    # which only the eigen-checks of the last chunk see, and _normalize
+    # chunks of one or two rows: the verdict still proves assemble(4), puts
+    # the first block's projector, in place of the last operator, off its
+    # line, which only the eigen-checks of the last chunk see, and _normalize
     # returns what it returns with one chunk
     m = 4
     b = assemble(m)
@@ -668,11 +686,12 @@ def test_eigen_checks_hold_across_chunk_boundaries(monkeypatch, rows):
     bars = [unitary_transition_compact(s, t).element.scale(3) for s, t in pairs]
     whole = [_normalize(bar, s, t) for bar, (s, t) in zip(bars, pairs)]
     monkeypatch.setattr(_fast, "_GATHER_LIMIT", rows * m * m * math.factorial(m))
-    assert basis_module._matrix_units(b)
+    assert not _unproved(b)
     blk = len(b.blocks) - 1
     bad = _with_operator(b, blk, 0, 0, b.blocks[0].operators[0][0])
     assert b.labels()[-1] == (blk, 0, 0)
-    assert not basis_module._matrix_units(bad)
+    assert basis_module._judge(bad)[0].tolist() == [True] * (len(b.labels()) - 1) + [False]
+    assert _unproved(bad) == {blk}
     assert not verify_multiplication_table(bad).passed
     assert [_normalize(bar, s, t) for bar, (s, t) in zip(bars, pairs)] == whole
     assert all(tau_squared == Fraction(1, 9) for _, tau_squared in whole)
@@ -703,23 +722,25 @@ def test_chain_products_refuse_a_doubled_operator_in_the_last_chunk(monkeypatch)
         return eigen_checks[-1]
 
     monkeypatch.setattr(_fast, "in_eigenspaces", spy)
-    assert basis_module._matrix_units(b)
-    assert not basis_module._matrix_units(bad)
-    assert eigen_checks == [True, True]
+    assert not _unproved(b)
+    assert basis_module._judge(bad)[0].all()
+    assert _unproved(bad) == {blk}
+    assert [mask.all() for mask in eigen_checks] == [True, True]
 
 
 @pytest.mark.parametrize("m", [4, "5 relabelled"])
 def test_adjoint_vectors_carry_the_right_eigen_identities(m):
     b = _relabelled(assemble(5), 3) if m == "5 relabelled" else assemble(m)
-    # the certificate checks only left sides, X_k·O_ST = c_S(k)·O_ST; the
-    # right side O_ST·X_k = c_T(k)·O_ST is the left side of O_ST† with T's
-    # contents, which separate T from every other tableau of the block
+    # the verdict checks only left sides, X_k·O_ST = c_S(k)·O_ST, where the
+    # transpose is the adjoint; the right side O_ST·X_k = c_T(k)·O_ST is the
+    # left side of O_ST† with T's contents, which separate T from every
+    # other tableau of the block
     for block in b.blocks:
         for i, s in enumerate(block.tableaux):
             for j, t in enumerate(block.tableaux):
                 vecs = [vec for _, vec in dagger(block.operators[i][j])._parts.values()]
-                assert _fast.in_eigenspaces(b.m, vecs, _contents(t))
-                assert _fast.in_eigenspaces(b.m, vecs, _contents(s)) is (s == t)
+                assert _fast.in_eigenspaces(b.m, vecs, _contents(t)).all()
+                assert _fast.in_eigenspaces(b.m, vecs, _contents(s)).all() == (s == t)
 
 
 def test_eigen_checks_take_python_ints_past_the_guard():
@@ -728,8 +749,8 @@ def test_eigen_checks_take_python_ints_past_the_guard():
     for t, past_guard in ((2**62, True), ((2**62 - 1) // 5, False)):
         assert _fast._fits(5, t) is not past_guard
         v = np.full(120, t, dtype=np.int64)
-        assert _fast.in_eigenspaces(5, [v], (0, 1, 2, 3, 4))
-        assert not _fast.in_eigenspaces(5, [v], (0, 1, 2, 3, 0))
+        assert _fast.in_eigenspaces(5, [v], (0, 1, 2, 3, 4)).tolist() == [True]
+        assert _fast.in_eigenspaces(5, [v], (0, 1, 2, 3, 0)).tolist() == [False]
 
 
 @st.composite
@@ -1054,6 +1075,43 @@ def test_more_than_m_factorial_operators_are_ranked_exactly():
     assert verify_linear_independence(extra).passed
 
 
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_independence_of_operators_on_their_lines_needs_no_rank(monkeypatch, m):
+    # the doubled transition leaves its block unproved but keeps every
+    # operator on its line, a nonzero element of its own E_S·A·E_T
+    bad = _corrupted(assemble(m))
+    assert basis_module._judge(bad)[0].all() and _unproved(bad)
+    calls = _calls(monkeypatch, "surd_rank")
+    report = verify_linear_independence(bad)
+    assert calls == []
+    assert report == VerificationReport("linear_independence", 1)
+    if m <= 5:
+        assert report == reference_independence(bad)
+
+
+def test_independence_ranks_a_grid_with_an_operator_off_its_line(monkeypatch):
+    b = assemble(4)
+    blk = next(k for k, block in enumerate(b.blocks) if block.size >= 2)
+    bad = _with_operator(b, blk, 1, 0, AlgebraElement.zero(4))
+    calls = _calls(monkeypatch, "surd_rank")
+    report = verify_linear_independence(bad)
+    assert [len(rows) for rows, in calls] == [24]
+    assert [f.witness for f in report.failures] == ["got rank 23"]
+    assert report == reference_independence(bad)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_the_table_suite_chains_only_the_unproved_block(monkeypatch, m):
+    bad = _corrupted(assemble(m))
+    (blk,) = _unproved(bad)
+    basis_module._judge(bad)  # the verdict's own chains, for the proved blocks
+    calls = _calls(monkeypatch, "_chains_hold")
+    assert not verify_multiplication_table(bad).passed
+    labels = bad.labels()
+    assert [len(chains) for _, _, chains in calls] == [bad.blocks[blk].size ** 3]
+    assert {labels[x][0] for chain in calls[0][2] for x in chain} == {blk}
+
+
 # -- basis-change invariance -----------------------------------------------------
 
 
@@ -1146,7 +1204,7 @@ def _count_eigen_checks(monkeypatch) -> list[int]:
 
 def test_run_suite_proves_the_cached_basis_once(monkeypatch):
     run_suite(5)  # every projector and the basis cached
-    basis_module._latest_proof.cache_clear()
+    basis_module._verdict.cache_clear()
     calls = _count_eigen_checks(monkeypatch)
     reports = run_suite(5)
     assert [r.passed for r in reports] == [True] * 4
@@ -1183,7 +1241,7 @@ def test_clearing_the_caches_makes_the_proof_cold(monkeypatch):
     verify_orthonormality(b)
     assert calls == []
     _clear_caches()
-    assert basis_module._latest_proof.cache_info().currsize == 0
+    assert basis_module._verdict.cache_info().currsize == 0
     b = assemble(4)
     calls.clear()
     verify_orthonormality(b)
@@ -1252,11 +1310,11 @@ def _certificate_dtype(b: BasisMatrix):
 def _assert_certificate_dtype_follows_its_bound(monkeypatch):
     # s·O_01 and s·O_10 keep O_ST† = O_TS and every operator on its
     # Jucys–Murphy line, but O_01·O_10 = s²·O_00: only the chain products
-    # refuse them.  s·O_01 holds the largest stored entry T = s·t: the largest
-    # such s with n·T² below 2**62 keeps the certificate in int64 and the next
-    # one does not
+    # leave the (2,1) block unproved.  s·O_01 holds the largest stored entry
+    # T = s·t: the largest such s with n·T² below 2**62 keeps the chain sums
+    # in int64 and the next one does not
     b = assemble(3, "hermitian")
-    assert basis_module._matrix_units(b)
+    assert not _unproved(b)
     ops = b.blocks[1].operators
     ((denom, vec),) = ops[0][1]._parts.values()
     n, t = 6, int(abs(vec).max())
@@ -1280,9 +1338,10 @@ def _assert_certificate_dtype_follows_its_bound(monkeypatch):
         assert (n * top * top < 2**62) is (dtype is np.int64)
         assert _certificate_dtype(bad) is dtype
         eigen_checks.clear()
-        assert basis_module._transposes_are_adjoints(bad)
-        assert not basis_module._matrix_units(bad)
-        assert eigen_checks == [True]
+        assert basis_module._judge(bad)[0].all()
+        assert _unproved(bad) == {1}
+        # one eigen-check of the stored vectors: every transpose is an adjoint
+        assert [mask.all() for mask in eigen_checks] == [True]
         _assert_matches_reference(bad)
 
 
@@ -1299,9 +1358,9 @@ def test_certificate_takes_either_dtype_across_chain_chunks(monkeypatch, per_chu
 
 
 def test_certificate_keeps_int64_when_only_the_denominator_crosses():
-    # every operator over 2**62: D·T passes 2**62, but the certificate reads
-    # the stored vectors and forms its targets as Python integers; the
-    # rescaled grid is no matrix-unit basis, and is refused
+    # every operator over 2**62: D·T passes 2**62, but the chain sums read
+    # the stored vectors and form their targets as Python integers; the
+    # rescaled grid is no matrix-unit basis, and no block of it is proved
     b = assemble(3, "hermitian")
     for scale in (Fraction(1, 2**62), 1):
         scaled = BasisMatrix(
@@ -1319,4 +1378,4 @@ def test_certificate_keeps_int64_when_only_the_denominator_crosses():
         _, den, top, _ = _stack_bounds(scaled)
         assert (den * top >= 2**62) is (scale != 1)
         assert _certificate_dtype(scaled) is np.int64
-        assert basis_module._matrix_units(scaled) is (scale == 1)
+        assert basis_module._judge(scaled)[1].tolist() == [scale == 1] * 6

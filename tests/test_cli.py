@@ -14,6 +14,7 @@ import pytest
 from sunbasis.algebra import element_from_json
 from sunbasis.basis import assemble, basis_from_json
 from sunbasis.cli import (
+    _BASIS_MAX_DEGREE,
     _DIMS_MAX_DEGREE,
     _TABLEAUX_MAX_DEGREE,
     latex_permutation,
@@ -395,6 +396,15 @@ def test_tableaux_above_the_degree_cap_is_usage_error():
     # with a shape too, and at a degree that would exhaust memory
     assert run(["tableaux", "--m", str(over), "--shape", f"[{over}]"])[0] == 2
     assert run(["tableaux", "--m", "40"])[0] == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("m", [7, 40])
+def test_basis_above_the_degree_cap_is_usage_error(fmt, m):
+    assert _BASIS_MAX_DEGREE == 6
+    rc, out, err = run(["basis", "--m", str(m), "--format", fmt])
+    assert (rc, out) == (2, "")
+    assert err == f"error: basis takes --m up to 6, got {m}\n"
 
 
 def test_unknown_format_is_usage_error():

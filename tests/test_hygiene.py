@@ -1,5 +1,5 @@
 """Source hygiene that no installed linter checks: every import is used, and
-every private function and class is read."""
+every private function and class and every module-level name is read."""
 
 import ast
 from pathlib import Path
@@ -68,15 +68,20 @@ def _reads(node: ast.AST) -> set[str]:
     return names
 
 
-def test_every_private_function_and_class_is_read():
-    # a private function or class that no code of the package reads is dead;
-    # reads inside its own definition, recursion included, do not count
+def _statements() -> tuple[list[tuple[Path, ast.stmt]], list[set[str]]]:
+    """Every top-level statement of the package, and the names each reads."""
     statements = [
         (path, node)
         for path in SOURCES
         for node in ast.parse(path.read_text(), filename=str(path)).body
     ]
-    reads = [_reads(node) for _, node in statements]
+    return statements, [_reads(node) for _, node in statements]
+
+
+def test_every_private_function_and_class_is_read():
+    # a private function or class that no code of the package reads is dead;
+    # reads inside its own definition, recursion included, do not count
+    statements, reads = _statements()
     unread = [
         f"{path.name}:{node.lineno} {node.name}"
         for k, (path, node) in enumerate(statements)
@@ -86,3 +91,26 @@ def test_every_private_function_and_class_is_read():
         and not any(node.name in r for j, r in enumerate(reads) if j != k)
     ]
     assert not unread, f"private but never read: {', '.join(unread)}"
+
+
+def _assigned(node: ast.stmt) -> list[str]:
+    """The names a top-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    else:
+        return []
+    return [sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)]
+
+
+def test_every_module_level_name_is_read():
+    # a constant that no other statement of the package reads is dead
+    statements, reads = _statements()
+    unread = [
+        f"{path.name}:{node.lineno} {name}"
+        for k, (path, node) in enumerate(statements)
+        for name in _assigned(node)
+        if name != "__all__" and not any(name in r for j, r in enumerate(reads) if j != k)
+    ]
+    assert not unread, f"assigned but never read: {', '.join(unread)}"
