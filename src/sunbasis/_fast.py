@@ -8,16 +8,21 @@ radicand, indexed by the lexicographic order of S_m:
 This module holds what that form needs beyond plain numpy: the position of
 each permutation, the composition and inverse tables, the cycle counts, the
 exact sum and product of two such forms, and the Jucys–Murphy eigen-check
-``in_eigenspaces``.  Vectors are int64 while a bound computed in Python
-integers shows that no entry can reach 2**62, and arrays of Python integers
-(dtype object) otherwise.  Every result is in
-canonical form (see ``reduce``), so equal elements have equal vectors.
+``in_eigenspaces``.  Every result is in canonical form (see ``reduce``), so
+equal elements have equal vectors.
+
+A stored vector is int64 exactly when every entry lies below ``_STORED`` =
+2**24, and an array of Python integers (dtype object) otherwise.  As m ≤ 7
+and 7! < 2**13, a sum of m! products of two stored entries stays below
+2**61, so the product, the eigen-check, the trace and the dot products run
+in their operands' dtype and check nothing.  The one other check is
+``_times``, the product of a vector with an unbounded integer.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, lcm
 
 import numpy as np
 
@@ -27,6 +32,8 @@ from .permutations import Permutation, all_permutations
 # radicand -> (denominator, integer numerator vector over the permutation basis)
 Parts = dict[int, tuple[int, np.ndarray]]
 
+# the storage bound of ``reduce`` and the guard of ``_times``
+_STORED = 2**24
 _INT64_GUARD = 2**62
 # entries of one gathered block in a product, to bound its memory at m = 7
 _GATHER_LIMIT = 2**20
@@ -79,23 +86,19 @@ def _transposition_moves(m: int) -> tuple[np.ndarray, ...]:
 
 
 def in_eigenspaces(m: int, vecs: list[np.ndarray], contents: np.ndarray | tuple) -> np.ndarray:
-    """Per row, whether X_k·v = contents[r][k - 1]·v for v = vecs[r] and
-    k = 2..m; one content tuple may serve all rows.
+    """Per row, whether X_k·v = contents[r][k - 1]·v for v = vecs[r], a
+    stored vector, and k = 2..m; one content tuple may serve all rows.
 
     X_k is Hermitian, so v·X_k = c·v is the same identity as X_k·v† = c·v†:
     a caller checks a right side on the adjoint's vectors.  Each k is one
     gather of X_k's moves, summed over its transpositions, in row chunks
-    whose gathers hold at most ``_GATHER_LIMIT`` entries over all k.  A sum
-    of k - 1 entries, or a content times one, stays below m·T, T the largest
-    entry of the chunk; past the guard a chunk takes Python ints.
+    whose gathers hold at most ``_GATHER_LIMIT`` entries over all k.
     """
     contents = np.broadcast_to(np.asarray(contents, dtype=np.intp), (len(vecs), m))
     held = np.ones(len(vecs), dtype=bool)
     step = max(1, _GATHER_LIMIT // (m * m * factorial(m)))
     for lo in range(0, len(vecs), step):
         vs = np.stack(vecs[lo : lo + step])
-        if vs.dtype == np.int64 and not _fits(m, _abs_max(vs)):
-            (vs,) = _objects(vs)
         for k, moves in enumerate(_transposition_moves(m), start=2):
             # at row r: X_k·v against c·v, c the row's content of k
             c = contents[lo : lo + step, k - 1, None]
@@ -109,20 +112,21 @@ def cycle_count_vector(m: int) -> np.ndarray:
     return np.array([p.cycle_count() for p in all_permutations(m)], dtype=np.intp)
 
 
-# -- overflow guards -----------------------------------------------------------
+# -- storage -------------------------------------------------------------------
 
 
 def _abs_max(vec: np.ndarray) -> int:
-    return int(np.abs(vec).max()) if vec.size else 0
+    # max and min apart: np.abs wraps -2**63 to itself
+    return max(int(vec.max()), -int(vec.min())) if vec.size else 0
 
 
-def _fits(*bound: int) -> bool:
-    """Whether the product of the Python-int factors stays below the guard."""
-    return prod(bound) < _INT64_GUARD
-
-
-def _objects(*vecs: np.ndarray) -> tuple[np.ndarray, ...]:
-    return tuple(v.astype(object) for v in vecs)
+def _times(vec: np.ndarray, k: int) -> np.ndarray:
+    """Exact ``vec * k``: int64 while every entry stays below ``_INT64_GUARD``,
+    so that two such products add in int64 (a zero vector counts as 1, so
+    that k fits too), Python integers otherwise."""
+    if vec.dtype == np.int64 and max(_abs_max(vec), 1) * abs(k) >= _INT64_GUARD:
+        vec = vec.astype(object)
+    return vec * k
 
 
 def vector(values: list[int]) -> np.ndarray:
@@ -137,7 +141,7 @@ def reduce(denom: int, vec: np.ndarray) -> tuple[int, np.ndarray] | None:
     """Canonical form of ``vec / denom``, or None when it is zero.
 
     The denominator is positive and has no factor common to all entries,
-    and the vector is int64 exactly when all entries lie below the guard.
+    and the vector is int64 exactly when all entries lie below ``_STORED``.
     """
     g = int(np.gcd.reduce(vec)) if vec.size else 0
     if not g:
@@ -146,7 +150,7 @@ def reduce(denom: int, vec: np.ndarray) -> tuple[int, np.ndarray] | None:
     if g != 1:
         vec = vec // g
         denom //= g
-    return denom, vec.astype(np.int64 if _fits(_abs_max(vec)) else object, copy=False)
+    return denom, vec.astype(np.int64 if _abs_max(vec) < _STORED else object, copy=False)
 
 
 def _accumulate(acc: dict, d: int, denom: int, vec: np.ndarray) -> None:
@@ -155,13 +159,7 @@ def _accumulate(acc: dict, d: int, denom: int, vec: np.ndarray) -> None:
         return
     denom0, vec0 = acc[d]
     common = lcm(denom0, denom)
-    s0, s1 = common // denom0, common // denom
-    if vec0.dtype != vec.dtype or (
-        vec0.dtype == np.int64
-        and not _fits(2, max(_abs_max(vec0) * s0, _abs_max(vec) * s1))
-    ):
-        vec0, vec = _objects(vec0, vec)
-    acc[d] = (common, vec0 * s0 + vec * s1)
+    acc[d] = (common, _times(vec0, common // denom0) + _times(vec, common // denom))
 
 
 def canonical(acc: dict[int, tuple[int, np.ndarray]]) -> Parts:
@@ -196,11 +194,7 @@ def _product(m: int, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
     n = table.shape[0]
     nza, nzb = np.flatnonzero(va), np.flatnonzero(vb)
     terms = min(len(nza), len(nzb))
-    if va.dtype != np.int64 or vb.dtype != np.int64 or not _fits(
-        terms, _abs_max(va), _abs_max(vb)
-    ):
-        va, vb = _objects(va, vb)
-    out = np.zeros(n, dtype=va.dtype)
+    out = np.zeros(n, dtype=np.result_type(va, vb))
     step = max(1, _GATHER_LIMIT // n)
     for lo in range(0, terms, step):
         if len(nza) <= len(nzb):
@@ -220,12 +214,7 @@ def convolve(m: int, x: Parts, y: Parts) -> Parts:
     for da, (la, va) in x.items():
         for db, (lb, vb) in y.items():
             root, whole = squarefree_decompose(da * db)
-            vec = _product(m, va, vb)
-            if whole != 1:
-                if vec.dtype == np.int64 and not _fits(_abs_max(vec), whole):
-                    (vec,) = _objects(vec)
-                vec = vec * whole
-            _accumulate(acc, root, la * lb, vec)
+            _accumulate(acc, root, la * lb, _times(_product(m, va, vb), whole))
     return canonical(acc)
 
 

@@ -8,7 +8,9 @@ vector per squarefree radicand d, indexed by the lexicographic order of S_m:
 
 In canonical form every vector is nonzero, its denominator shares no factor
 with all of its entries, and it is int64 exactly when every entry lies below
-2**62 (Python integers otherwise), so equal elements have equal vectors.
+2**24 (Python integers otherwise), so equal elements have equal vectors.
+With m ≤ ``_MAX_DEGREE`` = 7 that bound keeps every sum of m! products of
+stored entries in int64; only ``scale`` checks, through ``_fast._times``.
 Coefficients, supports and term counts are views derived from the vectors.
 
 The product is the convolution induced by group multiplication (right factor
@@ -162,10 +164,8 @@ class AlgebraElement:
         for e, q in Surd._coerce(c).terms():
             for d, (denom, vec) in self._parts.items():
                 root, whole = squarefree_decompose(d * e)
-                factor = q.numerator * whole
-                if vec.dtype == np.int64 and not _fast._fits(_fast._abs_max(vec), abs(factor)):
-                    (vec,) = _fast._objects(vec)
-                _fast._accumulate(acc, root, denom * q.denominator, vec * factor)
+                scaled = _fast._times(vec, q.numerator * whole)
+                _fast._accumulate(acc, root, denom * q.denominator, scaled)
         return AlgebraElement._raw(self.m, _fast.canonical(acc))
 
     def __rmul__(self, c):  # scalar * element
@@ -274,8 +274,6 @@ def trace(a: AlgebraElement) -> PolyN:
     cycles = _fast.cycle_count_vector(a.m)
     poly = PolyN()
     for d, (denom, vec) in a._parts.items():
-        if not _fast._fits(len(vec), _fast._abs_max(vec)):
-            vec = vec.astype(object)
         sums = np.zeros(a.m + 1, dtype=vec.dtype)
         np.add.at(sums, cycles, vec)
         poly = poly + PolyN({k: Surd({d: Fraction(s, denom)}) for k, s in enumerate(sums.tolist())})
@@ -293,8 +291,6 @@ def _square_sum(a: AlgebraElement) -> Surd:
     total = Surd()
     for d, (p, v) in a._parts.items():
         for e, (q, w) in a._parts.items():
-            if not _fast._fits(len(v), _fast._abs_max(v), _fast._abs_max(w)):
-                v, w = _fast._objects(v, w)
             total = total + Surd({d * e: Fraction(int(v @ w), p * q)})
     return total
 

@@ -194,18 +194,6 @@ def _first_difference(expected: AlgebraElement, got: AlgebraElement) -> str:
     )
 
 
-def _certificate_dtype(m: int, parts: list[_fast.Parts]) -> type:
-    """int64 when the sums of ``_chains_hold`` stay below the guard,
-    Python integers otherwise.
-
-    With T the largest entry of ``parts``, the chain factors, and n = m!, a
-    row-wise sum reaches n·T²; the sums are added and the chain targets
-    formed in Python integers.
-    """
-    top = max(_fast._abs_max(vec) for p in parts for _, vec in p.values())
-    return np.int64 if _fast._fits(factorial(m), top, top) else object
-
-
 def _chains_hold(
     m: int, parts: list[_fast.Parts], chains: list[tuple[int, int, int]]
 ) -> list[bool]:
@@ -215,9 +203,10 @@ def _chains_hold(
 
     (a·c)[g] = Σ_h a[h]·c[h⁻¹g] is one row-wise sum of length m! per radicand
     pair √d·√e = r·√s, compared over the common denominator D of ``parts``:
-    D²·(a·c)[g] against D²·z[g].  Only the factors are stacked,
-    and the sums run in chunks whose index, gathered and factor blocks hold
-    at most ``_fast._GATHER_LIMIT`` entries together.
+    D²·(a·c)[g] against D²·z[g].  Only the factors are stacked, as stored,
+    so a row-wise sum cannot overflow (see ``_fast``); the sums run in
+    chunks whose index, gathered and factor blocks hold at most
+    ``_fast._GATHER_LIMIT`` entries together.
     """
     n = factorial(m)
     step = max(1, _fast._GATHER_LIMIT // (3 * n))
@@ -228,8 +217,7 @@ def _chains_hold(
         np.minimum.at(first, [z for z, _ in rows[lo : lo + step]], found)
     factors = sorted({x for a, c, _ in chains for x in (a, c)})
     row_of = {key: r for r, key in enumerate((x, d) for x in factors for d in parts[x])}
-    dtype = _certificate_dtype(m, [parts[x] for x in factors])
-    stacked = np.stack([parts[x][d][1] for x, d in row_of]).astype(dtype, copy=False)
+    stacked = np.stack([parts[x][d][1] for x, d in row_of])
     den = lcm(*(denom for p in parts for denom, _ in p.values()))
     radicands = {d for p in parts for d in p}
     landing = {(d, e): (s, r) for s, terms in _fast._landing(radicands).items() for d, e, r in terms}

@@ -582,6 +582,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 _CONFIG_KEY_MAP = {"from": "src", "to": "dst", "N": "n_dim"}
+# options that argparse reads as a string or a switch, but a config value bypasses
+_CONFIG_STRINGS = {"format", "out", "kind", "method"}
+_CONFIG_SWITCHES = {"rank"}
 
 
 def _scan_config_path(argv: list[str]) -> str | None:
@@ -597,10 +600,10 @@ def _scan_config_path(argv: list[str]) -> str | None:
 
 def _load_config(path: str, known_dests: set[str], int_dests: set[str]) -> dict[str, Any]:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"bad config JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise UsageError("config must be a JSON object")
@@ -609,7 +612,14 @@ def _load_config(path: str, known_dests: set[str], int_dests: set[str]) -> dict[
         dest = _CONFIG_KEY_MAP.get(key, str(key).replace("-", "_"))
         if dest not in known_dests:
             raise UsageError(f"unknown config key {key!r}")
-        out[dest] = _config_int(f"config key {key!r}", value) if dest in int_dests else value
+        what = f"config key {key!r}"
+        if dest in int_dests:
+            value = _config_int(what, value)
+        elif dest in _CONFIG_STRINGS and not isinstance(value, str):
+            raise UsageError(f"{what} must be a string, got {value!r}")
+        elif dest in _CONFIG_SWITCHES and not isinstance(value, bool):
+            raise UsageError(f"{what} must be true or false, got {value!r}")
+        out[dest] = value
     return out
 
 

@@ -89,35 +89,25 @@ class SymmetrizerSet:
         ) or "id"
 
 
-def _block_parity(block: tuple[int, ...], target: tuple[int, ...]) -> int:
-    """Sign of the permutation sending block[k] -> target[k]."""
-    pos = {v: i for i, v in enumerate(block)}
-    idx = [pos[v] for v in target]
-    inversions = sum(
-        1 for i in range(len(idx)) for j in range(i + 1, len(idx)) if idx[i] > idx[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 @cache
 def _set_element(s: SymmetrizerSet) -> AlgebraElement:
     m = s.degree
     # before enumerating the block permutations, which grow as m!
     _check_degree(m)
-    anti = s.kind == "anti"
     denom = prod(factorial(len(b)) for b in s.blocks)
     live = [b for b in s.blocks if len(b) > 1]
     index = _fast.permutation_index(m)
-    values = np.zeros(factorial(m), dtype=np.int64)
+    positions = []
     for choice in itertools.product(*(itertools.permutations(b) for b in live)):
         images = list(range(1, m + 1))
-        sgn = 1
         for b, target in zip(live, choice):
             for src, dst in zip(b, target):
                 images[src - 1] = dst
-            if anti:
-                sgn *= _block_parity(b, target)
-        values[index[tuple(images)]] = sgn
+        positions.append(index[tuple(images)])
+    # a permutation of m points with c cycles has sign (-1)^(m - c)
+    sign = 1 - 2 * ((m - _fast.cycle_count_vector(m)) % 2)
+    values = np.zeros(factorial(m), dtype=np.int64)
+    values[positions] = sign[positions] if s.kind == "anti" else 1
     return AlgebraElement._raw(m, _fast.canonical({1: (denom, values)}))
 
 

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from sunbasis import _fast
 from sunbasis.algebra import (
+    _MAX_DEGREE,
     AlgebraElement,
+    _translate,
     dagger,
     element_from_json,
     element_to_json,
@@ -264,9 +266,9 @@ def test_multiply_matches_oracle_with_surds(data):
     assert got == to_element(4, oracle_multiply(da, db))
 
 
-# -- int64 overflow guards at their boundaries ----------------------------------
+# -- the storage bound and ``_times`` at their boundaries -------------------------
 
-BOUNDARIES = (2**31, 2**61, 2**62, 2**70)
+BOUNDARIES = (2**24, 2**31, 2**61, 2**62, 2**63, 2**70)
 
 
 def dtypes(a: AlgebraElement) -> set:
@@ -306,6 +308,40 @@ def test_big_coefficients_match_oracle(data):
     assert trace(a) == PolyN(oracle_trace(da))
 
 
+def assert_stored(a: AlgebraElement) -> None:
+    # int64 exactly when every entry lies below the storage bound, else Python ints
+    for _, vec in a._parts.values():
+        top = max(abs(x) for x in vec.tolist())
+        assert vec.dtype == np.dtype(np.int64 if top < _fast._STORED else object)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_operation_stores_by_the_bound(data):
+    m = data.draw(st.integers(2, 4))
+    a, b = to_element(m, data.draw(big_elements(m))), to_element(m, data.draw(big_elements(m)))
+    p = Permutation(tuple(data.draw(st.permutations(list(range(1, m + 1))))))
+    factor = data.draw(big_integers() | st.fractions(max_denominator=2**30).filter(bool))
+    for result in (
+        a + b,
+        a - b,
+        -a,
+        a.scale(factor),
+        a.scale(Surd.sqrt(6) * factor),
+        multiply(a, b),
+        dagger(a),
+        a.embed(m + 1),
+        _translate(a, p, left=True),
+        _translate(a, p, left=False),
+        element_from_json(element_to_json(a)),
+    ):
+        assert_stored(result)
+
+
+def test_products_of_stored_entries_stay_in_int64():
+    # a sum of m! products of two stored entries, m up to the degree cap,
+    # must stay below 2**62 so that two such sums still add in int64
+    assert math.factorial(_MAX_DEGREE) * _fast._STORED**2 < 2**62
 def test_scalars_on_the_left_defer_to_the_element():
     p, q = Permutation.identity(3), Permutation.transposition(3, 1, 2)
     a = AlgebraElement(3, {p: 1, q: Surd.sqrt(3)})
@@ -318,40 +354,85 @@ def test_scalars_on_the_left_defer_to_the_element():
         PolyN.constant(2) * a
 
 
-def test_vectors_promote_exactly_at_the_guard():
+def _times_dtypes(monkeypatch, build):
+    """The value ``build`` returns, and the dtypes of every ``_fast._times`` product on the way."""
+    dtypes_seen = set()
+    times = _fast._times
+
+    def spy(vec, k):
+        out = times(vec, k)
+        dtypes_seen.add(out.dtype)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_fast, "_times", spy)
+        return build(), dtypes_seen
+
+
+def test_vectors_promote_exactly_at_the_guard(monkeypatch):
     p, q = Permutation.identity(3), Permutation.transposition(3, 1, 2)
-    below = AlgebraElement(3, {p: 2**62 - 1})
-    at = AlgebraElement(3, {p: 2**62})
-    assert dtypes(below) == {np.dtype(np.int64)}
-    assert dtypes(at) == {np.dtype(object)}
-    # a sum reaching 2**62 promotes, and its value is exact
-    half = AlgebraElement(3, {p: 2**61, q: 1})
-    doubled = half + half
-    assert dtypes(doubled) == {np.dtype(object)}
-    assert doubled.coefficient(p) == Surd.rational(2**62)
-    # a product whose terms pass 2**62 promotes
-    x = AlgebraElement(3, {p: 2**31, q: 2**31})
-    square = multiply(x, x)
-    assert dtypes(square) == {np.dtype(object)}
-    assert square == AlgebraElement(3, {p: 2**63, q: 2**63})
-    # a sum over a common denominator passes the guard
-    third = AlgebraElement(3, {p: Fraction(2**61, 3)})
-    fifth = AlgebraElement(3, {p: Fraction(1, 5)})
-    assert dtypes(third + fifth) == {np.dtype(object)}
-    assert (third + fifth).coefficient(p) == Surd.rational(Fraction(5 * 2**61 + 3, 15))
-    # an int64 product whose radicands fold a square factor into it promotes
-    r = AlgebraElement(3, {p: Surd({6: Fraction(2**31)})})
-    s = AlgebraElement(3, {p: Surd({6: Fraction(2**30)})})
-    assert multiply(r, s) == AlgebraElement(3, {p: 6 * 2**61})
-    assert dtypes(multiply(r, s)) == {np.dtype(object)}
-    # scaling past the guard promotes
-    assert dtypes(x.scale(2**40)) == {np.dtype(object)}
-    assert x.scale(2**40).coefficient(q) == Surd.rational(2**71)
-    # the trace sums six transpositions of weight 2**61 exactly
+    int64, obj = np.dtype(np.int64), np.dtype(object)
+    # storage: int64 exactly below 2**24
+    assert dtypes(AlgebraElement(3, {p: _fast._STORED - 1})) == {int64}
+    assert dtypes(AlgebraElement(3, {p: _fast._STORED})) == {obj}
+    assert dtypes(AlgebraElement(3, {p: -(_fast._STORED - 1), q: 1})) == {int64}
+    # -2**63 fits int64, but its absolute value does not
+    low = AlgebraElement(3, {p: -(2**63)})
+    assert dtypes(low) == {obj}
+    assert (-low).coefficient(p) == Surd.rational(2**63)
+    assert (low + low).coefficient(p) == Surd.rational(-(2**64))
+    # a sum reaching the bound is stored as Python ints, exactly
+    half = AlgebraElement(3, {p: 2**23, q: 1})
+    assert dtypes(half + half) == {obj}
+    assert (half + half).coefficient(p) == Surd.rational(2**24)
+    # a product of stored entries sums in int64 and stores past the bound
+    x = AlgebraElement(3, {p: 2**23, q: 2**23})
+    assert multiply(x, x) == AlgebraElement(3, {p: 2**47, q: 2**47})
+    assert dtypes(multiply(x, x)) == {obj}
+    # ``_times`` keeps int64 below 2**62, a zero vector counting as 1, and
+    # takes Python ints at it
+    v = np.array([2**22, -1], dtype=np.int64)
+    assert _fast._times(v, 2**40 - 1).dtype == int64
+    assert _fast._times(v, 2**40).dtype == obj
+    assert _fast._times(v, -(2**40)).tolist() == [-(2**62), 2**40]
+    assert _fast._times(np.zeros(2, dtype=np.int64), 2**62).dtype == obj
+    cases = {
+        # a scalar of 2**40 - 1 or 2**40 times entries of 2**22
+        "scale": lambda k: (
+            AlgebraElement(3, {p: 2**22, q: 1}).scale(k),
+            AlgebraElement(3, {p: 2**22 * k, q: k}),
+        ),
+        # a common denominator whose cofactor takes 2**22 to 2**62
+        "common denominator": lambda k: (
+            AlgebraElement(3, {p: Fraction(2**22, 3)}) + AlgebraElement(3, {p: Fraction(1, k)}),
+            AlgebraElement(3, {p: Fraction(2**22 * k + 3, 3 * k)}),
+        ),
+        # √r·√r = r folds the prime radicand r into the product 2**22·2**18·r
+        "radicand fold": lambda r: (
+            multiply(
+                AlgebraElement(3, {p: Surd({r: Fraction(2**22)})}),
+                AlgebraElement(3, {p: Surd({r: Fraction(2**18)})}),
+            ),
+            AlgebraElement(3, {p: 2**40 * r}),
+        ),
+    }
+    sides = {
+        "scale": (2**40 - 1, 2**40),
+        "common denominator": (2**40 - 3, 2**40 + 1),
+        # the primes next to 2**22 on either side
+        "radicand fold": (4194301, 4194319),
+    }
+    for name, build in cases.items():
+        for k, dtype in zip(sides[name], (int64, obj)):
+            (got, want), seen = _times_dtypes(monkeypatch, lambda: build(k))
+            assert got == want, name
+            assert max(seen, key=lambda d: d == obj) == dtype, name
+    # the trace sums six transpositions in the vectors' dtype, exactly
     transpositions = [t for t in all_permutations(4) if t.cycle_count() == 3]
-    y = AlgebraElement(4, {t: 2**61 for t in transpositions})
-    assert dtypes(y) == {np.dtype(np.int64)}
-    assert trace(y) == PolyN({3: 6 * 2**61})
+    for weight, dtype in ((_fast._STORED - 1, int64), (2**61, obj)):
+        y = AlgebraElement(4, {t: weight for t in transpositions})
+        assert dtypes(y) == {dtype}
+        assert trace(y) == PolyN({3: 6 * weight})
 
 
 def test_equal_values_have_one_canonical_form():

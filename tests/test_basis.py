@@ -744,13 +744,17 @@ def test_adjoint_vectors_carry_the_right_eigen_identities(m):
 
 
 def test_eigen_checks_take_python_ints_past_the_guard():
-    # X_5·v = 4·v for the constant v = t·1; at t = 2**62, 4·t wraps to 0 in
-    # int64, so only exact sums tell it from a content of 0 at k = 5
-    for t, past_guard in ((2**62, True), ((2**62 - 1) // 5, False)):
-        assert _fast._fits(5, t) is not past_guard
-        v = np.full(120, t, dtype=np.int64)
+    # X_5·v = 4·v for the constant element v = t·Σ_g g, stored as int64 at
+    # t = 2**24 - 1 and as Python ints at t = 2**24; one call stacks both
+    vecs = []
+    for t, dtype in ((_fast._STORED - 1, np.int64), (_fast._STORED, object)):
+        ((_, v),) = AlgebraElement(5, {g: t for g in all_permutations(5)})._parts.values()
+        assert v.dtype == np.dtype(dtype) and v.tolist() == [t] * 120
         assert _fast.in_eigenspaces(5, [v], (0, 1, 2, 3, 4)).tolist() == [True]
         assert _fast.in_eigenspaces(5, [v], (0, 1, 2, 3, 0)).tolist() == [False]
+        vecs.append(v)
+    contents = [(0, 1, 2, 3, 0), (0, 1, 2, 3, 4)]
+    assert _fast.in_eigenspaces(5, vecs, contents).tolist() == [False, True]
 
 
 @st.composite
@@ -1303,25 +1307,36 @@ def test_basis_from_json_rejects_grids_the_suites_cannot_read():
         basis_from_json(data)
 
 
-def _certificate_dtype(b: BasisMatrix):
-    return basis_module._certificate_dtype(b.m, [op._parts for _, op in b.flat()])
+class _StackSpy:
+    """numpy as ``basis`` reads it, with the dtype of every ``stack`` recorded."""
+
+    def __init__(self):
+        self.dtypes = set()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def stack(self, arrays):
+        out = np.stack(arrays)
+        self.dtypes.add(out.dtype)
+        return out
 
 
 def _assert_certificate_dtype_follows_its_bound(monkeypatch):
     # s·O_01 and s·O_10 keep O_ST† = O_TS and every operator on its
     # Jucys–Murphy line, but O_01·O_10 = s²·O_00: only the chain products
-    # leave the (2,1) block unproved.  s·O_01 holds the largest stored entry
-    # T = s·t: the largest such s with n·T² below 2**62 keeps the chain sums
-    # in int64 and the next one does not
+    # leave the (2,1) block unproved.  The largest such s that keeps the
+    # stored entries below 2**24 stacks int64 vectors in the verdict, and
+    # the next one stores, and stacks, Python ints
     b = assemble(3, "hermitian")
     assert not _unproved(b)
     ops = b.blocks[1].operators
-    ((denom, vec),) = ops[0][1]._parts.values()
-    n, t = 6, int(abs(vec).max())
-    # scales near the bound with no factor to cancel against the denominator
-    near = math.isqrt((2**62 - 1) // (n * t * t))
-    ks = [k for k in range(near - 10, near + 10) if math.gcd(k, denom) == 1]
-    below = max(k for k in ks if n * (k * t) ** 2 < 2**62)
+    parts = [part for op in (ops[0][1], ops[1][0]) for part in op._parts.values()]
+    t = max(int(abs(vec).max()) for _, vec in parts)
+    # scales near the bound with no factor to cancel against a denominator
+    near = (_fast._STORED - 1) // t
+    ks = [k for k in range(near - 10, near + 10) if all(math.gcd(k, q) == 1 for q, _ in parts)]
+    below = max(k for k in ks if k * t < _fast._STORED)
     above = min(k for k in ks if k > below)
     eigen_checks = []
     check = _fast.in_eigenspaces
@@ -1335,10 +1350,15 @@ def _assert_certificate_dtype_follows_its_bound(monkeypatch):
         bad = _scaled(b, 1, [(0, 1), (1, 0)], k)
         top = max(int(abs(v).max()) for _, op in bad.flat() for _, v in op._parts.values())
         assert top == k * t
-        assert (n * top * top < 2**62) is (dtype is np.int64)
-        assert _certificate_dtype(bad) is dtype
+        assert (top < _fast._STORED) is (dtype is np.int64)
+        numpy = _StackSpy()
         eigen_checks.clear()
-        assert basis_module._judge(bad)[0].all()
+        with monkeypatch.context() as patch:
+            patch.setattr(basis_module, "np", numpy)
+            assert basis_module._judge(bad)[0].all()
+        # the int64 side stacks only int64, the other side Python ints too
+        assert (numpy.dtypes == {np.dtype(np.int64)}) is (dtype is np.int64)
+        assert np.dtype(dtype) in numpy.dtypes
         assert _unproved(bad) == {1}
         # one eigen-check of the stored vectors: every transpose is an adjoint
         assert [mask.all() for mask in eigen_checks] == [True]
@@ -1377,5 +1397,7 @@ def test_certificate_keeps_int64_when_only_the_denominator_crosses():
         )
         _, den, top, _ = _stack_bounds(scaled)
         assert (den * top >= 2**62) is (scale != 1)
-        assert _certificate_dtype(scaled) is np.int64
+        assert {v.dtype for _, op in scaled.flat() for _, v in op._parts.values()} == {
+            np.dtype(np.int64)
+        }
         assert basis_module._judge(scaled)[1].tolist() == [scale == 1] * 6

@@ -458,16 +458,39 @@ def test_config_maps_from_to_and_N(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    ["[1, 2]", '{"nonsense": 1}', "not json"],
+    ["[1, 2]", '{"nonsense": 1}', "not json", b"\xff\xfe{}"],
 )
 def test_config_rejects_bad_content(tmp_path, content):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(content)
-    rc, _, _ = run(["dims", "--m", "3", "--config", str(cfg)])
+    cfg.write_bytes(content if isinstance(content, bytes) else content.encode())
+    rc, out, err = run(["dims", "--m", "3", "--config", str(cfg)])
     assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 _IDENTITY_M2 = {"m": 2, "terms": [{"perm": [1, 2], "coeff": [[1, "1/1"]]}]}
+
+
+@pytest.mark.parametrize(
+    "args,config,key,want",
+    [
+        (["tableaux", "--m", "3"], {"out": 5}, "out", "a string"),
+        (["verify", "--m", "3"], {"kind": ["young"]}, "kind", "a string"),
+        (["projector", "--m", "3", "--tableau", "1"], {"kind": ["young"]}, "kind", "a string"),
+        (["dims", "--m", "3"], {"format": None}, "format", "a string"),
+        (["transition", "--m", "3", "--from", "2", "--to", "3"], {"method": 1}, "method", "a string"),
+        (["represent"], {"N": 2, "op": _IDENTITY_M2, "rank": "no"}, "rank", "true or false"),
+        (["represent"], {"N": 2, "op": _IDENTITY_M2, "rank": 1}, "rank", "true or false"),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(tmp_path, args, config, key, want):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc, out, err = run([*args, "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: config key {key!r} must be {want}, got {config[key]!r}\n"
 
 
 @pytest.mark.parametrize(

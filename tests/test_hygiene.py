@@ -1,5 +1,6 @@
-"""Source hygiene that no installed linter checks: every import is used, and
-every private function and class and every module-level name is read."""
+"""Source hygiene that no installed linter checks: every import is used,
+every private function and class and every module-level name is read, and
+only the integer kernel decides a vector's dtype."""
 
 import ast
 from pathlib import Path
@@ -114,3 +115,20 @@ def test_every_module_level_name_is_read():
         if name != "__all__" and not any(name in r for j, r in enumerate(reads) if j != k)
     ]
     assert not unread, f"assigned but never read: {', '.join(unread)}"
+
+
+# ``_fast`` alone decides when a vector is int64: the storage bound and the
+# ``_times`` guard are read nowhere else, and no other module converts a dtype
+_DTYPE_DECISIONS = {"astype", "_STORED", "_INT64_GUARD"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "_fast.py"], ids=lambda p: p.name)
+def test_only_the_kernel_decides_dtypes(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for node in ast.walk(tree)
+        for name in [getattr(node, "id", None) or getattr(node, "attr", None)]
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in _DTYPE_DECISIONS
+    ]
+    assert not found, f"dtype decided outside _fast: {', '.join(found)}"

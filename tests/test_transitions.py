@@ -1,9 +1,11 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sunbasis import _fast
 from sunbasis.algebra import AlgebraElement, dagger, multiply, proportionality
 from sunbasis.coefficients import Surd
 from sunbasis.permutations import Permutation
@@ -342,18 +344,23 @@ def test_normalize_is_exact_beyond_int64(scale):
 
 
 def test_normalize_sums_entries_near_the_int64_guard():
-    # entries in [2**62 / m, 2**62) are stored as int64, but their eigen-sums are not
+    # entries just below 2**24 are stored as int64 and those at or past it as
+    # Python ints; either way the eigen-sums and the dot products are exact
     theta, phi = T((1, 2, 4), (3, 5)), T((1, 3, 5), (2, 4))
     op = unitary_transition_compact(theta, phi)
-
-    def top(a):
-        return max(int(abs(v).max()) for _, v in a._parts.values())
-
-    k = next(k for k in range(100) if top(op.element.scale(2**k)) >= 2**62 // 5)
-    scaled = op.element.scale(2**k)
-    assert top(scaled) < 2**62
-    assert all(v.dtype == np.int64 for _, v in scaled._parts.values())
-    assert _normalize(scaled, theta, phi) == (op.element, Fraction(1, 4**k))
+    parts = list(op.element._parts.values())
+    t = max(int(abs(vec).max()) for _, vec in parts)
+    # scales near the bound with no factor to cancel against a denominator
+    near = (_fast._STORED - 1) // t
+    ks = [k for k in range(near - 10, near + 10) if all(math.gcd(k, q) == 1 for q, _ in parts)]
+    below = max(k for k in ks if k * t < _fast._STORED)
+    above = min(k for k in ks if k > below)
+    for k, dtype in ((below, np.int64), (above, object)):
+        scaled = op.element.scale(k)
+        assert max(int(abs(v).max()) for _, v in scaled._parts.values()) == k * t
+        stored = {v.dtype for _, v in scaled._parts.values()}
+        assert (np.dtype(object) in stored) is (dtype is object)
+        assert _normalize(scaled, theta, phi) == (op.element, Fraction(1, k * k))
 
 
 # -- shared surface -----------------------------------------------------------
