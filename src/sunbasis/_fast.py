@@ -6,17 +6,19 @@ radicand, indexed by the lexicographic order of S_m:
     element  =  sum over radicands d of  sqrt(d)/denom_d * vector_d
 
 This module holds what that form needs beyond plain numpy: the position of
-each permutation, the composition and inverse tables, the cycle counts, the
-exact sum and product of two such forms, and the Jucys–Murphy eigen-check
-``in_eigenspaces``.  Every result is in canonical form (see ``reduce``), so
-equal elements have equal vectors.
+each permutation, the composition and inverse tables, the right moves of
+the transpositions, the cycle counts, the exact sum and product of two such
+forms, the product by a symmetrizer set ``times_set``, and the
+Jucys–Murphy eigen-check ``in_eigenspaces``.  Every result is in canonical
+form (see ``reduce``), so equal elements have equal vectors.
 
 A stored vector is int64 exactly when every entry lies below ``_STORED`` =
 2**24, and an array of Python integers (dtype object) otherwise.  As m ≤ 7
 and 7! < 2**13, a sum of m! products of two stored entries stays below
-2**61, so the product, the eigen-check, the trace and the dot products run
-in their operands' dtype and check nothing.  The one other check is
-``_times``, the product of a vector with an unbounded integer.
+2**61, and a set product multiplies an entry by at most m!, so the
+products, the eigen-check, the trace and the dot products run in their
+operands' dtype and check nothing.  The one other check is ``_times``, the
+product of a vector with an unbounded integer.
 """
 
 from __future__ import annotations
@@ -72,38 +74,65 @@ def inverse_table(m: int) -> np.ndarray:
 
 
 @cache
-def _transposition_moves(m: int) -> tuple[np.ndarray, ...]:
-    """Index arrays of the Jucys–Murphy elements X_k = Σ_{i<k} (i k), k = 2..m.
-
-    Entry k - 2 has shape (k - 1, m!): ``[i - 1, q]`` is the index of t·p_q
-    for t = (i k), so that (t·a)[q] = a[moves[i - 1, q]].
-    """
-    table, index = composition_table(m), permutation_index(m)
-    return tuple(
-        table[[index[Permutation.transposition(m, i, k).images] for i in range(1, k)]]
-        for k in range(2, m + 1)
-    )
+def _moves(m: int) -> np.ndarray:
+    """Right transposition moves: ``[i - 1, j - 1, q]`` is the index of
+    p_q·(i j), so that (a·(i j))[q] = a[moves[i - 1, j - 1, q]], for i ≠ j;
+    the diagonal holds the identity's.  These are the composition table's
+    columns of the transpositions, in native indices for fast gathers."""
+    index, points = permutation_index(m), range(1, m + 1)
+    # the identity is position 0
+    columns = [
+        [index[Permutation.transposition(m, i, j).images] if i != j else 0 for j in points]
+        for i in points
+    ]
+    return composition_table(m)[:, columns].transpose(1, 2, 0).astype(np.intp)
 
 
 def in_eigenspaces(m: int, vecs: list[np.ndarray], contents: np.ndarray | tuple) -> np.ndarray:
-    """Per row, whether X_k·v = contents[r][k - 1]·v for v = vecs[r], a
-    stored vector, and k = 2..m; one content tuple may serve all rows.
+    """Per row, whether v·X_k = contents[r][k - 1]·v for v = vecs[r], a
+    stored vector, X_k = Σ_{i<k} (i k) and k = 2..m; one content tuple may
+    serve all rows.
 
-    X_k is Hermitian, so v·X_k = c·v is the same identity as X_k·v† = c·v†:
-    a caller checks a right side on the adjoint's vectors.  Each k is one
-    gather of X_k's moves, summed over its transpositions, in row chunks
-    whose gathers hold at most ``_GATHER_LIMIT`` entries over all k.
+    X_k is Hermitian, so X_k·v = c·v is the same identity as v†·X_k = c·v†:
+    a caller checks a left side on the adjoint's vectors.  Each k is one
+    gather of its right moves, summed over its transpositions, in row
+    chunks whose gathers hold at most ``_GATHER_LIMIT`` entries over all k.
     """
     contents = np.broadcast_to(np.asarray(contents, dtype=np.intp), (len(vecs), m))
+    moves = _moves(m)
     held = np.ones(len(vecs), dtype=bool)
     step = max(1, _GATHER_LIMIT // (m * m * factorial(m)))
     for lo in range(0, len(vecs), step):
         vs = np.stack(vecs[lo : lo + step])
-        for k, moves in enumerate(_transposition_moves(m), start=2):
-            # at row r: X_k·v against c·v, c the row's content of k
+        for k in range(2, m + 1):
+            # at row r: v·X_k against c·v, c the row's content of k
             c = contents[lo : lo + step, k - 1, None]
-            held[lo : lo + step] &= (np.take(vs, moves, axis=1).sum(axis=1) == c * vs).all(axis=1)
+            total = np.take(vs, moves[: k - 1, k - 1], axis=1).sum(axis=1)
+            held[lo : lo + step] &= (total == c * vs).all(axis=1)
     return held
+
+
+def times_set(m: int, parts: Parts, blocks: tuple[tuple[int, ...], ...], anti: bool) -> Parts:
+    """Exact product of an element's vectors by the normalized (anti)symmetrizer
+    over disjoint ``blocks``, which acts first: the set is the right factor.
+
+    Jucys: over a block b_1 < … < b_k, with X_j = Σ_{i<j} (b_i b_j), the sum
+    of the block's permutations is Π_{j=2..k} (1 + X_j), and their signed sum
+    Π_{j=2..k} (1 − X_j).  So each factor is one right gather per
+    transposition, and the denominator takes Π_B |B|!.  A stored entry grows
+    by at most that factor, m! < 2**13, before ``reduce``.
+    """
+    moves = _moves(m)
+    sign = -1 if anti else 1
+    acc = {}
+    for d, (denom, vec) in parts.items():
+        for b in blocks:
+            for j in range(1, len(b)):
+                lower = [x - 1 for x in b[:j]]
+                vec = vec + sign * np.take(vec, moves[lower, b[j] - 1]).sum(axis=0)
+            denom *= factorial(len(b))
+        acc[d] = (denom, vec)
+    return canonical(acc)
 
 
 @cache

@@ -291,15 +291,16 @@ def _verdict(key: _Identity) -> tuple[np.ndarray, np.ndarray]:
         same = (np.take(np.stack(vs), inverse, axis=1) == np.stack(ws)).all(axis=1)
         adjoint[np.array(xs)[~same]] = False
     adjoint &= adjoint[flip]
-    # the left eigen rows of every operator; those of O_TS are O_ST's right side
+    # the right eigen rows of every operator; those of O_TS are O_ST's left side
     owner = np.array([x for x, p in enumerate(parts) for _ in p], dtype=np.intp)
-    left = np.array([bool(p) for p in parts], dtype=bool)
-    # a row tableau's contents serve the block.size labels of its row
-    sizes = [block.size for block in b.blocks for _ in block.tableaux]
+    right = np.array([bool(p) for p in parts], dtype=bool)
+    # each label takes its column tableau's contents
+    start = np.cumsum([0] + [block.size for block in b.blocks])
+    column = np.array([start[blk] + j for blk, _, j in labels], dtype=np.intp)
     content = np.array([_contents(t) for t in tableaux], dtype=np.intp).reshape(-1, b.m)
     vecs = [vec for p in parts for _, vec in p.values()]
-    left[owner[~_fast.in_eigenspaces(b.m, vecs, np.repeat(content, sizes, axis=0)[owner])]] = False
-    on = left & left[flip]
+    right[owner[~_fast.in_eigenspaces(b.m, vecs, content[column[owner]])]] = False
+    on = right & right[flip]
     for x in np.flatnonzero(~adjoint).tolist():
         blk, i, j = labels[x]
         on[x] = _in_line(b.operator(labels[x]), b.blocks[blk].tableaux[i], b.blocks[blk].tableaux[j])
@@ -331,9 +332,9 @@ def _judge(b: BasisMatrix) -> tuple[np.ndarray, np.ndarray]:
     (O_S1·O_1T)[g] = O_ST[g] and (O_1T·O_T1)[g] = O_11[g], g the first
     permutation where the right-hand side is nonzero (``_chains_hold``).
 
-    The left sides are one ``_fast.in_eigenspaces`` mask over the stored
-    vectors.  The X_k are Hermitian, so where O_ST† = O_TS the left side of
-    O_TS is the right side of O_ST; any other operator runs
+    The right sides are one ``_fast.in_eigenspaces`` mask over the stored
+    vectors.  The X_k are Hermitian, so where O_ST† = O_TS the right side of
+    O_TS is the left side of O_ST; any other operator runs
     ``projectors._in_line``.  Only blocks that pass (a) run their chains.
 
     Proof.  The X_k generate the commutative algebra of the primitive

@@ -13,40 +13,27 @@ S_m group algebra:
   nearest *ordered* ancestor and sandwiches the tableau's symmetrizer pair
   between alternating ancestor sets.  Equal to the staircase operator.
 
+Every construction multiplies by symmetrizer sets one at a time through
+``_times_sets``, Jucys' factorisation of each set into transposition moves
+(``_fast.times_set``); a set's own element is the identity times the set.
 A projector is the transition from its tableau to itself: ``_mold_bar``
 cuts two mold sequences at a full antisymmetrizer set and glues them across
 the relabelling, and it forms the bare product of ``hermitian_mold`` and of
 every compact transition.  ``_normalize`` scales every Hermitian operator,
 both Hermitian projectors and the unitary transitions, by one rule: a
 Jucys–Murphy eigen-check and E_θ[e] = 1/H_λ.
-
-``cancel_simplify`` evaluates sandwich products of the form
-(row set) * M * (column set) that are guaranteed to collapse to a scalar
-multiple of the tableau's Young projector, and returns that scalar.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import factorial
 from typing import Literal
 
-import numpy as np
-
 from . import _fast
-from .algebra import (
-    AlgebraElement,
-    _check_degree,
-    _square_sum,
-    _translate,
-    dagger,
-    multiply,
-    proportionality,
-    trace,
-)
+from .algebra import AlgebraElement, _square_sum, _translate, dagger, trace
 from .coefficients import PolyN, Surd
 from .tableaux import YoungDiagram, YoungTableau, _contents, tableau_permutation
 
@@ -80,7 +67,7 @@ class SymmetrizerSet:
                 seen.add(x)
 
     def element(self) -> AlgebraElement:
-        return _set_element(self)
+        return _times_sets(AlgebraElement.identity(self.degree), [self])
 
     def __str__(self) -> str:
         tag = "S" if self.kind == "sym" else "A"
@@ -89,26 +76,11 @@ class SymmetrizerSet:
         ) or "id"
 
 
-@cache
-def _set_element(s: SymmetrizerSet) -> AlgebraElement:
-    m = s.degree
-    # before enumerating the block permutations, which grow as m!
-    _check_degree(m)
-    denom = prod(factorial(len(b)) for b in s.blocks)
-    live = [b for b in s.blocks if len(b) > 1]
-    index = _fast.permutation_index(m)
-    positions = []
-    for choice in itertools.product(*(itertools.permutations(b) for b in live)):
-        images = list(range(1, m + 1))
-        for b, target in zip(live, choice):
-            for src, dst in zip(b, target):
-                images[src - 1] = dst
-        positions.append(index[tuple(images)])
-    # a permutation of m points with c cycles has sign (-1)^(m - c)
-    sign = 1 - 2 * ((m - _fast.cycle_count_vector(m)) % 2)
-    values = np.zeros(factorial(m), dtype=np.int64)
-    values[positions] = sign[positions] if s.kind == "anti" else 1
-    return AlgebraElement._raw(m, _fast.canonical({1: (denom, values)}))
+def _times_sets(a: AlgebraElement, sets: list[SymmetrizerSet]) -> AlgebraElement:
+    """``a`` times the sets, left to right, without forming a set's vector."""
+    for s in sets:
+        a = AlgebraElement._raw(a.m, _fast.times_set(a.m, a._parts, s.blocks, s.kind == "anti"))
+    return a
 
 
 def symmetrizer(
@@ -143,14 +115,15 @@ def _in_line(a: AlgebraElement, theta: YoungTableau, phi: YoungTableau) -> bool:
     """Whether ``a`` is nonzero and X_k·a = c_θ(k)·a, a·X_k = c_φ(k)·a for
     k = 2..m, which puts it on the line E_θ·A·E_φ (see ``_normalize``).
 
-    One ``_fast.in_eigenspaces`` call checks a's vectors with θ's contents and
-    a†'s with φ's; X_k is Hermitian, so the second is the right side.
+    One ``_fast.in_eigenspaces`` call checks the right sides of a's vectors
+    with φ's contents and of a†'s with θ's; X_k is Hermitian, so the second
+    is a's left side.
     """
     if a.is_zero():
         return False
     vecs = [vec for _, vec in a._parts.values()]
     adjoint = [vec for _, vec in dagger(a)._parts.values()]
-    contents = [_contents(theta)] * len(vecs) + [_contents(phi)] * len(adjoint)
+    contents = [_contents(phi)] * len(vecs) + [_contents(theta)] * len(adjoint)
     return bool(_fast.in_eigenspaces(a.m, vecs + adjoint, contents).all())
 
 
@@ -165,8 +138,9 @@ def _normalize(
 
     Proof.  Content vectors separate standard tableaux, so X_k·a = c_θ(k)·a
     for k = 2..m puts a in E_θ·A, E_θ the Jucys–Murphy idempotent of θ
-    (Okounkov–Vershik).  ``_in_line`` checks that and the right side
-    bar·X_k = c_φ(k)·bar, so bar lies in E_θ·A·E_φ.  Then
+    (Okounkov–Vershik).  ``_in_line`` checks that left side, as the right
+    side of bar†, and the right side bar·X_k = c_φ(k)·bar, so bar lies in
+    E_θ·A·E_φ.  Then
     bar·bar† lies in E_θ·A·E_θ, the line of E_θ: bar·bar† = λ·E_θ.  As
     E_θ[e] = f_λ/m! = 1/H_λ, H_λ the hook product, λ = H_λ·Σ_g bar[g]², one
     dot product per radicand pair, and τ² = 1/λ.  A Hermitian bar c·E_θ is
@@ -199,45 +173,8 @@ def alpha_formula(t: YoungTableau) -> Fraction:
 def young_projector(t: YoungTableau) -> Projector:
     """Rows symmetrized, then columns antisymmetrized, scaled by ``alpha_formula``."""
     alpha = Surd.rational(alpha_formula(t))
-    bar = multiply(rows_of(t).element(), columns_of(t).element())
+    bar = _times_sets(AlgebraElement.identity(t.n), [rows_of(t), columns_of(t)])
     return Projector(t, "young", bar.scale(alpha), alpha)
-
-
-def cancel_simplify(
-    s: SymmetrizerSet, mid: AlgebraElement, a: SymmetrizerSet
-) -> tuple[Surd, YoungTableau]:
-    """Collapse s * mid * a to a scalar multiple of a Young projector.
-
-    ``s`` must be the full row set and ``a`` the full column set of one
-    standard tableau (possibly embedded in a larger degree); the product is
-    then guaranteed to be proportional to that tableau's Young projector.
-    Returns (scalar, tableau); scalar 0 when the product vanishes.
-    """
-    if s.kind != "sym" or a.kind != "anti":
-        raise ValueError("need a symmetrizer set and an antisymmetrizer set")
-    if not (s.degree == mid.m == a.degree):
-        raise ValueError("degree mismatch between sets and middle element")
-    t = _tableau_from_sets(s, a)
-    prod = multiply(multiply(s.element(), mid), a.element())
-    if prod.is_zero():
-        return Surd(), t
-    y = young_projector(t).element.embed(s.degree)
-    lam = proportionality(prod, y)
-    if lam is None:
-        raise ValueError("product is not proportional to the Young projector")
-    return lam, t
-
-
-def _tableau_from_sets(s: SymmetrizerSet, a: SymmetrizerSet) -> YoungTableau:
-    n = sum(len(b) for b in s.blocks)
-    covered = {x for b in s.blocks for x in b}
-    if covered != set(range(1, n + 1)):
-        raise ValueError("row blocks must cover 1..n exactly")
-    rows = sorted(s.blocks, key=lambda b: (-len(b), b[0]))
-    t = YoungTableau(tuple(rows))  # validates standardness
-    if set(a.blocks) != set(t.columns()):
-        raise ValueError("column set does not match the row set's tableau")
-    return t
 
 
 @cache
@@ -251,18 +188,8 @@ def hermitian_staircase(t: YoungTableau) -> Projector:
     ancestors = [t.ancestor(k) for k in range(max(n - 2, 0), 0, -1)]
     pairs = [(rows_of(a, n), columns_of(a, n)) for a in ancestors]
     sets = [s for pair in pairs + [(rows_of(t), columns_of(t))] + pairs[::-1] for s in pair]
-    element, tau_squared = _normalize(_product(n, [s.element() for s in sets]), t, t)
+    element, tau_squared = _normalize(_times_sets(AlgebraElement.identity(n), sets), t, t)
     return Projector(t, "staircase", element, Surd.sqrt(tau_squared))
-
-
-def _product(n: int, factors: list[AlgebraElement]) -> AlgebraElement:
-    """The product of the factors, left to right; the identity of S_n if none."""
-    if not factors:
-        return AlgebraElement.identity(n)
-    p = factors[0]
-    for f in factors[1:]:
-        p = multiply(p, f)
-    return p
 
 
 @cache
@@ -308,28 +235,30 @@ def _mold_prefix(t: YoungTableau) -> AlgebraElement:
     """The product of ``t``'s mold factors through its first full antisymmetrizer set."""
     factors = mold_factors(t)
     cut = _level0_anti_indices(factors)[0]
-    return _product(t.n, [f.element() for f, _ in factors[: cut + 1]])
+    return _times_sets(AlgebraElement.identity(t.n), [f for f, _ in factors[: cut + 1]])
 
 
 def _mold_bar(theta: YoungTableau, phi: YoungTableau) -> AlgebraElement:
     """The bare mold product from ``phi``'s image onto ``theta``'s: θ's prefix
     through its cut antisymmetrizer set, ρ = ``tableau_permutation(θ, φ)``,
-    then φ's factors after its cut, one sparse set at a time.
+    then φ's sets after its cut, one set product at a time.
 
     θ is cut at its first full antisymmetrizer set, φ at its first when both
     sequences hold two (both cuts on one side) and at its last otherwise.
-    As the cut sets match across ρ (A_θ·ρ = ρ·A_φ), the product is a multiple
-    of P_θ·ρ·P_φ; with θ = φ, ρ = e and it is the projector's palindrome.
+    As ρ carries the blocks of φ's cut set onto those of θ's, the cut sets
+    match across ρ (A_θ·ρ = ρ·A_φ), and the product is a multiple of
+    P_θ·ρ·P_φ; with θ = φ, ρ = e and it is the projector's palindrome.
     """
     before, after = mold_factors(theta), mold_factors(phi)
     hits_theta, hits_phi = _level0_anti_indices(before), _level0_anti_indices(after)
     cut = hits_phi[0] if len(hits_theta) == len(hits_phi) == 2 else hits_phi[-1]
     rho = tableau_permutation(theta, phi)
-    a_theta, a_phi = before[hits_theta[0]][0].element(), after[cut][0].element()
-    if _translate(a_theta, rho, left=False) != _translate(a_phi, rho, left=True):
+    a_theta, a_phi = before[hits_theta[0]][0], after[cut][0]
+    carried = {tuple(sorted(map(rho, b))) for b in a_phi.blocks if len(b) > 1}
+    if carried != {b for b in a_theta.blocks if len(b) > 1}:
         raise ValueError("cut antisymmetrizer sets do not match across the relabelling")
     prefix = _translate(_mold_prefix(theta), rho, left=False)
-    return _product(theta.n, [prefix] + [f.element() for f, _ in after[cut + 1 :]])
+    return _times_sets(prefix, [f for f, _ in after[cut + 1 :]])
 
 
 @cache

@@ -340,8 +340,12 @@ def test_every_operation_stores_by_the_bound(data):
 
 def test_products_of_stored_entries_stay_in_int64():
     # a sum of m! products of two stored entries, m up to the degree cap,
-    # must stay below 2**62 so that two such sums still add in int64
+    # must stay below 2**62 so that two such sums still add in int64; one
+    # symmetrizer-set product multiplies a stored entry by at most m!
     assert math.factorial(_MAX_DEGREE) * _fast._STORED**2 < 2**62
+    assert _fast._STORED * math.factorial(_MAX_DEGREE) < 2**62
+
+
 def test_scalars_on_the_left_defer_to_the_element():
     p, q = Permutation.identity(3), Permutation.transposition(3, 1, 2)
     a = AlgebraElement(3, {p: 1, q: Surd.sqrt(3)})

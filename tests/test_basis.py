@@ -40,6 +40,7 @@ from sunbasis.basis import (
 from sunbasis.coefficients import PolyN, Surd, squarefree_decompose
 from sunbasis.permutations import all_permutations
 from sunbasis.projectors import (
+    SymmetrizerSet,
     _normalize,
     dimension_formula,
     hermitian_projector,
@@ -731,16 +732,16 @@ def test_chain_products_refuse_a_doubled_operator_in_the_last_chunk(monkeypatch)
 @pytest.mark.parametrize("m", [4, "5 relabelled"])
 def test_adjoint_vectors_carry_the_right_eigen_identities(m):
     b = _relabelled(assemble(5), 3) if m == "5 relabelled" else assemble(m)
-    # the verdict checks only left sides, X_k·O_ST = c_S(k)·O_ST, where the
-    # transpose is the adjoint; the right side O_ST·X_k = c_T(k)·O_ST is the
-    # left side of O_ST† with T's contents, which separate T from every
+    # the verdict checks only right sides, O_ST·X_k = c_T(k)·O_ST, where the
+    # transpose is the adjoint; the left side X_k·O_ST = c_S(k)·O_ST is the
+    # right side of O_ST† with S's contents, which separate S from every
     # other tableau of the block
     for block in b.blocks:
         for i, s in enumerate(block.tableaux):
             for j, t in enumerate(block.tableaux):
                 vecs = [vec for _, vec in dagger(block.operators[i][j])._parts.values()]
-                assert _fast.in_eigenspaces(b.m, vecs, _contents(t)).all()
-                assert _fast.in_eigenspaces(b.m, vecs, _contents(s)).all() == (s == t)
+                assert _fast.in_eigenspaces(b.m, vecs, _contents(s)).all()
+                assert _fast.in_eigenspaces(b.m, vecs, _contents(t)).all() == (s == t)
 
 
 def test_eigen_checks_take_python_ints_past_the_guard():
@@ -1181,6 +1182,19 @@ def _clear_caches():
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
                 obj.cache_clear()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_cold_assembly_forms_no_dense_product(monkeypatch, m):
+    # every symmetrizer set is multiplied in by its transposition moves, and
+    # no set is expanded into a vector of its own
+    _clear_caches()
+    calls = []
+    product = _fast._product
+    monkeypatch.setattr(_fast, "_product", lambda *args: calls.append("_product") or product(*args))
+    monkeypatch.setattr(SymmetrizerSet, "element", lambda s: calls.append("element"))
+    assemble(m)
+    assert calls == []
 
 
 def test_warm_cache_suite_matches_cold():

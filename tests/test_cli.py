@@ -594,9 +594,8 @@ def test_subprocess_exit_codes():
     assert run_module(["verify", "--m", "2", "--suite", "all"]).returncode == 0
 
 
-@pytest.mark.slow
 def test_verify_m7_passes_all_four_suites():
-    # minutes and about half a gigabyte: construction of the 5 040 operators dominates
+    # about ten seconds and a third of a gigabyte in a child process
     result = subprocess.run(
         [sys.executable, "-m", "sunbasis.cli", "verify", "--m", "7"],
         capture_output=True,

@@ -1,11 +1,15 @@
 import itertools
+import random
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sunbasis import _fast
+from sunbasis import projectors as projectors_module
 from sunbasis.algebra import (
     AlgebraElement,
     dagger,
@@ -15,13 +19,13 @@ from sunbasis.algebra import (
     trace,
 )
 from sunbasis.coefficients import PolyN, Surd
-from sunbasis.permutations import Permutation
+from sunbasis.permutations import Permutation, all_permutations
 from sunbasis.projectors import (
     Projector,
     SymmetrizerSet,
+    _mold_bar,
     _normalize,
     alpha_formula,
-    cancel_simplify,
     columns_of,
     dimension_poly,
     hermitian_mold,
@@ -170,13 +174,73 @@ def test_out_of_range_degree_fails_before_enumerating(monkeypatch):
     # the set itself stays constructible, as mold_factors needs it at any degree
     blocks = (tuple(range(1, 9)),)
     assert SymmetrizerSet(8, blocks, "sym").degree == 8
-
-    def enumerate_nothing(*args):
-        raise AssertionError("block permutations enumerated")
-
-    monkeypatch.setattr("sunbasis.projectors.itertools.permutations", enumerate_nothing)
+    started = []
+    for name in ("times_set", "composition_table"):
+        monkeypatch.setattr(_fast, name, lambda *args, name=name: started.append(name))
     with pytest.raises(ValueError, match="degree must be between 1 and 7, got 8"):
         symmetrizer(blocks, 8, "sym")
+    assert started == []
+
+
+def _set_products_agree(m, a, blocks, anti):
+    """``_fast.times_set`` against ``multiply`` by the oracle's dict expansion."""
+    got = AlgebraElement._raw(m, _fast.times_set(m, a._parts, blocks, anti))
+    want = multiply(a, to_element(m, oracle_symmetrizer(blocks, m, anti)))
+    assert got == want
+    assert [v.dtype for _, v in got._parts.values()] == [v.dtype for _, v in want._parts.values()]
+
+
+@st.composite
+def _set_products(draw):
+    """An element with several radicands and entries up to the storage bound,
+    and a random disjoint block layout of degree m ≤ 5."""
+    m = draw(st.integers(1, 5))
+    order = draw(st.permutations(range(1, m + 1)))
+    cuts = sorted(draw(st.lists(st.integers(0, m), max_size=m)))
+    blocks = [tuple(sorted(order[lo:hi])) for lo, hi in zip([0] + cuts, cuts + [m])]
+    blocks = tuple(b for b in blocks if b and draw(st.booleans()))
+    numerators = st.one_of(st.integers(-50, 50), st.sampled_from([2**24 - 1, 2**24, -(2**24)]))
+    radicands = st.sampled_from([1, 2, 3, 6])
+    terms = draw(
+        st.dictionaries(
+            st.sampled_from(all_permutations(m)),
+            st.tuples(radicands, numerators, st.integers(1, 12)),
+            max_size=8,
+        )
+    )
+    coefficients = {p: Surd({d: Fraction(n, q)}) for p, (d, n, q) in terms.items()}
+    return m, AlgebraElement(m, coefficients), blocks, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_set_products())
+def test_set_product_is_the_product_by_the_expanded_set(case):
+    _set_products_agree(*case)
+
+
+@pytest.mark.parametrize("t", [2**24 - 1, 2**24])
+def test_set_product_of_stored_entries_at_the_bound(t):
+    # t·Σ_g g times a set is t·Σ_g g again: int64 below the bound, Python ints at it
+    a = AlgebraElement(5, {g: t for g in all_permutations(5)})
+    ((_, v),) = a._parts.values()
+    assert v.dtype == np.dtype(np.int64 if t < 2**24 else object)
+    for anti in (False, True):
+        _set_products_agree(5, a, ((1, 3, 4), (2, 5)), anti)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_set_products_at_degree_seven(seed):
+    # seed + 1 blocks over all seven points, from one block of seven up
+    rng = random.Random(seed)
+    order = rng.sample(range(1, 8), 7)
+    cuts = sorted(rng.sample(range(1, 7), seed))
+    blocks = tuple(tuple(sorted(order[lo:hi])) for lo, hi in zip([0] + cuts, cuts + [7]))
+    perms = all_permutations(7)
+    terms = {}
+    for _ in range(12):
+        coefficient = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+        terms[rng.choice(perms)] = Surd({rng.choice([1, 2]): coefficient})
+    _set_products_agree(7, AlgebraElement(7, terms), blocks, seed % 2 == 1)
 
 
 def test_row_and_column_sets():
@@ -267,60 +331,6 @@ def test_dimension_poly_m3():
     assert dimension_poly(hermitian_projector(T((1, 2), (3,)))) == expected
 
 
-# -- sandwich cancellation ----------------------------------------------------
-
-
-def test_cancel_simplify_worked_five_box_sandwich():
-    # S_T * A_{T''} * S_{T'} * A_T for T = ((1,2,5),(3,4)); brute-force oracle
-    t = T((1, 2, 5), (3, 4))
-    s = rows_of(t)
-    a = columns_of(t)
-    mid_o = oracle_multiply(
-        oracle_symmetrizer([(1, 3)], 5, True),  # columns of ancestor(2)
-        oracle_symmetrizer([(1, 2), (3, 4)], 5, False),  # rows of ancestor(1)
-    )
-    o_full = oracle_multiply(
-        oracle_multiply(oracle_symmetrizer([(1, 2, 5), (3, 4)], 5, False), mid_o),
-        oracle_symmetrizer([(1, 3), (2, 4)], 5, True),
-    )
-    y = young_projector(t).element
-    mid = multiply(
-        columns_of(t.ancestor(2), 5).element(), rows_of(t.ancestor(1), 5).element()
-    )
-    lam, t_back = cancel_simplify(s, mid, a)
-    assert t_back == t
-    assert lam == Surd.rational(Fraction(3, 8))
-    # oracle agreement: the brute-force product equals lam * Y term by term
-    assert to_element(5, o_full) == y.scale(lam)
-
-
-def test_cancel_simplify_identity_middle():
-    t = T((1, 2), (3,))
-    lam, t_back = cancel_simplify(
-        rows_of(t), AlgebraElement.identity(3), columns_of(t)
-    )
-    assert t_back == t
-    # S * A == (1/alpha) * Y
-    assert lam == Surd.rational(Fraction(3, 4))
-
-
-def test_cancel_simplify_zero_product():
-    t = T((1, 2), (3,))
-    mid = symmetrizer(((1, 2),), 3, "anti")  # S_12 * A_12 == 0
-    lam, _ = cancel_simplify(rows_of(t), mid, columns_of(t))
-    assert lam == Surd()
-
-
-def test_cancel_simplify_rejects_mismatched_sets():
-    t, u = T((1, 2), (3,)), T((1, 3), (2,))
-    with pytest.raises(ValueError):
-        cancel_simplify(rows_of(t), AlgebraElement.identity(3), columns_of(u))
-    with pytest.raises(ValueError):
-        cancel_simplify(columns_of(t), AlgebraElement.identity(3), columns_of(t))
-    with pytest.raises(ValueError):
-        cancel_simplify(rows_of(t), AlgebraElement.identity(4), columns_of(t))
-
-
 # -- Hermitian projectors -----------------------------------------------------
 
 
@@ -363,6 +373,16 @@ def test_mold_factor_structure():
         ("sym", 2), ("anti", 1), ("sym", 0), ("anti", 0), ("sym", 0),
         ("anti", 1), ("sym", 2),
     ]
+
+
+def test_mold_bar_refuses_a_relabelling_that_misses_the_cut_set(monkeypatch):
+    # the identity carries 13/2's cut columns {1,2} onto themselves, not onto
+    # 12/3's {1,3}
+    theta, phi = T((1, 2), (3,)), T((1, 3), (2,))
+    assert _mold_bar(theta, phi) != AlgebraElement.zero(3)
+    monkeypatch.setattr(projectors_module, "tableau_permutation", lambda *args: Permutation.identity(3))
+    with pytest.raises(ValueError, match="do not match across the relabelling"):
+        _mold_bar(theta, phi)
 
 
 def test_worked_four_box_mold_operators():
