@@ -5,10 +5,10 @@ radicand, indexed by the lexicographic order of S_m:
 
     element  =  sum over radicands d of  sqrt(d)/denom_d * vector_d
 
-This module holds what that form needs beyond plain numpy: the position of
-each permutation, the composition and inverse tables, the right moves of
-the transpositions, the cycle counts, the exact sum and product of two such
-forms, the product by a symmetrizer set ``times_set``, and the
+This module holds what that form needs beyond plain numpy: ``positions``,
+the place of a permutation in the lexicographic order, from which every
+gather takes its indices, the cycle counts, the exact sum and product of
+two such forms, the product by a symmetrizer set ``times_set``, and the
 Jucys–Murphy eigen-check ``in_eigenspaces``.  Every result is in canonical
 form (see ``reduce``), so equal elements have equal vectors.
 
@@ -29,7 +29,7 @@ from math import factorial, gcd, lcm
 import numpy as np
 
 from .coefficients import squarefree_decompose
-from .permutations import Permutation, all_permutations
+from .permutations import all_permutations
 
 # radicand -> (denominator, integer numerator vector over the permutation basis)
 Parts = dict[int, tuple[int, np.ndarray]]
@@ -48,44 +48,44 @@ def permutation_index(m: int) -> dict[tuple[int, ...], int]:
 
 
 @cache
+def lexicographic(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-based images of S_m in lexicographic order, and their positions by base-m digits."""
+    images = np.array([p.images for p in all_permutations(m)], dtype=np.intp) - 1
+    where = np.zeros(m**m, dtype=np.intp)
+    where[images @ m ** np.arange(m - 1, -1, -1)] = np.arange(len(images))
+    return images, where
+
+
+def positions(m: int, images: np.ndarray) -> np.ndarray:
+    """The lexicographic position of the zero-based images along the last axis."""
+    return lexicographic(m)[1][images @ m ** np.arange(m - 1, -1, -1)]
+
+
+@cache
 def composition_table(m: int) -> np.ndarray:
-    """``table[i, j]`` is the index of ``p_i`` after ``p_j``."""
-    perms = np.array([p.images for p in all_permutations(m)], dtype=np.intp) - 1
-    n = len(perms)
-    # a permutation's images read as base-m digits key its position
-    weights = m ** np.arange(m - 1, -1, -1)
-    position = np.zeros(m**m, dtype=np.intp)
-    position[perms @ weights] = np.arange(n)
+    """``table[i, j]`` is the index of ``p_i`` after ``p_j``; only ``_product`` reads it."""
+    images, n = lexicographic(m)[0], factorial(m)
     # native indices gather fastest; int16 halves the 5040 x 5040 table at m = 7
     table = np.empty((n, n), dtype=np.intp if m <= 6 else np.int16)
-    step = max(1, _GATHER_LIMIT // (n * m))
-    for lo in range(0, n, step):
-        # composed[i, j] = perms[lo + i] after perms[j], as image rows
-        composed = perms[lo : lo + step][:, perms]
-        table[lo : lo + step] = position[composed @ weights]
+    for i, row in enumerate(images):
+        table[i] = positions(m, row[images])
     return table
 
 
 @cache
 def inverse_table(m: int) -> np.ndarray:
-    """``table[i]`` is the index of the inverse of ``p_i``."""
-    # p_i after p_j is the identity, position 0, exactly when p_j inverts p_i
-    return np.nonzero(composition_table(m) == 0)[1]
+    """``table[i]`` is the index of p_i⁻¹, which sends v to the one k with p_i[k] = v."""
+    return positions(m, (lexicographic(m)[0][:, :, None] == np.arange(m)).argmax(axis=1))
 
 
 @cache
 def _moves(m: int) -> np.ndarray:
     """Right transposition moves: ``[i - 1, j - 1, q]`` is the index of
-    p_q·(i j), so that (a·(i j))[q] = a[moves[i - 1, j - 1, q]], for i ≠ j;
-    the diagonal holds the identity's.  These are the composition table's
-    columns of the transpositions, in native indices for fast gathers."""
-    index, points = permutation_index(m), range(1, m + 1)
-    # the identity is position 0
-    columns = [
-        [index[Permutation.transposition(m, i, j).images] if i != j else 0 for j in points]
-        for i in points
-    ]
-    return composition_table(m)[:, columns].transpose(1, 2, 0).astype(np.intp)
+    p_q·(i j), p_q's images with columns i and j swapped, so that
+    (a·(i j))[q] = a[moves[i - 1, j - 1, q]]; the diagonal holds p_q's."""
+    i, j, k = np.indices((m, m, m))
+    swaps = np.where(k == i, j, np.where(k == j, i, k))
+    return positions(m, lexicographic(m)[0][:, swaps].transpose(1, 2, 0, 3))
 
 
 def in_eigenspaces(m: int, vecs: list[np.ndarray], contents: np.ndarray | tuple) -> np.ndarray:

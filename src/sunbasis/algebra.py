@@ -34,6 +34,8 @@ from .coefficients import (
     PolyN,
     Surd,
     SurdLike,
+    int_from_json,
+    ints_from_json,
     rational_from_json,
     squarefree_decompose,
     surd_to_json,
@@ -242,8 +244,8 @@ def _identity(m: int) -> AlgebraElement:
 @cache
 def _embedding(k: int, m: int) -> np.ndarray:
     """Positions in S_m of the degree-k permutations padded with fixed points."""
-    index = _fast.permutation_index(m)
-    return np.array([index[p.embed(m).images] for p in all_permutations(k)], dtype=np.intp)
+    images = _fast.lexicographic(k)[0]
+    return _fast.positions(m, np.c_[images, np.tile(np.arange(k, m), (len(images), 1))])
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -253,11 +255,10 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 
 def _translate(a: AlgebraElement, p: Permutation, *, left: bool) -> AlgebraElement:
-    """p·a when ``left``, else a·p: one composition-table gather, no product."""
-    table = _fast.composition_table(a.m)
-    r = _fast.inverse_table(a.m)[_fast.permutation_index(a.m)[p.images]]
+    """p·a when ``left``, else a·p: one gather of the images, no product."""
+    images, r = _fast.lexicographic(a.m)[0], np.array(p.inverse().images) - 1
     # (p·a)[q] = a[p⁻¹·q] and (a·p)[q] = a[q·p⁻¹]
-    where = table[r] if left else table[:, r]
+    where = _fast.positions(a.m, r[images] if left else images[:, r])
     return AlgebraElement._raw(a.m, {d: (denom, vec[where]) for d, (denom, vec) in a._parts.items()})
 
 
@@ -329,19 +330,18 @@ def element_from_json(obj: dict) -> AlgebraElement:
     """Parse the wire format straight into vectors; malformed input raises ValueError."""
     if not isinstance(obj, dict) or "m" not in obj or "terms" not in obj:
         raise ValueError("operator JSON must have 'm' and 'terms'")
-    m = int(obj["m"])
+    m = int_from_json(obj["m"])
     _check_degree(m)
     index = _fast.permutation_index(m)
     rows: dict[int, list[tuple[int, int, int]]] = {}
     for t in obj["terms"]:
-        pos = index.get(tuple(t["perm"]))
-        if pos is None:  # not one-line ints of degree m: say what is wrong
-            p = Permutation(tuple(int(i) for i in t["perm"]))
-            if p.degree != m:
-                raise ValueError(f"term degree {p.degree} != element degree {m}")
-            pos = index[p.images]
+        images = ints_from_json(t["perm"])
+        pos = index.get(images)
+        if pos is None:  # not a permutation of degree m: say what is wrong
+            p = Permutation(images)
+            raise ValueError(f"term degree {p.degree} != element degree {m}")
         for d, c in t["coeff"]:
-            s, g = squarefree_decompose(int(d))
+            s, g = squarefree_decompose(int_from_json(d))
             q = rational_from_json(c)
             rows.setdefault(s, []).append((pos, q.numerator * g, q.denominator))
     return AlgebraElement._raw(m, _parts_from_rows(m, rows))

@@ -37,7 +37,7 @@ import numpy as np
 from . import _fast
 from ._linalg import surd_rank
 from .algebra import AlgebraElement, _square_sum, multiply, scalar_product, trace
-from .coefficients import PolyN
+from .coefficients import PolyN, int_from_json, ints_from_json
 from .projectors import _in_line, dimension_formula, hermitian_projector, young_projector
 from .tableaux import (
     YoungDiagram,
@@ -66,7 +66,7 @@ __all__ = [
     "basis_from_json",
 ]
 
-_BASIS_KINDS = frozenset({"young", "hermitian"})
+_BASIS_KINDS = ("young", "hermitian")
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,12 +204,12 @@ def _chains_hold(
     (a·c)[g] = Σ_h a[h]·c[h⁻¹g] is one row-wise sum of length m! per radicand
     pair √d·√e = r·√s, compared over the common denominator D of ``parts``:
     D²·(a·c)[g] against D²·z[g].  Only the factors are stacked, as stored,
-    so a row-wise sum cannot overflow (see ``_fast``); the sums run in
-    chunks whose index, gathered and factor blocks hold at most
-    ``_fast._GATHER_LIMIT`` entries together.
+    so a row-wise sum cannot overflow (see ``_fast``).  The sums run in the
+    order of g, in chunks that read h⁻¹g off the images once per distinct g
+    and hold at most ``_fast._GATHER_LIMIT`` entries, images included.
     """
     n = factorial(m)
-    step = max(1, _fast._GATHER_LIMIT // (3 * n))
+    step = max(1, _fast._GATHER_LIMIT // ((m + 3) * n))
     rows = [(z, vec) for z in sorted({z for _, _, z in chains}) for _, vec in parts[z].values()]
     first = np.full(len(parts), n)  # where each target is first nonzero
     for lo in range(0, len(rows), step):
@@ -221,21 +221,22 @@ def _chains_hold(
     den = lcm(*(denom for p in parts for denom, _ in p.values()))
     radicands = {d for p in parts for d in p}
     landing = {(d, e): (s, r) for s, terms in _fast._landing(radicands).items() for d, e, r in terms}
-    # (chain, a's row, c's row, g, s, r·(D/den_a)·(D/den_c))
+    # (chain, a's row, c's row, g, s, r·(D/den_a)·(D/den_c)), in the order of g
     terms = [
         (k, row_of[a, d], row_of[c, e], first[z], s, r * (den // pa) * (den // pc))
-        for k, (a, c, z) in enumerate(chains)
+        for k, (a, c, z) in sorted(enumerate(chains), key=lambda chain: first[chain[1][2]])
         for d, (pa, _) in parts[a].items()
         for e, (pc, _) in parts[c].items()
         for s, r in [landing[d, e]]
     ]
-    table, inverse = _fast.composition_table(m), _fast.inverse_table(m)
+    images, inverse = _fast.lexicographic(m)[0], _fast.inverse_table(m)
     got: list[dict[int, int]] = [{} for _ in chains]
     for lo in range(0, len(terms), step):
         ks, ra, rc, gs, ss, scales = zip(*terms[lo : lo + step])
-        # h⁻¹g = (g⁻¹h)⁻¹ over h: row g⁻¹ of the table, then the inverse
-        partner = inverse[table[inverse[list(gs)]]]
-        partner += n * np.array(rc)[:, None]
+        # h⁻¹g = (g⁻¹h)⁻¹ over h, once per distinct g: g⁻¹'s images read at h's
+        firsts = sorted(set(gs))
+        lines = inverse[_fast.positions(m, images[inverse[firsts]][:, images])]
+        partner = lines[[firsts.index(g) for g in gs]] + n * np.array(rc)[:, None]
         products = stacked.ravel()[partner]
         products *= stacked[list(ra)]
         sums = products.sum(axis=1).tolist()
@@ -631,10 +632,11 @@ def basis_from_json(obj: dict) -> BasisMatrix:
     tableaux, or that holds an operator of another degree, raises ValueError."""
     from .algebra import element_from_json
 
-    m = obj["m"]
+    m, kind = int_from_json(obj["m"]), obj["kind"]
+    _check_basis(m, kind)
     blocks = []
     for blk in obj["blocks"]:
-        diagram = YoungDiagram(tuple(blk["diagram"]))
+        diagram = YoungDiagram(ints_from_json(blk["diagram"]))
         tableaux = tuple(tableau_from_json(t) for t in blk["tableaux"])
         grid = tuple(tuple(element_from_json(op) for op in row) for row in blk["operators"])
         name = ",".join(map(str, diagram.rows))
@@ -643,4 +645,4 @@ def basis_from_json(obj: dict) -> BasisMatrix:
         if any(op.m != m for row in grid for op in row):
             raise ValueError(f"block ({name}): operator degree differs from m = {m}")
         blocks.append(BasisBlock(diagram, tableaux, grid))
-    return BasisMatrix(m, obj["kind"], tuple(blocks))
+    return BasisMatrix(m, kind, tuple(blocks))

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
+from operator import countOf
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
@@ -375,6 +376,22 @@ class PolyN:
 # rational  ->  "p/q"
 # surd      ->  [[d, "p/q"], ...] sorted by radicand d
 # poly      ->  [[exponent, surd], ...] sorted by exponent
+#
+# An int of the wire format is a JSON integer: a float, bool or string there
+# raises ValueError instead of being truncated.
+
+
+def int_from_json(x: object) -> int:
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def ints_from_json(obj: Iterable) -> tuple[int, ...]:
+    xs = tuple(obj)
+    if countOf(map(type, xs), int) != len(xs):
+        raise ValueError(f"expected a list of integers, got {obj!r}")
+    return xs
 
 
 def rational_to_json(x: RationalLike) -> str:
@@ -399,7 +416,8 @@ def surd_from_json(obj: Iterable) -> Surd:
     terms: dict[int, Fraction] = {}
     for pair in obj:
         d, c = pair
-        terms[int(d)] = terms.get(int(d), Fraction(0)) + rational_from_json(c)
+        d = int_from_json(d)
+        terms[d] = terms.get(d, Fraction(0)) + rational_from_json(c)
     return Surd(terms)
 
 
@@ -411,5 +429,6 @@ def poly_from_json(obj: Iterable) -> PolyN:
     coeffs: dict[int, Surd] = {}
     for pair in obj:
         k, c = pair
-        coeffs[int(k)] = coeffs.get(int(k), ZERO) + surd_from_json(c)
+        k = int_from_json(k)
+        coeffs[k] = coeffs.get(k, ZERO) + surd_from_json(c)
     return PolyN(coeffs)

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from math import factorial
 
+from .coefficients import ints_from_json
 from .permutations import Permutation
 
 
@@ -260,7 +261,7 @@ def tableau_to_json(t: YoungTableau) -> dict:
 def tableau_from_json(obj: dict) -> YoungTableau:
     if not isinstance(obj, dict) or "rows" not in obj:
         raise ValueError("tableau JSON must have 'rows'")
-    t = YoungTableau(tuple(tuple(int(e) for e in row) for row in obj["rows"]))
-    if "shape" in obj and tuple(obj["shape"]) != t.shape.rows:
+    t = YoungTableau(tuple(ints_from_json(row) for row in obj["rows"]))
+    if "shape" in obj and ints_from_json(obj["shape"]) != t.shape.rows:
         raise ValueError("tableau JSON shape does not match rows")
     return t

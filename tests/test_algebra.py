@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from sunbasis import _fast
 from sunbasis.algebra import (
     _MAX_DEGREE,
     AlgebraElement,
+    _embedding,
     _translate,
     dagger,
     element_from_json,
@@ -19,8 +21,10 @@ from sunbasis.algebra import (
     scalar_product,
     trace,
 )
-from sunbasis.coefficients import PolyN, Surd
+from sunbasis.basis import basis_from_json
+from sunbasis.coefficients import PolyN, Surd, poly_from_json, surd_from_json
 from sunbasis.permutations import Permutation, all_permutations, compose
+from sunbasis.tableaux import tableau_from_json
 
 
 # -- independent oracle: elements as plain dicts from one-line tuples to
@@ -466,21 +470,48 @@ def test_degree_above_the_dense_limit_is_rejected():
 
 
 @pytest.mark.parametrize(
-    "obj",
+    "parse, obj",
     [
-        {"m": 3, "terms": [{"perm": [1, 2], "coeff": [[1, "1/1"]]}]},
-        {"m": 3, "terms": [{"perm": [1, 1, 2], "coeff": [[1, "1/1"]]}]},
-        {"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[1, "x"]]}]},
-        {"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[1, "1/0"]]}]},
-        {"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[0, "1/1"]]}]},
-        {"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[1, 1]]}]},
-        {"m": 0, "terms": []},
-        {"terms": []},
+        *(
+            (element_from_json, obj)
+            for obj in [
+                {"m": 3, "terms": [{"perm": [1, 2], "coeff": [[1, "1/1"]]}]},
+                {"m": 3, "terms": [{"perm": [1, 1, 2], "coeff": [[1, "1/1"]]}]},
+                {"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[1, "x"]]}]},
+                {"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[1, "1/0"]]}]},
+                {"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[0, "1/1"]]}]},
+                {"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[1, 1]]}]},
+                {"m": 0, "terms": []},
+                {"terms": []},
+                # a float, bool or string where the wire format writes an int
+                {"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[1.5, "1/1"]]}]},
+                {"m": True, "terms": []},
+                {"m": 3.7, "terms": []},
+                {"m": "3", "terms": []},
+                {"m": 3, "terms": [{"perm": "123", "coeff": [[1, "1/1"]]}]},
+                {"m": 3, "terms": [{"perm": [1.0, 2, 3], "coeff": [[1, "1/1"]]}]},
+                {"m": 1, "terms": [{"perm": [True], "coeff": [[1, "1/1"]]}]},
+            ]
+        ),
+        (surd_from_json, [[2.9, "1/1"]]),
+        (poly_from_json, [[1.5, [[1, "1/1"]]]]),
+        (tableau_from_json, {"rows": [[1.9, 2], [3]]}),
+        (tableau_from_json, {"rows": [[1, 2], [3]], "shape": [2.0, 1]}),
+        (basis_from_json, {"m": True, "kind": "hermitian", "blocks": []}),
+        (basis_from_json, {"m": 1, "kind": ["hermitian"], "blocks": []}),
+        (
+            basis_from_json,
+            {
+                "m": 1,
+                "kind": "hermitian",
+                "blocks": [{"diagram": [1.0], "tableaux": [], "operators": []}],
+            },
+        ),
     ],
 )
-def test_malformed_json_raises_value_error(obj):
+def test_malformed_json_raises_value_error(parse, obj):
     with pytest.raises(ValueError):
-        element_from_json(obj)
+        parse(obj)
 
 
 def test_json_accepts_non_canonical_input():
@@ -502,11 +533,35 @@ def test_json_accepts_non_canonical_input():
 # -- the kernel's tables ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
-def test_composition_table_matches_compose(m):
+@pytest.mark.parametrize("m", range(1, 8))
+def test_positions_derive_compose_inverse_and_embed(m):
+    # every gather's indices come from ``_fast.positions`` on the images;
+    # each derivation against ``permutations``, over all rows up to m = 5 and
+    # a seeded sample of 12 rows above
     perms = all_permutations(m)
     index = {p: i for i, p in enumerate(perms)}
-    reference = np.array([[index[compose(p, q)] for q in perms] for p in perms])
-    assert np.array_equal(_fast.composition_table(m), reference)
-    inverses = np.array([index[p.inverse()] for p in perms])
-    assert np.array_equal(_fast.inverse_table(m), inverses)
+    images = _fast.lexicographic(m)[0]
+    rows = range(len(perms))
+    if m > 5:
+        rows = sorted(random.Random(m).sample(rows, 12))
+    for i in rows:
+        p = perms[i]
+        # row i: p_i after every q; column i: every q after p_i
+        row, column = images[i][images], images[:, images[i]]
+        assert _fast.positions(m, row).tolist() == [index[compose(p, q)] for q in perms]
+        assert _fast.positions(m, column).tolist() == [index[compose(q, p)] for q in perms]
+    if m <= 5:
+        table = [[index[compose(p, q)] for q in perms] for p in perms]
+        assert np.array_equal(_fast.composition_table(m), table)
+    assert _fast.inverse_table(m).tolist() == [index[p.inverse()] for p in perms]
+    moves = _fast._moves(m)
+    for i in range(1, m + 1):
+        assert moves[i - 1, i - 1].tolist() == list(range(len(perms)))
+        for j in range(1, m + 1):
+            if i != j:
+                t = Permutation.transposition(m, i, j)
+                want = [index[compose(perms[q], t)] for q in rows]
+                assert moves[i - 1, j - 1, rows].tolist() == want
+    for k in range(1, m + 1):
+        padded = [index[p.embed(m)] for p in all_permutations(k)]
+        assert _embedding(k, m).tolist() == padded

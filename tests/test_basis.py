@@ -1197,6 +1197,19 @@ def test_cold_assembly_forms_no_dense_product(monkeypatch, m):
     assert calls == []
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_cold_assembly_and_suites_build_no_composition_table(monkeypatch, m):
+    # construction and all four suites gather through ``_fast.positions``;
+    # only a dense product reads the (m!)² table
+    _clear_caches()
+    calls = []
+    table = _fast.composition_table
+    monkeypatch.setattr(_fast, "composition_table", lambda m: calls.append(m) or table(m))
+    assemble(m)
+    assert all(report.passed for report in run_suite(m))
+    assert calls == []
+
+
 def test_warm_cache_suite_matches_cold():
     run_suite(4)
     warm = run_suite(4)

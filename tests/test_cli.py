@@ -134,6 +134,10 @@ _PROJECTOR_ERRORS = [
     (["projector", "--m", "3"], "--tableau is required"),
     (["projector", "--tableau", "1"], "--m is required"),
     (["projector", "--m", "11", "--tableau", "1"], "degree must be between 1 and 7, got 11"),
+    (
+        ["projector", "--m", "3", "--tableau", "[[1.9,2],[3]]"],
+        "bad tableau: expected a list of integers, got [1.9, 2]",
+    ),
 ]
 
 
@@ -282,6 +286,13 @@ def test_represent_cap_and_override():
             "--op",
             '{"m": 2, "terms": [{"perm": [1, 2], "coeff": [[1, "1/1"]]}]}',
         ],  # --m cross-check
+        [
+            "represent",
+            "--N",
+            "2",
+            "--op",
+            '{"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[1.5, "1/1"]]}]}',
+        ],  # a radicand that is no integer
     ],
 )
 def test_represent_usage_errors(argv):

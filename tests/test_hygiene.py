@@ -1,6 +1,6 @@
 """Source hygiene that no installed linter checks: every import is used,
 every private function and class and every module-level name is read, and
-only the integer kernel decides a vector's dtype."""
+only the integer kernel decides a vector's dtype or names the composition table."""
 
 import ast
 from pathlib import Path
@@ -132,3 +132,17 @@ def test_only_the_kernel_decides_dtypes(path):
         if isinstance(node, (ast.Name, ast.Attribute)) and name in _DTYPE_DECISIONS
     ]
     assert not found, f"dtype decided outside _fast: {', '.join(found)}"
+
+
+# the (m!)² composition table is laid out inside ``_fast`` alone: every other
+# module gathers through ``_fast.positions``
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "_fast.py"], ids=lambda p: p.name)
+def test_only_the_kernel_names_the_composition_table(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if "composition_table" in (getattr(node, "id", None), getattr(node, "attr", None))
+        or (isinstance(node, ast.alias) and node.name == "composition_table")
+    ]
+    assert not found, f"composition table named outside _fast: {', '.join(found)}"

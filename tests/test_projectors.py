@@ -175,7 +175,7 @@ def test_out_of_range_degree_fails_before_enumerating(monkeypatch):
     blocks = (tuple(range(1, 9)),)
     assert SymmetrizerSet(8, blocks, "sym").degree == 8
     started = []
-    for name in ("times_set", "composition_table"):
+    for name in ("times_set", "lexicographic"):
         monkeypatch.setattr(_fast, name, lambda *args, name=name: started.append(name))
     with pytest.raises(ValueError, match="degree must be between 1 and 7, got 8"):
         symmetrizer(blocks, 8, "sym")
