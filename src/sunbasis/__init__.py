@@ -2,6 +2,22 @@
 invariants on m-fold tensor-power spaces, with the dimension N kept symbolic.
 """
 
+import importlib
+import os
+import sys
+
+# Every kernel of the package is exact integer or object arithmetic and no
+# float BLAS routine runs, so numpy starts without OpenBLAS's thread pool,
+# about 70 ms of every process, unless a thread count is already chosen.  The
+# variable is removed again, so child processes see the caller's environment.
+_THREAD_COUNTS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(name in os.environ for name in _THREAD_COUNTS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        importlib.import_module("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .permutations import Permutation, all_permutations, compose, cycle_count, embed, inverse, sign
 from .coefficients import PolyN, Surd
 from .algebra import (

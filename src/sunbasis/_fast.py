@@ -8,9 +8,10 @@ radicand, indexed by the lexicographic order of S_m:
 This module holds what that form needs beyond plain numpy: ``positions``,
 the place of a permutation in the lexicographic order, from which every
 gather takes its indices, the cycle counts, the exact sum and product of
-two such forms, the product by a symmetrizer set ``times_set``, and the
-Jucys–Murphy eigen-check ``in_eigenspaces``.  Every result is in canonical
-form (see ``reduce``), so equal elements have equal vectors.
+two such forms, the product by a symmetrizer set ``times_set``, the
+Jucys–Murphy eigen-check ``in_eigenspaces``, and ``stack``, which puts
+stored vectors into one array in their common dtype.  Every result is in
+canonical form (see ``reduce``), so equal elements have equal vectors.
 
 A stored vector is int64 exactly when every entry lies below ``_STORED`` =
 2**24, and an array of Python integers (dtype object) otherwise.  As m ≤ 7
@@ -24,6 +25,7 @@ product of a vector with an unbounded integer.
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain, permutations
 from math import factorial, gcd, lcm
 
 import numpy as np
@@ -50,7 +52,8 @@ def permutation_index(m: int) -> dict[tuple[int, ...], int]:
 @cache
 def lexicographic(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Zero-based images of S_m in lexicographic order, and their positions by base-m digits."""
-    images = np.array([p.images for p in all_permutations(m)], dtype=np.intp) - 1
+    flat = chain.from_iterable(permutations(range(m)))
+    images = np.fromiter(flat, dtype=np.intp, count=factorial(m) * m).reshape(-1, m)
     where = np.zeros(m**m, dtype=np.intp)
     where[images @ m ** np.arange(m - 1, -1, -1)] = np.arange(len(images))
     return images, where
@@ -75,7 +78,10 @@ def composition_table(m: int) -> np.ndarray:
 @cache
 def inverse_table(m: int) -> np.ndarray:
     """``table[i]`` is the index of p_i⁻¹, which sends v to the one k with p_i[k] = v."""
-    return positions(m, (lexicographic(m)[0][:, :, None] == np.arange(m)).argmax(axis=1))
+    images = lexicographic(m)[0]
+    inverse = np.empty_like(images)
+    inverse[np.arange(len(images))[:, None], images] = np.arange(m)
+    return positions(m, inverse)
 
 
 @cache
@@ -88,27 +94,36 @@ def _moves(m: int) -> np.ndarray:
     return positions(m, lexicographic(m)[0][:, swaps].transpose(1, 2, 0, 3))
 
 
+def stack(vecs: list[np.ndarray]) -> np.ndarray:
+    """The vectors, not none and of one length, as the rows of one array in
+    their common dtype: one concatenation, which copies many short rows
+    about twice as fast as ``np.stack``."""
+    return np.concatenate(vecs).reshape(len(vecs), -1)
+
+
 def in_eigenspaces(m: int, vecs: list[np.ndarray], contents: np.ndarray | tuple) -> np.ndarray:
     """Per row, whether v·X_k = contents[r][k - 1]·v for v = vecs[r], a
     stored vector, X_k = Σ_{i<k} (i k) and k = 2..m; one content tuple may
     serve all rows.
 
     X_k is Hermitian, so X_k·v = c·v is the same identity as v†·X_k = c·v†:
-    a caller checks a left side on the adjoint's vectors.  Each k is one
-    gather of its right moves, summed over its transpositions, in row
-    chunks whose gathers hold at most ``_GATHER_LIMIT`` entries over all k.
+    a caller checks a left side on the adjoint's vectors.  Each
+    transposition (i k) is one ``np.take`` of its right moves, added in
+    place into v·X_k, in row chunks of at most ``_GATHER_LIMIT`` / (m²·m!)
+    rows.
     """
     contents = np.broadcast_to(np.asarray(contents, dtype=np.intp), (len(vecs), m))
     moves = _moves(m)
     held = np.ones(len(vecs), dtype=bool)
     step = max(1, _GATHER_LIMIT // (m * m * factorial(m)))
     for lo in range(0, len(vecs), step):
-        vs = np.stack(vecs[lo : lo + step])
+        vs = stack(vecs[lo : lo + step])
         for k in range(2, m + 1):
             # at row r: v·X_k against c·v, c the row's content of k
-            c = contents[lo : lo + step, k - 1, None]
-            total = np.take(vs, moves[: k - 1, k - 1], axis=1).sum(axis=1)
-            held[lo : lo + step] &= (total == c * vs).all(axis=1)
+            total = np.take(vs, moves[0, k - 1], axis=1)
+            for i in range(1, k - 1):
+                total += np.take(vs, moves[i, k - 1], axis=1)
+            held[lo : lo + step] &= (total == contents[lo : lo + step, k - 1, None] * vs).all(axis=1)
     return held
 
 
@@ -246,12 +261,3 @@ def convolve(m: int, x: Parts, y: Parts) -> Parts:
             _accumulate(acc, root, la * lb, _times(_product(m, va, vb), whole))
     return canonical(acc)
 
-
-def _landing(radicands: set[int]) -> dict[int, list[tuple[int, int, int]]]:
-    """Every ordered pair of radicands as (d, e, g) with √d·√e = g·√s, keyed by s."""
-    out: dict[int, list[tuple[int, int, int]]] = {}
-    for d in radicands:
-        for e in radicands:
-            s, g = squarefree_decompose(d * e)
-            out.setdefault(s, []).append((d, e, g))
-    return out

@@ -37,7 +37,7 @@ import numpy as np
 from . import _fast
 from ._linalg import surd_rank
 from .algebra import AlgebraElement, _square_sum, multiply, scalar_product, trace
-from .coefficients import PolyN, int_from_json, ints_from_json
+from .coefficients import PolyN, int_from_json, ints_from_json, squarefree_decompose
 from .projectors import _in_line, dimension_formula, hermitian_projector, young_projector
 from .tableaux import (
     YoungDiagram,
@@ -154,13 +154,18 @@ def _check_basis(m: int, kind: str) -> None:
         raise ValueError("Young transition basis undefined beyond m=4")
 
 
-@cache
 def assemble(m: int, kind: str = "hermitian") -> BasisMatrix:
     """Build the basis matrix: projectors on block diagonals, transitions off.
 
     Blocks follow the reverse-lexicographic diagram order and tableaux the
-    canonical row-word order, so identical calls produce identical layouts.
+    canonical row-word order, so identical calls produce identical layouts,
+    and every spelling of one call returns the one cached grid.
     """
+    return _assemble(m, kind)
+
+
+@cache
+def _assemble(m: int, kind: str) -> BasisMatrix:
     _check_basis(m, kind)
     blocks = []
     for diagram in partitions(m):
@@ -194,59 +199,103 @@ def _first_difference(expected: AlgebraElement, got: AlgebraElement) -> str:
     )
 
 
-def _chains_hold(
-    m: int, parts: list[_fast.Parts], chains: list[tuple[int, int, int]]
-) -> list[bool]:
-    """Whether (a·c)[g] = z[g] for each chain (a, c, z) of indices into
-    ``parts``, g the first permutation where z is nonzero; ``chains`` is not
-    empty.
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For counts c_k: the k of each of the Σ c_k items, and its place among its c_k."""
+    k = np.repeat(np.arange(len(counts)), counts)
+    return k, np.arange(len(k)) - (np.cumsum(counts) - counts)[k]
 
-    (a·c)[g] = Σ_h a[h]·c[h⁻¹g] is one row-wise sum of length m! per radicand
-    pair √d·√e = r·√s, compared over the common denominator D of ``parts``:
-    D²·(a·c)[g] against D²·z[g].  Only the factors are stacked, as stored,
-    so a row-wise sum cannot overflow (see ``_fast``).  The sums run in the
-    order of g, in chunks that read h⁻¹g off the images once per distinct g
-    and hold at most ``_fast._GATHER_LIMIT`` entries, images included.
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values in increasing order, and the place of each value
+    among them: ``np.unique`` by one stable argsort, which maps none of
+    numpy's other sort kernels into the process."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    place = np.empty(len(values), dtype=np.intp)
+    place[order] = np.cumsum(new) - 1
+    return ordered[new], place
+
+
+@dataclass(frozen=True, slots=True)
+class _Rows:
+    """The stored vectors of a grid as rows, one per (operator, radicand)
+    pair in label order, and what the chains read of them as arrays.
+
+    Operator x owns the ``count[x]`` rows from ``start[x]``.  Row r stands
+    for √rads[rad[r]]·vecs[r]/q, and ``lift[r]`` = D/q over the common
+    denominator ``den`` = D.  Operator x is first nonzero at ``first[x]``,
+    where row r of it holds ``lead[r]``; ``lift`` and ``lead`` hold Python
+    integers.
     """
-    n = factorial(m)
-    step = max(1, _fast._GATHER_LIMIT // ((m + 3) * n))
-    rows = [(z, vec) for z in sorted({z for _, _, z in chains}) for _, vec in parts[z].values()]
-    first = np.full(len(parts), n)  # where each target is first nonzero
-    for lo in range(0, len(rows), step):
-        found = (np.stack([vec for _, vec in rows[lo : lo + step]]) != 0).argmax(axis=1)
-        np.minimum.at(first, [z for z, _ in rows[lo : lo + step]], found)
-    factors = sorted({x for a, c, _ in chains for x in (a, c)})
-    row_of = {key: r for r, key in enumerate((x, d) for x in factors for d in parts[x])}
-    stacked = np.stack([parts[x][d][1] for x, d in row_of])
-    den = lcm(*(denom for p in parts for denom, _ in p.values()))
-    radicands = {d for p in parts for d in p}
-    landing = {(d, e): (s, r) for s, terms in _fast._landing(radicands).items() for d, e, r in terms}
-    # (chain, a's row, c's row, g, s, r·(D/den_a)·(D/den_c)), in the order of g
-    terms = [
-        (k, row_of[a, d], row_of[c, e], first[z], s, r * (den // pa) * (den // pc))
-        for k, (a, c, z) in sorted(enumerate(chains), key=lambda chain: first[chain[1][2]])
-        for d, (pa, _) in parts[a].items()
-        for e, (pc, _) in parts[c].items()
-        for s, r in [landing[d, e]]
-    ]
+
+    m: int
+    vecs: list[np.ndarray]
+    start: np.ndarray
+    count: np.ndarray
+    rads: list[int]
+    rad: np.ndarray
+    lift: np.ndarray
+    den: int
+    first: np.ndarray
+    lead: np.ndarray
+
+
+def _chains_hold(rows: _Rows, a: np.ndarray, c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per chain k, whether (O_a·O_c)[g] = O_z[g] for the nonzero operators
+    a[k], c[k] and z[k] of ``rows``, g the first permutation where O_z is
+    nonzero; ``z`` is not empty.
+
+    Each pair of a row of O_a and a row of O_c, √d·√e = r·√s, is one term
+    Σ_h O_a[h]·O_c[h⁻¹g], a row-wise sum of length m!.  Only the factors'
+    rows are stacked, as stored, so a row-wise sum cannot overflow (see
+    ``_fast``).  Over the common denominator D a chain holds when, for each
+    s, its terms' sums times r·(D/q_a)·(D/q_c) add up to D·(D/q_z)·O_z[g]'s
+    numerator, compared in Python integers.  The sums run in the order of
+    g, in chunks that read h⁻¹g off the images once per distinct g and hold
+    at most ``_fast._GATHER_LIMIT`` entries, images included.
+    """
+    m, n = rows.m, factorial(rows.m)
+    chain, k = _spread(rows.count[a] * rows.count[c])
+    width = rows.count[c][chain]
+    ra, rc = rows.start[a][chain] + k // width, rows.start[c][chain] + k % width
+    g = rows.first[z][chain]
+    factors, at = _distinct(np.concatenate([ra, rc]))
+    stacked = _fast.stack([rows.vecs[r] for r in factors.tolist()])
+    fa, fc = at[: len(ra)], at[len(ra) :]
     images, inverse = _fast.lexicographic(m)[0], _fast.inverse_table(m)
-    got: list[dict[int, int]] = [{} for _ in chains]
-    for lo in range(0, len(terms), step):
-        ks, ra, rc, gs, ss, scales = zip(*terms[lo : lo + step])
+    sums = np.empty(len(chain), dtype=object)  # Python integers
+    order = np.argsort(g, kind="stable")
+    step = max(1, _fast._GATHER_LIMIT // ((m + 3) * n))
+    for lo in range(0, len(order), step):
+        terms = order[lo : lo + step]
         # h⁻¹g = (g⁻¹h)⁻¹ over h, once per distinct g: g⁻¹'s images read at h's
-        firsts = sorted(set(gs))
+        firsts, line = _distinct(g[terms])
         lines = inverse[_fast.positions(m, images[inverse[firsts]][:, images])]
-        partner = lines[[firsts.index(g) for g in gs]] + n * np.array(rc)[:, None]
-        products = stacked.ravel()[partner]
-        products *= stacked[list(ra)]
-        sums = products.sum(axis=1).tolist()
-        for k, s, scale, total in zip(ks, ss, scales, sums):
-            got[k][s] = got[k].get(s, 0) + scale * total
-    holds = []
-    for k, (_, _, z) in enumerate(chains):
-        g = first[z]
-        want = {s: den * (den // pz) * int(vz[g]) for s, (pz, vz) in parts[z].items()}
-        holds.append({s: v for s, v in got[k].items() if v} == {s: v for s, v in want.items() if v})
+        products = stacked.ravel()[lines[line] + n * fc[terms, None]]
+        products *= stacked[fa[terms]]
+        sums[terms] = products.sum(axis=1)
+    # √d·√e = r·√s once per distinct pair of radicands, s numbered after them
+    many = len(rows.rads)
+    pairs, pair = _distinct(rows.rad[ra] * many + rows.rad[rc])
+    number = {d: x for x, d in enumerate(rows.rads)}
+    lands, roots = [], []
+    for p in pairs.tolist():
+        s, r = squarefree_decompose(rows.rads[p // many] * rows.rads[p % many])
+        lands.append(number.setdefault(s, len(number)))
+        roots.append(r)
+    got = sums * np.array(roots, dtype=object)[pair] * rows.lift[ra] * rows.lift[rc]
+    target, k = _spread(rows.count[z])
+    rz = rows.start[z][target] + k
+    want = rows.den * rows.lift[rz] * rows.lead[rz]
+    # chain k holds when got − want adds to 0 under every (k, s)
+    lands = np.array(lands, dtype=np.intp)[pair]
+    keys, key = _distinct(np.concatenate([chain * len(number) + lands, target * len(number) + rows.rad[rz]]))
+    totals = np.zeros(len(keys), dtype=object)
+    np.add.at(totals, key, np.concatenate([got, -want]))
+    holds = np.ones(len(z), dtype=bool)
+    holds[keys[totals != 0] // len(number)] = False
     return holds
 
 
@@ -267,56 +316,88 @@ class _Identity:
 
 
 @lru_cache(maxsize=1)
-def _verdict(key: _Identity) -> tuple[np.ndarray, np.ndarray]:
+def _verdict(key: _Identity) -> tuple[np.ndarray, np.ndarray, _Rows | None]:
     b = key.obj
-    labels = b.labels()
+    m, n = b.m, factorial(b.m)
     tableaux = [t for block in b.blocks for t in block.tableaux]
-    if len(set(tableaux)) != len(tableaux) or any(t.n != b.m for t in tableaux):
-        return (np.zeros(len(labels), dtype=bool),) * 2
-    at = {label: x for x, label in enumerate(labels)}
-    flip = [at[blk, j, i] for blk, i, j in labels]
-    parts = [b.operator(label)._parts for label in labels]
-    # O_ST† = O_TS: (x†)[g] = x[g⁻¹] under the same radicands and denominators
-    keys = [[(d, den) for d, (den, _) in p.items()] for p in parts]
-    adjoint = np.array([keys[x] == keys[y] for x, y in enumerate(flip)], dtype=bool)
-    rows = [
-        (x, vec, parts[y][d][1])
-        for x, y in enumerate(flip)
-        if x <= y and adjoint[x]
-        for d, (_, vec) in parts[x].items()
-    ]
-    inverse = _fast.inverse_table(b.m)
-    step = max(1, _fast._GATHER_LIMIT // len(inverse))
-    for lo in range(0, len(rows), step):
-        xs, vs, ws = zip(*rows[lo : lo + step])
-        same = (np.take(np.stack(vs), inverse, axis=1) == np.stack(ws)).all(axis=1)
-        adjoint[np.array(xs)[~same]] = False
-    adjoint &= adjoint[flip]
-    # the right eigen rows of every operator; those of O_TS are O_ST's left side
-    owner = np.array([x for x, p in enumerate(parts) for _ in p], dtype=np.intp)
-    right = np.array([bool(p) for p in parts], dtype=bool)
-    # each label takes its column tableau's contents
-    start = np.cumsum([0] + [block.size for block in b.blocks])
-    column = np.array([start[blk] + j for blk, _, j in labels], dtype=np.intp)
-    content = np.array([_contents(t) for t in tableaux], dtype=np.intp).reshape(-1, b.m)
+    ops = [op for block in b.blocks for row in block.operators for op in row]
+    if len(set(tableaux)) != len(tableaux) or any(t.n != m for t in tableaux):
+        return np.zeros(len(ops), dtype=bool), np.zeros(len(ops), dtype=bool), None
+    # labels: block, row i and column j, the block's first label and O_ST's O_TS
+    sizes = np.array([block.size for block in b.blocks], dtype=np.intp)
+    block_of, local = _spread(sizes * sizes)
+    side = sizes[block_of]
+    i, j = np.divmod(local, side)
+    corner = np.arange(len(ops)) - local
+    flip = corner + j * side + i
+    # rows: operator, place among its rows, radicand and denominator
+    parts = [op._parts for op in ops]
+    count = np.array([len(p) for p in parts], dtype=np.intp)
+    owner, place = _spread(count)
+    start = np.cumsum(count) - count
     vecs = [vec for p in parts for _, vec in p.values()]
-    right[owner[~_fast.in_eigenspaces(b.m, vecs, content[column[owner]])]] = False
+    rads = sorted({d for p in parts for d in p})
+    number = {d: x for x, d in enumerate(rads)}
+    rad = np.array([number[d] for p in parts for d in p], dtype=np.intp)
+    denoms = [q for p in parts for q, _ in p.values()]
+    qs = sorted(set(denoms))
+    index = {q: x for x, q in enumerate(qs)}
+    denom = np.array([index[q] for q in denoms], dtype=np.intp)
+    den = lcm(*qs)
+    # O_ST† = O_TS: (x†)[g] = x[g⁻¹] under the same radicands and denominators
+    paired = count == count[flip]
+    twin = np.where(paired[owner], start[flip][owner] + place, 0)
+    adjoint = paired.copy()
+    adjoint[owner[(rad != rad[twin]) | (denom != denom[twin])]] = False
+    check = adjoint[owner] & (owner <= flip[owner])
+    # one pass over the rows, in chunks of whole blocks where they fit: a
+    # chunk and the gathers of its adjoint check hold at most
+    # ``_fast._GATHER_LIMIT`` entries
+    inverse = _fast.inverse_table(m)
+    step = max(1, _fast._GATHER_LIMIT // (4 * n))
+    edges = np.append(start, len(vecs))[np.concatenate([[0], np.cumsum(sizes * sizes)])]
+    found = np.empty(len(vecs), dtype=np.intp)
+    value = np.empty(len(vecs), dtype=object)
+    lo = 0
+    while lo < len(vecs):
+        hi = edges[np.searchsorted(edges, lo + step, side="right") - 1]
+        hi = hi if hi > lo else min(lo + step, len(vecs))
+        stacked = _fast.stack(vecs[lo:hi])
+        found[lo:hi] = (stacked != 0).argmax(axis=1)
+        value[lo:hi] = stacked[np.arange(hi - lo), found[lo:hi]]
+        r = np.flatnonzero(check[lo:hi])
+        if len(r):
+            w = twin[lo + r]
+            inside = w.min() >= lo and w.max() < hi
+            adjoints = stacked[w - lo] if inside else _fast.stack([vecs[x] for x in w.tolist()])
+            same = (np.take(stacked[r], inverse, axis=1) == adjoints).all(axis=1)
+            adjoint[owner[lo + r[~same]]] = False
+        lo = hi
+    adjoint &= adjoint[flip]
+    first = np.full(len(ops), n)
+    np.minimum.at(first, owner, found)
+    lead = np.where(found == first[owner], value, 0)
+    lift = np.array([den // q for q in qs], dtype=object)[denom]
+    rows = _Rows(m, vecs, start, count, rads, rad, lift, den, first, lead)
+    # the right eigen rows of every operator; those of O_TS are O_ST's left side
+    offset = (np.cumsum(sizes) - sizes)[block_of]
+    content = np.array([_contents(t) for t in tableaux], dtype=np.intp).reshape(-1, m)
+    right = count > 0
+    right[owner[~_fast.in_eigenspaces(m, vecs, content[(offset + j)[owner]])]] = False
     on = right & right[flip]
     for x in np.flatnonzero(~adjoint).tolist():
-        blk, i, j = labels[x]
-        on[x] = _in_line(b.operator(labels[x]), b.blocks[blk].tableaux[i], b.blocks[blk].tableaux[j])
-    block_of = np.array([blk for blk, _, _ in labels], dtype=np.intp)
-    proved = np.ones(len(b.blocks), dtype=bool)
+        on[x] = _in_line(ops[x], tableaux[offset[x] + i[x]], tableaux[offset[x] + j[x]])
+    proved = np.ones(len(sizes), dtype=bool)
     proved[block_of[~(on & adjoint)]] = False
-    # the chains of the blocks that pass (a)
-    closed = proved.tolist()
-    candidate = [(x, label) for x, label in enumerate(labels) if closed[label[0]]]
-    chains = [(at[blk, i, 0], at[blk, 0, j], x) for x, (blk, i, j) in candidate]
-    chains += [(at[blk, 0, j], at[blk, j, 0], at[blk, 0, 0]) for _, (blk, i, j) in candidate if i == j]
-    if chains:
-        held = _chains_hold(b.m, parts, chains)
-        proved[[labels[z][0] for (_, _, z), ok in zip(chains, held) if not ok]] = False
-    return on, proved[block_of]
+    # the chains of the blocks that pass (a): O_S1·O_1T = O_ST and O_1T·O_T1 = O_11
+    x = np.flatnonzero(proved[block_of])
+    d = x[i[x] == j[x]]
+    z = np.concatenate([x, corner[d]])
+    if len(z):
+        a = np.concatenate([corner[x] + i[x] * side[x], corner[d] + j[d]])
+        c = np.concatenate([corner[x] + j[x], corner[d] + j[d] * side[d]])
+        proved[block_of[z[~_chains_hold(rows, a, c, z)]]] = False
+    return on, proved[block_of], rows
 
 
 def _judge(b: BasisMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -333,10 +414,17 @@ def _judge(b: BasisMatrix) -> tuple[np.ndarray, np.ndarray]:
     (O_S1·O_1T)[g] = O_ST[g] and (O_1T·O_T1)[g] = O_11[g], g the first
     permutation where the right-hand side is nonzero (``_chains_hold``).
 
-    The right sides are one ``_fast.in_eigenspaces`` mask over the stored
-    vectors.  The X_k are Hermitian, so where O_ST† = O_TS the right side of
-    O_TS is the left side of O_ST; any other operator runs
-    ``projectors._in_line``.  Only blocks that pass (a) run their chains.
+    The verdict is one array program over the stored vectors as rows, one
+    per (operator, radicand) pair (``_Rows``).  The labels' blocks, rows,
+    columns and adjoint partners, each row's operator, radicand and
+    denominator, and each operator's first nonzero permutation are index
+    arrays, computed once.  One pass over the rows, in chunks of whole
+    blocks under ``_fast._GATHER_LIMIT`` entries, checks O_ST† = O_TS and
+    finds the first nonzeros.  The right sides are one
+    ``_fast.in_eigenspaces`` mask over all rows.  The X_k are Hermitian, so
+    where O_ST† = O_TS the right side of O_TS is the left side of O_ST; any
+    other operator runs ``projectors._in_line``.  Only blocks that pass (a)
+    run their chains, all in one ``_chains_hold`` call.
 
     Proof.  The X_k generate the commutative algebra of the primitive
     idempotents E_T of all standard tableaux T, X_k·E_T = E_T·X_k =
@@ -362,7 +450,7 @@ def _judge(b: BasisMatrix) -> tuple[np.ndarray, np.ndarray]:
     The three suites share the verdict of the latest basis object, keyed by
     identity, as hashing a basis hashes every operator vector.
     """
-    return _verdict(_Identity(b))
+    return _verdict(_Identity(b))[:2]
 
 
 def verify_multiplication_table(
@@ -383,10 +471,10 @@ def verify_multiplication_table(
     expected and the actual coefficient.
     ``jobs`` is accepted for compatibility and ignored.
     """
-    labels = b.labels()
-    on, proved = _judge(b)
+    on, proved, rows = _verdict(_Identity(b))
     if proved.all():
-        return VerificationReport("multiplication_table", len(labels) ** 2)
+        return VerificationReport("multiplication_table", len(on) ** 2)
+    labels = b.labels()
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
     position = {label: k for k, label in enumerate(labels)}
@@ -411,12 +499,11 @@ def verify_multiplication_table(
 
     # one call per block, so that only its operators are stacked
     lined = [(a, c, z) for (a, c), z in target.items() if on[a] and on[c] and on[z]]
-    parts = [op._parts for op in ops]
     for _, chains in groupby(lined, key=lambda chain: labels[chain[0]][0]):
-        chains = list(chains)
-        for (a, c, _), holds in zip(chains, _chains_hold(b.m, parts, chains)):
+        a, c, z = np.array(list(chains)).T
+        for x, y, holds in zip(a.tolist(), c.tolist(), _chains_hold(rows, a, c, z)):
             if not holds:
-                check(a, c)
+                check(x, y)
     off = [x for x, ok in enumerate(on) if not ok]
     suspects = {pair for x in off for y in range(len(ops)) for pair in ((x, y), (y, x))}
     suspects.update(pair for pair, z in target.items() if not on[z])
@@ -453,12 +540,12 @@ def verify_orthonormality(
     if b.kind != "hermitian":
         raise ValueError("orthonormality holds only for the hermitian basis kind")
     _check_sample(sample)
-    labels = b.labels()
-    n = len(labels)
-    checked = n * n if sample is None else sample
     on, proved = _judge(b)
+    n = len(on)
+    checked = n * n if sample is None else sample
     if proved.all():
         return VerificationReport("orthonormality", checked)
+    labels = b.labels()
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
     dims = {k: trace(block.operators[0][0]) for k, block in enumerate(b.blocks) if block.size}

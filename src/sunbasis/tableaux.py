@@ -107,6 +107,11 @@ class YoungTableau:
             if any(upper[j] >= lower[j] for j in range(len(lower))):
                 raise ValueError(f"column not increasing at rows {i},{i+1}")
 
+    def __hash__(self) -> int:
+        # the filling's tuple hash: every tableau-keyed cache reads it, and the
+        # dataclass hash of a one-field tuple costs about three times as much
+        return hash(self.rows)
+
     @cached_property
     def shape(self) -> YoungDiagram:
         """The diagram of the filling, built once per tableau."""
@@ -114,7 +119,7 @@ class YoungTableau:
 
     @property
     def n(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return sum(map(len, self.rows))
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         ncols = len(self.rows[0])
@@ -210,8 +215,11 @@ def tableau_permutation(theta: YoungTableau, phi: YoungTableau) -> Permutation:
 @cache
 def _contents(t: YoungTableau) -> tuple[int, ...]:
     """c_T(k) at [k - 1]: the column minus the row of the box holding k."""
-    boxes = sorted((e, j - i) for i, row in enumerate(t.rows) for j, e in enumerate(row))
-    return tuple(c for _, c in boxes)
+    contents = [0] * t.n
+    for i, row in enumerate(t.rows):
+        for j, e in enumerate(row):
+            contents[e - 1] = j - i
+    return tuple(contents)
 
 
 @cache

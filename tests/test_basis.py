@@ -1113,8 +1113,8 @@ def test_the_table_suite_chains_only_the_unproved_block(monkeypatch, m):
     calls = _calls(monkeypatch, "_chains_hold")
     assert not verify_multiplication_table(bad).passed
     labels = bad.labels()
-    assert [len(chains) for _, _, chains in calls] == [bad.blocks[blk].size ** 3]
-    assert {labels[x][0] for chain in calls[0][2] for x in chain} == {blk}
+    assert [len(z) for _, _, _, z in calls] == [bad.blocks[blk].size ** 3]
+    assert {labels[x][0] for operators in calls[0][1:] for x in operators.tolist()} == {blk}
 
 
 # -- basis-change invariance -----------------------------------------------------
@@ -1214,10 +1214,19 @@ def test_warm_cache_suite_matches_cold():
     run_suite(4)
     warm = run_suite(4)
     _clear_caches()
-    assert assemble.cache_info().currsize == 0
+    assert basis_module._assemble.cache_info().currsize == 0
     cold = run_suite(4)
     assert cold == warm
     assert [r.checked for r in cold] == [576, 576, 5, 1]
+
+
+def test_every_spelling_of_a_call_returns_the_one_cached_grid():
+    _clear_caches()
+    grids = [assemble(3), assemble(3, "hermitian"), assemble(3, kind="hermitian"), assemble(m=3)]
+    assert all(grid is grids[0] for grid in grids)
+    assert basis_module._assemble.cache_info().currsize == 1
+    assert run_suite(3, suites=("table",))[0].passed
+    assert basis_module._assemble.cache_info().currsize == 1
 
 
 def _count_eigen_checks(monkeypatch) -> list[int]:
@@ -1334,19 +1343,9 @@ def test_basis_from_json_rejects_grids_the_suites_cannot_read():
         basis_from_json(data)
 
 
-class _StackSpy:
-    """numpy as ``basis`` reads it, with the dtype of every ``stack`` recorded."""
-
-    def __init__(self):
-        self.dtypes = set()
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def stack(self, arrays):
-        out = np.stack(arrays)
-        self.dtypes.add(out.dtype)
-        return out
+def _record_dtype(dtypes: set, out: np.ndarray) -> np.ndarray:
+    dtypes.add(out.dtype)
+    return out
 
 
 def _assert_certificate_dtype_follows_its_bound(monkeypatch):
@@ -1366,7 +1365,7 @@ def _assert_certificate_dtype_follows_its_bound(monkeypatch):
     below = max(k for k in ks if k * t < _fast._STORED)
     above = min(k for k in ks if k > below)
     eigen_checks = []
-    check = _fast.in_eigenspaces
+    check, stack = _fast.in_eigenspaces, _fast.stack
 
     def spy(*args):
         eigen_checks.append(check(*args))
@@ -1378,14 +1377,14 @@ def _assert_certificate_dtype_follows_its_bound(monkeypatch):
         top = max(int(abs(v).max()) for _, op in bad.flat() for _, v in op._parts.values())
         assert top == k * t
         assert (top < _fast._STORED) is (dtype is np.int64)
-        numpy = _StackSpy()
+        dtypes = set()
         eigen_checks.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(basis_module, "np", numpy)
+            patch.setattr(_fast, "stack", lambda vecs: _record_dtype(dtypes, stack(vecs)))
             assert basis_module._judge(bad)[0].all()
         # the int64 side stacks only int64, the other side Python ints too
-        assert (numpy.dtypes == {np.dtype(np.int64)}) is (dtype is np.int64)
-        assert np.dtype(dtype) in numpy.dtypes
+        assert (dtypes == {np.dtype(np.int64)}) is (dtype is np.int64)
+        assert np.dtype(dtype) in dtypes
         assert _unproved(bad) == {1}
         # one eigen-check of the stored vectors: every transpose is an adjoint
         assert [mask.all() for mask in eigen_checks] == [True]

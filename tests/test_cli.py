@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -605,15 +606,30 @@ def test_subprocess_exit_codes():
     assert run_module(["verify", "--m", "2", "--suite", "all"]).returncode == 0
 
 
+# Runs the CLI with the given arguments and reports the child's peak RSS in
+# kB (Linux) and its exit code on stderr.  A forked child starts with its
+# parent's resident pages, so a child forked from the test process would
+# report at least the test process's size; this launcher is small.
+_LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "sunbasis.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(child.pid, 0)
+print(usage.ru_maxrss, os.waitstatus_to_exitcode(status), file=sys.stderr)
+"""
+
+
 def test_verify_m7_passes_all_four_suites():
-    # about ten seconds and a third of a gigabyte in a child process
+    # about ten seconds and 290 MB in a grandchild process
     result = subprocess.run(
-        [sys.executable, "-m", "sunbasis.cli", "verify", "--m", "7"],
+        [sys.executable, "-c", _LAUNCHER, "verify", "--m", "7"],
         capture_output=True,
         text=True,
         timeout=1800,
     )
-    assert result.returncode == 0, result.stderr
+    peak_kb, code = map(int, result.stderr.split()[-2:])
+    assert code == 0, result.stderr
+    if sys.platform.startswith("linux"):
+        assert peak_kb < 300 * 1024
     payload = json.loads(result.stdout)
     assert payload["passed"] is True
     assert [(r["name"], r["passed"]) for r in payload["reports"]] == [
@@ -622,6 +638,36 @@ def test_verify_m7_passes_all_four_suites():
         ("completeness_and_nesting", True),
         ("linear_independence", True),
     ]
+
+
+_THREAD_COUNTS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _threads_after_import(module: str, **preset: str) -> str:
+    """The thread count of a fresh process after ``import module``, and the
+    OpenBLAS thread count its environment then holds."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_COUNTS}
+    probe = (
+        f"import os; import {module}; "
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={**env, **preset}, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc")
+def test_import_starts_numpy_without_a_blas_thread_pool():
+    # no kernel calls a float BLAS routine, so the package starts numpy with
+    # one thread and leaves the environment of child processes as it was
+    assert _threads_after_import("sunbasis") == "1 None"
+    # a thread count the caller chose is kept, as with numpy alone
+    for name in _THREAD_COUNTS:
+        preset = {name: "2"}
+        assert _threads_after_import("sunbasis", **preset) == _threads_after_import("numpy", **preset)
+    assert _threads_after_import("sunbasis", OPENBLAS_NUM_THREADS="2").endswith(" 2")
 
 
 def test_subprocess_byte_identical_runs():

@@ -79,6 +79,18 @@ def test_shape_is_built_once_and_leaves_identity_alone():
     assert repr(d) == "YoungDiagram(rows=(3, 2))"
 
 
+@pytest.mark.parametrize("n", [1, 4, 6])
+def test_a_tableau_hashes_as_its_filling(n):
+    # equal tableaux hash equal, and a tableau hashes as its rows tuple, so a
+    # tableau-keyed cache pays one tuple hash per tableau, not one per lookup
+    tableaux = enumerate_tableaux(n)
+    for t in tableaux:
+        fresh = YoungTableau(t.rows)
+        assert fresh == t and fresh is not t
+        assert hash(t) == hash(fresh) == hash(t.rows) == hash(t)
+    assert len({YoungTableau(t.rows) for t in tableaux} | set(tableaux)) == len(tableaux)
+
+
 def test_tableau_counts():
     assert YoungDiagram((4, 3, 1)).tableau_count() == 70
     assert YoungDiagram((2, 1)).tableau_count() == 2
