@@ -9,8 +9,10 @@ This module holds what that form needs beyond plain numpy: ``positions``,
 the place of a permutation in the lexicographic order, from which every
 gather takes its indices, the cycle counts, the exact sum and product of
 two such forms, the product by a symmetrizer set ``times_set``, the
-Jucys–Murphy eigen-check ``in_eigenspaces``, and ``stack``, which puts
-stored vectors into one array in their common dtype.  Every result is in
+Jucys–Murphy eigen-check ``in_eigenspaces``, ``stack``, which puts
+stored vectors into one array in their common dtype, and the wire format's
+two bulk steps: ``scatter`` reads terms into a vector, and ``lowest_terms``
+writes its entries out.  Every result is in
 canonical form (see ``reduce``), so equal elements have equal vectors.
 
 A stored vector is int64 exactly when every entry lies below ``_STORED`` =
@@ -195,6 +197,25 @@ def reduce(denom: int, vec: np.ndarray) -> tuple[int, np.ndarray] | None:
         vec = vec // g
         denom //= g
     return denom, vec.astype(np.int64 if _abs_max(vec) < _STORED else object, copy=False)
+
+
+def scatter(size: int, where: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The exact vector of ``values`` added up at the positions ``where``:
+    int64 while no sum can reach ``_INT64_GUARD``, Python integers otherwise."""
+    if values.dtype == np.int64 and _abs_max(values) * len(values) >= _INT64_GUARD:
+        values = values.astype(object)
+    out = np.zeros(size, dtype=values.dtype)
+    np.add.at(out, where, values)
+    return out
+
+
+def lowest_terms(denom: int, vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every entry of ``vec / denom`` in lowest terms by one ``np.gcd``: the
+    numerators, and the denominators, positive (1 at a zero entry)."""
+    if vec.dtype == np.int64 and denom >= _INT64_GUARD:
+        vec = vec.astype(object)
+    g = np.gcd(vec, denom)
+    return vec // g, denom // g
 
 
 def _accumulate(acc: dict, d: int, denom: int, vec: np.ndarray) -> None:

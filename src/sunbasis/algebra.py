@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import factorial, lcm
+from operator import countOf
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -37,8 +39,8 @@ from .coefficients import (
     int_from_json,
     ints_from_json,
     rational_from_json,
+    rationals_from_json,
     squarefree_decompose,
-    surd_to_json,
 )
 from .permutations import Permutation, all_permutations
 
@@ -53,16 +55,29 @@ def _check_degree(m: int) -> None:
         raise ValueError(f"degree must be between 1 and {_MAX_DEGREE}, got {m}")
 
 
-def _parts_from_rows(m: int, rows: dict[int, list[tuple[int, int, int]]]) -> _fast.Parts:
-    """Canonical vectors from (position, numerator, denominator) terms per radicand."""
+def _parts_from_terms(
+    m: int,
+    where: np.ndarray,
+    radicands: list[int],
+    which: np.ndarray,
+    nums: list[int],
+    dens: list[int],
+) -> _fast.Parts:
+    """Canonical vectors of the terms nums[i]/dens[i]·√radicands[k] at the
+    positions where[k], with i = which[k]: per radicand, one lcm of its
+    terms' denominators and one scatter of their numerators over it."""
     size = factorial(m)
     acc: dict = {}
-    for d, terms in rows.items():
-        denom = lcm(*(q for _, _, q in terms))
-        values = [0] * size
-        for pos, num, q in terms:
-            values[pos] += num * (denom // q)
-        acc[d] = (denom, _fast.vector(values))
+    distinct = dict.fromkeys(radicands)
+    keys = np.array(radicands, dtype=object) if len(distinct) > 1 else None
+    for d in distinct:
+        at = slice(None) if keys is None else keys == d
+        used = which[at]
+        root, whole = squarefree_decompose(d)
+        present = np.flatnonzero(np.bincount(used, minlength=len(dens)))
+        denom = lcm(*(dens[i] for i in present))
+        scaled = _fast.vector([n * whole * (denom // q) for n, q in zip(nums, dens)])
+        _fast._accumulate(acc, root, denom, _fast.scatter(size, where[at], scaled[used]))
     return _fast.canonical(acc)
 
 
@@ -73,7 +88,7 @@ class AlgebraElement:
 
     def __init__(self, m: int, terms: dict[Permutation, SurdLike] | None = None):
         _check_degree(m)
-        rows: dict[int, list[tuple[int, int, int]]] = {}
+        where, radicands, nums, dens = [], [], [], []
         if terms:
             index = _fast.permutation_index(m)
             for p, c in terms.items():
@@ -81,9 +96,15 @@ class AlgebraElement:
                     raise ValueError(f"term degree {p.degree} != element degree {m}")
                 pos = index[p.images]
                 for d, q in Surd._coerce(c).terms():
-                    rows.setdefault(d, []).append((pos, q.numerator, q.denominator))
+                    where.append(pos)
+                    radicands.append(d)
+                    nums.append(q.numerator)
+                    dens.append(q.denominator)
+        parts = _parts_from_terms(
+            m, np.array(where, dtype=np.intp), radicands, np.arange(len(nums)), nums, dens
+        )
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_parts", _parts_from_rows(m, rows))
+        object.__setattr__(self, "_parts", parts)
 
     @classmethod
     def _raw(cls, m: int, parts: _fast.Parts) -> "AlgebraElement":
@@ -314,34 +335,71 @@ def proportionality(a: AlgebraElement, b: AlgebraElement) -> Optional[Surd]:
 # -- JSON wire format -----------------------------------------------------
 #
 # operator -> {"m": int, "terms": [{"perm": [one-line ints], "coeff": surd}]}
-# with terms sorted by one-line form; bit-exact round trip.
+# with terms sorted by one-line form; bit-exact round trip.  Both directions
+# pass over the stored vectors in bulk and make no Permutation, Surd or
+# Fraction per term; only a rational spelt other than the canonical "p/q"
+# is read through a Fraction.
 
 
 def element_to_json(a: AlgebraElement) -> dict:
+    """The wire form of ``a``: its support's images off the lexicographic
+    table, and each radicand's entries in lowest terms by one ``np.gcd``."""
+    support = a._positions()
+    # per radicand, ascending: each support term's [d, "p/q"], or None at a zero
+    columns = []
+    for d, (denom, vec) in a._parts.items():
+        nums, dens = _fast.lowest_terms(denom, vec[support])
+        fractions = zip(nums.tolist(), dens.tolist())
+        columns.append([[d, f"{n}/{q}"] if n else None for n, q in fractions])
+    images = (_fast.lexicographic(a.m)[0][support] + 1).tolist()
     return {
         "m": a.m,
         "terms": [
-            {"perm": list(p.images), "coeff": surd_to_json(c)} for p, c in a.items()
+            {"perm": p, "coeff": [pair for pair in row if pair]}
+            for p, row in zip(images, zip(*columns))
         ],
     }
 
 
 def element_from_json(obj: dict) -> AlgebraElement:
-    """Parse the wire format straight into vectors; malformed input raises ValueError."""
+    """Parse the wire format straight into vectors; malformed input raises ValueError.
+
+    The terms' positions, radicands and coefficient texts are gathered in
+    bulk, and ``rationals_from_json`` reads each distinct text once: the
+    canonical ``p/q`` all at once, any other spelling as ``Fraction`` does.
+    """
     if not isinstance(obj, dict) or "m" not in obj or "terms" not in obj:
         raise ValueError("operator JSON must have 'm' and 'terms'")
     m = int_from_json(obj["m"])
     _check_degree(m)
+    terms = obj["terms"]
+    if not isinstance(terms, list):
+        raise ValueError(f"operator 'terms' must be a list, got {terms!r}")
     index = _fast.permutation_index(m)
-    rows: dict[int, list[tuple[int, int, int]]] = {}
-    for t in obj["terms"]:
-        images = ints_from_json(t["perm"])
-        pos = index.get(images)
-        if pos is None:  # not a permutation of degree m: say what is wrong
-            p = Permutation(images)
-            raise ValueError(f"term degree {p.degree} != element degree {m}")
-        for d, c in t["coeff"]:
-            s, g = squarefree_decompose(int_from_json(d))
-            q = rational_from_json(c)
-            rows.setdefault(s, []).append((pos, q.numerator * g, q.denominator))
-    return AlgebraElement._raw(m, _parts_from_rows(m, rows))
+    try:
+        perms = [tuple(t["perm"]) for t in terms]
+        coeffs = [t["coeff"] for t in terms]
+        counts = list(map(len, coeffs))
+        pairs = list(chain.from_iterable(coeffs))
+        radicands = [d for d, _ in pairs]
+        texts = [c for _, c in pairs]
+    except (KeyError, TypeError):
+        raise ValueError(
+            "operator terms must be {'perm': [ints], 'coeff': [[d, 'p/q'], ...]} objects"
+        ) from None
+    positions = list(map(index.get, perms))
+    if None in positions or countOf(map(type, chain.from_iterable(perms)), int) != m * len(perms):
+        for t in terms:  # say what is wrong
+            images = ints_from_json(t["perm"])
+            if index.get(images) is None:
+                raise ValueError(f"term degree {Permutation(images).degree} != element degree {m}")
+    if countOf(map(type, radicands), int) != len(radicands):
+        int_from_json(next(d for d in radicands if type(d) is not int))
+    if countOf(map(type, texts), str) != len(texts):
+        rational_from_json(next(c for c in texts if type(c) is not str))
+    codes = dict.fromkeys(texts)  # each distinct text, then its index
+    nums, dens = rationals_from_json(list(codes))
+    codes.update(zip(codes, range(len(codes))))
+    which = np.fromiter(map(codes.__getitem__, texts), dtype=np.intp, count=len(texts))
+    where = np.repeat(np.array(positions, dtype=np.intp), counts)
+    return AlgebraElement._raw(m, _parts_from_terms(m, where, radicands, which, nums, dens))

@@ -715,17 +715,27 @@ def basis_to_json(b: BasisMatrix) -> dict:
 
 
 def basis_from_json(obj: dict) -> BasisMatrix:
-    """Parse a basis; a block whose operator grid is not square over its
-    tableaux, or that holds an operator of another degree, raises ValueError."""
+    """Parse a basis; malformed input raises ValueError, and so does a block
+    whose operator grid is not square over its tableaux or that holds an
+    operator of another degree."""
     from .algebra import element_from_json
 
+    if not isinstance(obj, dict) or not {"m", "kind", "blocks"} <= obj.keys():
+        raise ValueError("basis JSON must have 'm', 'kind' and 'blocks'")
     m, kind = int_from_json(obj["m"]), obj["kind"]
     _check_basis(m, kind)
+    if not isinstance(obj["blocks"], list):
+        raise ValueError(f"basis blocks must be a list, got {obj['blocks']!r}")
     blocks = []
     for blk in obj["blocks"]:
-        diagram = YoungDiagram(ints_from_json(blk["diagram"]))
-        tableaux = tuple(tableau_from_json(t) for t in blk["tableaux"])
-        grid = tuple(tuple(element_from_json(op) for op in row) for row in blk["operators"])
+        try:
+            diagram = YoungDiagram(ints_from_json(blk["diagram"]))
+            tableaux = tuple(tableau_from_json(t) for t in blk["tableaux"])
+            grid = tuple(tuple(element_from_json(op) for op in row) for row in blk["operators"])
+        except (KeyError, TypeError):
+            raise ValueError(
+                "a basis block must have 'diagram', 'tableaux' and an 'operators' grid"
+            ) from None
         name = ",".join(map(str, diagram.rows))
         if len(grid) != len(tableaux) or any(len(row) != len(tableaux) for row in grid):
             raise ValueError(f"block ({name}): operator grid is not {len(tableaux)}x{len(tableaux)}")

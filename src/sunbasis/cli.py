@@ -71,8 +71,8 @@ _DIMS_MAX_DEGREE = 18
 # tableaux lists every standard tableau of degree m; m = 11 (35 696 of them)
 # takes ≈ 3.0 s at 186 MB cold on 2 vCPUs, and m = 12 ≈ 15 s at 668 MB
 _TABLEAUX_MAX_DEGREE = 11
-# basis prints every operator of degree m; m = 6 prints 130 MB of JSON in
-# 13 s at 876 MB peak on 2 vCPUs, and the m = 7 JSON passed 4.4 GB unfinished
+# basis prints every operator of degree m; m = 6 prints 119 MB of JSON in
+# 9 s at 865 MB peak on 2 vCPUs, and the m = 7 JSON passed 4.4 GB unfinished
 _BASIS_MAX_DEGREE = 6
 
 
@@ -429,7 +429,7 @@ def _read_operator(spec: Any) -> AlgebraElement:
         if isinstance(obj, dict) and "element" in obj and "terms" not in obj:
             obj = obj["element"]
         return element_from_json(obj)
-    except (ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad operator JSON: {exc}") from None
 
 

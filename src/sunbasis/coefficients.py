@@ -13,6 +13,7 @@ dimension formulas that stay symbolic in the ambient dimension.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
@@ -388,7 +389,10 @@ def int_from_json(x: object) -> int:
 
 
 def ints_from_json(obj: Iterable) -> tuple[int, ...]:
-    xs = tuple(obj)
+    try:
+        xs = tuple(obj)
+    except TypeError:
+        raise ValueError(f"expected a list of integers, got {obj!r}") from None
     if countOf(map(type, xs), int) != len(xs):
         raise ValueError(f"expected a list of integers, got {obj!r}")
     return xs
@@ -406,6 +410,27 @@ def rational_from_json(s: str) -> Fraction:
         return Fraction(s)
     except ZeroDivisionError:
         raise ValueError(f"rational {s!r} has a zero denominator") from None
+
+
+# the spelling ``rational_to_json`` writes, as a comma-separated list
+_CANONICAL_RATIONALS = re.compile(r"-?[0-9]+/[0-9]+(?:,-?[0-9]+/[0-9]+)*")
+
+
+def rationals_from_json(texts: list[str]) -> tuple[list[int], list[int]]:
+    """The numerators and denominators of wire rationals, not reduced.
+
+    A list in the canonical ``p/q`` spelling is read at once: one join, one
+    match and one split into ints.  Any other list is read item by item by
+    ``rational_from_json``, as ``Fraction`` reads it, with its errors.
+    """
+    joined = ",".join(texts)
+    # a text that holds a comma adds a slash, so the count tells it apart
+    if _CANONICAL_RATIONALS.fullmatch(joined) and joined.count("/") == len(texts):
+        ints = list(map(int, joined.replace("/", ",").split(",")))
+        if 0 not in ints[1::2]:  # else the item by item reading names the zero
+            return ints[0::2], ints[1::2]
+    fractions = [rational_from_json(s) for s in texts]
+    return [f.numerator for f in fractions], [f.denominator for f in fractions]
 
 
 def surd_to_json(x: SurdLike) -> list:

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
+import numpy as np
+
+from . import _fast
 from ._linalg import surd_rank
 from .algebra import AlgebraElement
 from .coefficients import Surd, surd_from_json, surd_to_json
@@ -112,7 +114,8 @@ def represent(a: AlgebraElement, n: int, *, cap: int = 10_000) -> ConcreteMatrix
     A permutation moves the tensor factor at slot ``k`` to the slot the
     permutation sends ``k`` to; equivalently, column ``t`` holds a single 1
     in the row whose index tuple reads ``t`` through the inverse
-    permutation.  Elements extend linearly, entry by entry.
+    permutation.  Elements extend linearly: each cell sums its terms'
+    numerators in one array pass, and each distinct sum is one ``Surd``.
     """
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
@@ -123,20 +126,30 @@ def represent(a: AlgebraElement, n: int, *, cap: int = 10_000) -> ConcreteMatrix
             f"pass cap={size} or more to allow it"
         )
     m = a.m
-    entries: dict[tuple[int, int], Surd] = {}
-    terms = list(a.items())
-    inverses = [(p.inverse().images, coeff) for p, coeff in terms]
-    for t in product(range(n), repeat=m):
-        col = 0
-        for x in t:
-            col = col * n + x
-        for inv_images, coeff in inverses:
-            row = 0
-            for k in range(m):
-                row = row * n + t[inv_images[k] - 1]
-            pos = (row, col)
-            prev = entries.get(pos)
-            entries[pos] = coeff if prev is None else prev + coeff
+    if a.is_zero():
+        return ConcreteMatrix(n, m)
+    powers = n ** np.arange(m - 1, -1, -1)
+    cols = np.arange(size)
+    digits = cols[:, None] // powers % n  # column t's index tuple
+    support = a._positions()
+    # the zero-based images of each support permutation's inverse
+    inverses = _fast.lexicographic(m)[0][_fast.inverse_table(m)[support]]
+    rows = np.concatenate([digits[:, inv] @ powers for inv in inverses])
+    cells, where = np.unique(rows * size + np.tile(cols, len(support)), return_inverse=True)
+    # per radicand, each cell's numerator: the sum of its terms' entries
+    scales, sums = [], []
+    for d, (denom, vec) in a._parts.items():
+        total = np.zeros(len(cells), dtype=vec.dtype)
+        np.add.at(total, where, np.repeat(vec[support], size))
+        scales.append((d, denom))
+        sums.append(total.tolist())
+    surds: dict[tuple, Surd] = {}  # one per distinct tuple of numerators
+    entries = {}
+    for cell, key in zip(cells.tolist(), zip(*sums)):
+        if any(key):
+            if key not in surds:
+                surds[key] = Surd({d: Fraction(x, denom) for (d, denom), x in zip(scales, key)})
+            entries[divmod(cell, size)] = surds[key]
     return ConcreteMatrix(n, m, entries)
 
 
@@ -159,14 +172,12 @@ def rank(c: ConcreteMatrix) -> int:
 
 
 def matrix_to_json(c: ConcreteMatrix) -> dict:
+    wire = {v: surd_to_json(v) for v in set(c.entries.values())}
     return {
         "n": c.n,
         "m": c.m,
         "size": c.size,
-        "entries": [
-            [r, col, surd_to_json(v)]
-            for (r, col), v in sorted(c.entries.items())
-        ],
+        "entries": [[r, col, wire[v]] for (r, col), v in sorted(c.entries.items())],
     }
 
 

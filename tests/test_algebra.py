@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,14 @@ from sunbasis.algebra import (
     trace,
 )
 from sunbasis.basis import basis_from_json
-from sunbasis.coefficients import PolyN, Surd, poly_from_json, surd_from_json
+from sunbasis.coefficients import (
+    PolyN,
+    Surd,
+    poly_from_json,
+    rational_from_json,
+    surd_from_json,
+    surd_to_json,
+)
 from sunbasis.permutations import Permutation, all_permutations, compose
 from sunbasis.tableaux import tableau_from_json
 
@@ -229,6 +237,98 @@ def test_json_shape():
             {"perm": [2, 1], "coeff": [[2, "1/1"]]},
         ],
     }
+
+
+def parts(a: AlgebraElement) -> list:
+    """The stored form bit for bit: radicands in order, denominators, dtypes, values."""
+    return [(d, denom, vec.dtype, vec.tolist()) for d, (denom, vec) in a._parts.items()]
+
+
+def wire_terms(m):
+    """Wire terms with repeated permutations, non-squarefree radicands, two
+    radicands that one float64 cannot tell apart, and numerators past the
+    int64 storage bound."""
+    perm = st.permutations(list(range(1, m + 1)))
+    radicand = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 18, 2**63, 2**63 + 2])
+    numerator = st.integers(-6, 6) | st.integers(-(2**70), 2**70)
+    rational = st.builds(Fraction, numerator, st.integers(1, 12))
+    coeff = st.lists(st.tuples(radicand, rational), max_size=3)
+    return st.lists(st.tuples(perm, coeff), max_size=8)
+
+
+def wire(m: int, terms) -> dict:
+    return {
+        "m": m,
+        "terms": [
+            {"perm": p, "coeff": [[d, f"{q.numerator}/{q.denominator}"] for d, q in coeff]}
+            for p, coeff in terms
+        ],
+    }
+
+
+def reference_to_json(a: AlgebraElement) -> dict:
+    """The wire form term by term, through ``items``."""
+    return {
+        "m": a.m,
+        "terms": [{"perm": list(p.images), "coeff": surd_to_json(c)} for p, c in a.items()],
+    }
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_wire_round_trip_is_bit_identical(data):
+    m = data.draw(st.integers(1, 4))
+    terms = data.draw(wire_terms(m))
+    # the independent reading: one element per term, summed
+    expected = AlgebraElement.zero(m)
+    for p, coeff in terms:
+        for d, q in coeff:
+            expected = expected + AlgebraElement(m, {Permutation(tuple(p)): Surd({d: q})})
+    # ... and a term that cancels the first one
+    if terms and terms[0][1]:
+        (d, q), p = terms[0][1][0], terms[0][0]
+        terms = [*terms, (p, [(d, -q)])]
+        expected = expected - AlgebraElement(m, {Permutation(tuple(p)): Surd({d: q})})
+    a = element_from_json(wire(m, terms))
+    assert parts(a) == parts(expected)
+    assert element_to_json(a) == reference_to_json(a)
+    assert parts(element_from_json(element_to_json(a))) == parts(a)
+
+
+def test_wire_round_trip_keeps_object_vectors():
+    p, q = Permutation.identity(3), Permutation.transposition(3, 1, 2)
+    a = AlgebraElement(3, {p: Fraction(2**70, 3), q: Surd({8: Fraction(-5, 6)})})
+    assert {vec.dtype for _, vec in a._parts.values()} == {np.dtype(object), np.dtype(np.int64)}
+    data = element_to_json(a)
+    assert data == reference_to_json(a)
+    assert parts(element_from_json(json.loads(json.dumps(data)))) == parts(a)
+    # a denominator past int64 beside an int64 vector
+    b = AlgebraElement(3, {p: Fraction(1, 3**50), q: Fraction(2, 3**50)})
+    assert element_to_json(b) == reference_to_json(b)
+    assert parts(element_from_json(element_to_json(b))) == parts(b)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0.5", " 1/2 ", "+1/2", "1_0/2", "3", "-.25", "1e2", "2/4", "007/3", "-0/5",
+     "1/2\n", "\u0661/\u0662", "\uff11/\uff12"],
+)
+def test_non_canonical_spellings_read_as_fraction_reads_them(text):
+    p, q = Permutation.identity(2), Permutation.transposition(2, 1, 2)
+    expected = AlgebraElement(2, {p: Fraction(text), q: Surd({2: Fraction(text) + 1})})
+    obj = {"m": 2, "terms": [{"perm": [1, 2], "coeff": [[1, text]]},
+                             {"perm": [2, 1], "coeff": [[2, text], [2, "1/1"]]}]}
+    assert parts(element_from_json(obj)) == parts(expected)
+
+
+@pytest.mark.parametrize("text", ["x", "1/0", "1/2,3/4", "1/-2", "", "1//2", "1/2 3"])
+def test_bad_rationals_raise_the_fraction_reading_error(text):
+    obj = {"m": 1, "terms": [{"perm": [1], "coeff": [[1, "1/3"], [1, text]]}]}
+    with pytest.raises(ValueError) as got:
+        element_from_json(obj)
+    with pytest.raises(ValueError) as expected:
+        rational_from_json(text)
+    assert str(got.value) == str(expected.value)
 
 
 def test_identity_element_is_neutral():
@@ -491,6 +591,16 @@ def test_degree_above_the_dense_limit_is_rejected():
                 {"m": 3, "terms": [{"perm": "123", "coeff": [[1, "1/1"]]}]},
                 {"m": 3, "terms": [{"perm": [1.0, 2, 3], "coeff": [[1, "1/1"]]}]},
                 {"m": 1, "terms": [{"perm": [True], "coeff": [[1, "1/1"]]}]},
+                # a term, a term list or a coefficient pair of the wrong shape
+                {"m": 2, "terms": [{"coeff": [[1, "1/2"]]}]},
+                {"m": 2, "terms": [{"perm": [1, 2]}]},
+                {"m": 2, "terms": 5},
+                {"m": 2, "terms": [[[1, 2], [[1, "1/2"]]]]},
+                {"m": 2, "terms": [{"perm": 12, "coeff": [[1, "1/2"]]}]},
+                {"m": 2, "terms": [{"perm": [1, 2], "coeff": 5}]},
+                {"m": 2, "terms": [{"perm": [1, 2], "coeff": [5]}]},
+                {"m": 2, "terms": [{"perm": [1, 2], "coeff": [[1, "1/2", 3]]}]},
+                {"m": 2, "terms": [{"perm": [1, 2], "coeff": [[1, ["1/2"]]]}]},
             ]
         ),
         (surd_from_json, [[2.9, "1/1"]]),
@@ -498,6 +608,11 @@ def test_degree_above_the_dense_limit_is_rejected():
         (tableau_from_json, {"rows": [[1.9, 2], [3]]}),
         (tableau_from_json, {"rows": [[1, 2], [3]], "shape": [2.0, 1]}),
         (basis_from_json, {"m": True, "kind": "hermitian", "blocks": []}),
+        (basis_from_json, {"kind": "hermitian", "blocks": []}),
+        (basis_from_json, {"m": 1, "kind": "hermitian", "blocks": 3}),
+        (basis_from_json, {"m": 1, "kind": "hermitian", "blocks": [[1]]}),
+        (basis_from_json, {"m": 1, "kind": "hermitian", "blocks": [{"diagram": [1]}]}),
+        (basis_from_json, [1, "hermitian", []]),
         (basis_from_json, {"m": 1, "kind": ["hermitian"], "blocks": []}),
         (
             basis_from_json,

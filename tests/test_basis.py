@@ -1,4 +1,5 @@
 import importlib
+import json
 import math
 import pkgutil
 import random
@@ -1322,6 +1323,18 @@ def test_basis_json_round_trip():
                 for op in row:
                     assert element_from_json(op).m == 3
 
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_stored_grid_reads_back_bit_identical(m):
+    # the verdict's speed on a stored grid depends on its vectors' dtypes
+    b = assemble(m)
+    again = basis_from_json(json.loads(json.dumps(basis_to_json(b))))
+    assert again.labels() == b.labels()
+    for (label, op), (_, back) in zip(b.flat(), again.flat()):
+        assert list(back._parts) == list(op._parts), label
+        for (denom, vec), (denom2, vec2) in zip(op._parts.values(), back._parts.values()):
+            assert denom2 == denom and vec2.dtype == vec.dtype
+            assert vec2.tolist() == vec.tolist(), label
 
 
 def test_basis_from_json_rejects_grids_the_suites_cannot_read():

@@ -294,6 +294,12 @@ def test_represent_cap_and_override():
             "--op",
             '{"m": 3, "terms": [{"perm": [1, 2, 3], "coeff": [[1.5, "1/1"]]}]}',
         ],  # a radicand that is no integer
+        # operators of the wrong shape: no perm, terms no list, a term that is a list
+        ["represent", "--N", "2", "--op", '{"m": 2, "terms": [{"coeff": [[1, "1/2"]]}]}'],
+        ["represent", "--N", "2", "--op", '{"m": 2, "terms": 5}'],
+        ["represent", "--N", "2", "--op", '{"m": 2, "terms": [[[1, 2], [[1, "1/2"]]]]}'],
+        ["represent", "--N", "2", "--op", '{"m": 2, "terms": [{"perm": [1, 2], "coeff": 5}]}'],
+        ["represent", "--N", "2", "--op", '[2, []]'],
     ],
 )
 def test_represent_usage_errors(argv):

@@ -56,6 +56,7 @@ def _runs() -> dict[str, list[str]]:
             ]
     for kind in ("hermitian", "young"):
         runs[f"basis_m4_{kind}"] = ["basis", "--m", "4", "--kind", kind]
+    runs["basis_m5_hermitian"] = ["basis", "--m", "5"]
     for fmt in ("text", "latex"):
         runs[f"basis_m3_{fmt}"] = ["basis", "--m", "3", "--format", fmt]
     runs["verify_m4"] = ["verify", "--m", "4"]

@@ -5,7 +5,7 @@ import pytest
 
 from sunbasis.algebra import AlgebraElement, dagger, multiply, trace
 from sunbasis.basis import assemble
-from sunbasis.coefficients import Surd
+from sunbasis.coefficients import Surd, surd_to_json
 from sunbasis.matrix_rep import (
     ConcreteMatrix,
     matrix_from_json,
@@ -214,6 +214,30 @@ def test_transition_matrix_with_surd_entries():
     assert mat @ mat.transpose() == p_theta
 
 
+def entrywise(a: AlgebraElement, n: int) -> dict:
+    """The matrix entries term by term: permutation p sends column t to the
+    row whose index tuple reads t through p⁻¹."""
+    entries = {}
+    for p, c in a.items():
+        inv = p.inverse().images
+        for col in range(n**a.m):
+            t = [col // n ** (a.m - 1 - k) % n for k in range(a.m)]
+            row = sum(t[inv[k] - 1] * n ** (a.m - 1 - k) for k in range(a.m))
+            entries[row, col] = entries.get((row, col), Surd()) + c
+    return {cell: v for cell, v in entries.items() if v}
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
+def test_represent_matches_the_entrywise_sum(m, n):
+    rng = random.Random(10 * m + n)
+    for surd in (False, True):
+        a = rand_element(m, rng, terms=6, surd=surd)
+        # a cancelling pair and an object-dtype vector
+        b = a - a.scale(Fraction(1, 2)) + AlgebraElement.identity(m).scale(2**40)
+        for el in (a, b, AlgebraElement.zero(m)):
+            assert represent(el, n).entries == entrywise(el, n)
+
+
 # -- serialization ---------------------------------------------------------------
 
 
@@ -226,6 +250,10 @@ def test_matrix_json_round_trip():
         assert data["size"] == 8
         assert matrix_from_json(data) == mat
         assert data["entries"] == sorted(data["entries"])
+        # one wire surd per distinct value, the same as entry by entry
+        assert data["entries"] == [
+            [r, c, surd_to_json(v)] for (r, c), v in sorted(mat.entries.items())
+        ]
 
 
 def test_zero_entries_are_stripped():
