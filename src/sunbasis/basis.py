@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _fast
 from ._linalg import surd_rank
-from .algebra import AlgebraElement, _square_sum, multiply, scalar_product, trace
+from .algebra import AlgebraElement, _square_sum, multiply, scalar_product
 from .coefficients import PolyN, int_from_json, ints_from_json, squarefree_decompose
 from .projectors import _in_line, dimension_formula, hermitian_projector, young_projector
 from .tableaux import (
@@ -529,7 +529,7 @@ def verify_orthonormality(
     """Check ⟨x, y⟩ = δ·dim over operator pairs, as exact polynomial identities.
 
     Distinct operators must pair to zero; an operator against itself gives
-    the dimension polynomial of its block's diagram.  With ``sample`` the
+    ``dimension_formula`` of its row tableau's shape.  With ``sample`` the
     report covers that many pairs drawn uniformly with ``seed`` instead of
     all of them.  Pairs within a block that ``_judge`` proves hold, and so
     do two distinct operators on their lines.  An operator on its line in an
@@ -548,7 +548,6 @@ def verify_orthonormality(
     labels = b.labels()
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
-    dims = {k: trace(block.operators[0][0]) for k, block in enumerate(b.blocks) if block.size}
     if sample is None:
         off = [x for x, ok in enumerate(on) if not ok]
         touched = {pair for x in off for y in range(n) for pair in ((x, y), (y, x))}
@@ -561,14 +560,14 @@ def verify_orthonormality(
         if (a, c) in found or (a != c and on[a] and on[c]) or (a == c and proved[a]):
             continue
         if a == c:
-            expected, rhs = dims[labels[a][0]], f"dim({names[a]})"
+            blk, i, _ = labels[a]
+            shape = b.blocks[blk].tableaux[i].shape
+            expected, rhs = dimension_formula(shape), f"dim({names[a]})"
         else:
             expected, rhs = PolyN(), "0"
         if a == c and on[a]:
             # O†·O = μ·E_T, μ = H_λ·(O·O†)[e] = H_λ·Σ_g O[g]², and tr(E_T) = dim λ
-            blk, i, _ = labels[a]
-            shape = b.blocks[blk].tableaux[i].shape
-            value = dimension_formula(shape) * (shape.hook_length() * _square_sum(ops[a]))
+            value = expected * (shape.hook_length() * _square_sum(ops[a]))
         else:
             value = scalar_product(ops[a], ops[c])
         found[a, c] = None if value == expected else CheckFailure(
@@ -716,8 +715,8 @@ def basis_to_json(b: BasisMatrix) -> dict:
 
 def basis_from_json(obj: dict) -> BasisMatrix:
     """Parse a basis; malformed input raises ValueError, and so does a block
-    whose operator grid is not square over its tableaux or that holds an
-    operator of another degree."""
+    whose diagram is not the shape of its tableaux, whose operator grid is not
+    square over its tableaux or that holds an operator of another degree."""
     from .algebra import element_from_json
 
     if not isinstance(obj, dict) or not {"m", "kind", "blocks"} <= obj.keys():
@@ -737,6 +736,10 @@ def basis_from_json(obj: dict) -> BasisMatrix:
                 "a basis block must have 'diagram', 'tableaux' and an 'operators' grid"
             ) from None
         name = ",".join(map(str, diagram.rows))
+        shapes = {t.shape for t in tableaux} - {diagram}
+        if shapes:
+            rows = ",".join(map(str, min(shapes).rows))
+            raise ValueError(f"block ({name}): its tableaux have shape ({rows})")
         if len(grid) != len(tableaux) or any(len(row) != len(tableaux) for row in grid):
             raise ValueError(f"block ({name}): operator grid is not {len(tableaux)}x{len(tableaux)}")
         if any(op.m != m for row in grid for op in row):

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any
 
 from .algebra import AlgebraElement, _check_degree, element_from_json, element_to_json
-from .basis import assemble, basis_to_json, run_suite
+from .basis import _SUITES as SUITE_NAMES, assemble, basis_to_json, run_suite
 from .coefficients import (
     PolyN,
     Surd,
@@ -65,7 +65,6 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
 FORMATS = ("json", "text", "latex")
-SUITE_NAMES = ("table", "ortho", "complete", "independence")
 # dims builds one polynomial per partition of m; m = 18 takes ≈ 0.7 s cold on 2 vCPUs
 _DIMS_MAX_DEGREE = 18
 # tableaux lists every standard tableau of degree m; m = 11 (35 696 of them)
@@ -95,20 +94,7 @@ def latex_rational(q: Fraction) -> str:
 
 
 def latex_surd(x: Surd) -> str:
-    terms = x.terms()
-    if not terms:
-        return "0"
-    parts: list[str] = []
-    for d, c in terms:
-        if d == 1:
-            parts.append(latex_rational(c))
-        elif c == 1:
-            parts.append(f"\\sqrt{{{d}}}")
-        elif c == -1:
-            parts.append(f"-\\sqrt{{{d}}}")
-        else:
-            parts.append(f"{latex_rational(c)}\\sqrt{{{d}}}")
-    return _join_signed(parts)
+    return _join_signed([_latex_term(c, f"\\sqrt{{{d}}}" if d > 1 else "") for d, c in x.terms()])
 
 
 def latex_permutation(p: Permutation) -> str:
@@ -119,47 +105,35 @@ def latex_permutation(p: Permutation) -> str:
 
 
 def latex_element(a: AlgebraElement) -> str:
-    if a.is_zero():
-        return "0"
-    parts: list[str] = []
-    for p in a.support():
-        c = a.coefficient(p)
-        cs = latex_surd(c)
-        if len(c.terms()) > 1:
-            cs = f"\\bigl({cs}\\bigr)"
-        body = latex_permutation(p)
-        if cs == "1":
-            parts.append(body)
-        elif cs == "-1":
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{cs}\\,{body}")
-    return _join_signed(parts)
+    return _join_signed([_latex_term(c, latex_permutation(p), "\\,") for p, c in a.items()])
 
 
 def latex_poly(poly: PolyN) -> str:
-    coeffs = poly.coeffs()
-    if not coeffs:
-        return "0"
-    parts: list[str] = []
-    for k, c in reversed(coeffs):
+    return _join_signed([
+        _latex_term(c, f"N^{{{k}}}" if k > 1 else "N" if k else "")
+        for k, c in reversed(poly.coeffs())
+    ])
+
+
+def _latex_term(c: Fraction | Surd, monomial: str, sep: str = "") -> str:
+    """``c`` times ``monomial``: a compound coefficient is bracketed, and a
+    unit one is left out unless the monomial is 1 (the empty string)."""
+    if isinstance(c, Fraction):
+        cs = latex_rational(c)
+    else:
         cs = latex_surd(c)
         if len(c.terms()) > 1:
             cs = f"\\bigl({cs}\\bigr)"
-        if k == 0:
-            parts.append(cs)
-            continue
-        power = "N" if k == 1 else f"N^{{{k}}}"
-        if cs == "1":
-            parts.append(power)
-        elif cs == "-1":
-            parts.append(f"-{power}")
-        else:
-            parts.append(f"{cs}{power}")
-    return _join_signed(parts)
+    if not monomial:
+        return cs
+    if cs in ("1", "-1"):
+        return cs[:-1] + monomial  # the sign alone
+    return f"{cs}{sep}{monomial}"
 
 
 def _join_signed(parts: list[str]) -> str:
+    if not parts:
+        return "0"
     out = parts[0]
     for p in parts[1:]:
         if p.startswith("-"):
@@ -531,7 +505,7 @@ _SAMPLING = [
     ("--seed", dict(_INT, default=0, help="sampling seed")),
     ("--jobs", dict(_INT, help="accepted and ignored")),
 ]
-_SUITES_HELP = "all, or comma-separated from table, ortho, complete, independence"
+_SUITES_HELP = f"all, or comma-separated from {', '.join(SUITE_NAMES)}"
 
 # name -> (help, handler, [(flag, add_argument keywords)]), after the common options
 COMMANDS = {

@@ -1,14 +1,23 @@
 """Exact coefficient arithmetic: rationals, square-root extensions, and
 polynomials in a symbolic dimension N.
 
+Both rings are sparse sums of coefficient-times-monomial terms, and one
+private base, ``_Terms``, keeps them in canonical form: (key, nonzero
+coefficient) pairs sorted by key, so equality and hashing are structural.
+It builds that form (each key made canonical, repeated keys added up, zero
+terms dropped) and implements +, -, *, ==, hash, bool and repr once.  Each
+ring supplies how a key is made canonical, how two monomials multiply, and
+the key of its unit monomial.
+
 ``Surd`` is a finite Q-linear combination of sqrt(d) for distinct squarefree
-d >= 1 (d = 1 being the rational part).  Canonical form keys every term by its
-squarefree radicand, so equality and hashing are structural.  Surds form a
-field (a real multiquadratic extension of Q); division rationalizes one
-radical at a time.
+d >= 1 (d = 1 being the rational part).  A radicand is made canonical by its
+squarefree part, sqrt(g*g*s) = g sqrt(s), so sqrt(d) sqrt(e) = sqrt(d*e)
+needs nothing more.  Surds form a field (a real multiquadratic extension of
+Q); division rationalizes one radical at a time.
 
 ``PolyN`` is a polynomial in N with Surd coefficients, used for traces and
-dimension formulas that stay symbolic in the ambient dimension.
+dimension formulas that stay symbolic in the ambient dimension.  Its keys
+are exponents, checked and added: N^j N^k = N^(j+k).
 """
 
 from __future__ import annotations
@@ -65,34 +74,113 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-class Surd:
+class _Terms:
+    """A sum of coefficient-times-monomial terms in canonical form.
+
+    A subclass supplies ``_canonical(key, c)``, the canonical key of a term
+    and its coefficient rescaled to match; ``_times(j, k)``, the key of the
+    product of two monomials, before it is made canonical; ``_UNIT``, the
+    key of the monomial 1; and ``_OPERANDS``, the other types it takes as a
+    constant.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: dict[int, Fraction] | None = None):
+        self._terms = self._added(terms.items() if terms else ())
+
+    @classmethod
+    def _added(cls, pairs: Iterable[tuple]) -> tuple:
+        """``pairs`` with canonical keys, added up per key, zeros dropped, sorted."""
+        out: dict = {}
+        for key, c in pairs:
+            key, c = cls._canonical(key, c)
+            out[key] = out[key] + c if key in out else c
+        return tuple(sorted((key, c) for key, c in out.items() if c))
+
+    @classmethod
+    def _sum(cls, pairs: Iterable[tuple]):
+        """The sum of the terms (key, coefficient) ``pairs``; a key may repeat."""
+        new = object.__new__(cls)
+        new._terms = cls._added(pairs)
+        return new
+
+    @classmethod
+    def _coerce(cls, x):
+        return x if isinstance(x, cls) else cls({cls._UNIT: x})
+
+    @classmethod
+    def _operand(cls, x: object):
+        """``x`` in this ring, or NotImplemented if it is of no type the ring takes."""
+        return cls._coerce(x) if isinstance(x, (cls, *cls._OPERANDS)) else NotImplemented
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __add__(self, other):
+        o = self._operand(other)
+        return o if o is NotImplemented else self._sum(self._terms + o._terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._sum((key, -c) for key, c in self._terms)
+
+    def __sub__(self, other):
+        o = self._operand(other)
+        return o if o is NotImplemented else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._operand(other)
+        return o if o is NotImplemented else o + (-self)
+
+    def __mul__(self, other):
+        o = self._operand(other)
+        if o is NotImplemented:
+            return o
+        times = self._times
+        return self._sum((times(j, k), a * b) for j, a in self._terms for k, b in o._terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        o = self._operand(other)
+        return o if o is NotImplemented else self._terms == o._terms
+
+    def __hash__(self) -> int:
+        return hash(self._terms)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class Surd(_Terms):
     """A sum of rational multiples of square roots of distinct squarefree ints.
 
     >>> (Surd.sqrt(2) * Surd.sqrt(2)).as_fraction()
     Fraction(2, 1)
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _UNIT = 1
+    _OPERANDS = (int, Fraction)
 
-    def __init__(self, terms: dict[int, Fraction] | None = None):
-        canon: dict[int, Fraction] = {}
-        if terms:
-            for d, c in terms.items():
-                if not isinstance(d, int):
-                    raise TypeError("radicands must be ints")
-                s, g = squarefree_decompose(d)
-                c = _as_fraction(c) * g
-                if c:
-                    canon[s] = canon.get(s, Fraction(0)) + c
-                    if not canon[s]:
-                        del canon[s]
-        object.__setattr__(self, "_terms", tuple(sorted(canon.items())))
+    @staticmethod
+    def _canonical(d: int, c: RationalLike) -> tuple[int, Fraction]:
+        if not isinstance(d, int):
+            raise TypeError("radicands must be ints")
+        s, g = squarefree_decompose(d)
+        return s, _as_fraction(c) * g
+
+    @staticmethod
+    def _times(d: int, e: int) -> int:
+        return d * e
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def rational(x: RationalLike) -> "Surd":
-        return Surd({1: _as_fraction(x)})
+        return Surd({1: x})
 
     @staticmethod
     def sqrt(x: RationalLike) -> "Surd":
@@ -102,17 +190,6 @@ class Surd:
             raise ValueError(f"sqrt of non-positive rational {q}")
         s, g = squarefree_decompose(q.numerator * q.denominator)
         return Surd({s: Fraction(g, q.denominator)})
-
-    @staticmethod
-    def _coerce(x: SurdLike) -> "Surd":
-        if isinstance(x, Surd):
-            return x
-        return Surd.rational(_as_fraction(x))
-
-    @staticmethod
-    def _operand(x: object) -> "Surd":
-        """``x`` as a surd, or NotImplemented if it is no scalar."""
-        return Surd._coerce(x) if isinstance(x, _SCALARS) else NotImplemented
 
     # -- inspection -----------------------------------------------------
 
@@ -138,46 +215,7 @@ class Surd:
                 return c / g
         return Fraction(0)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other: SurdLike) -> "Surd":
-        o = Surd._operand(other)
-        if o is NotImplemented:
-            return o
-        out = dict(self._terms)
-        for d, c in o._terms:
-            out[d] = out.get(d, Fraction(0)) + c
-        return Surd(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Surd":
-        return Surd({d: -c for d, c in self._terms})
-
-    def __sub__(self, other: SurdLike) -> "Surd":
-        o = Surd._operand(other)
-        return o if o is NotImplemented else self + (-o)
-
-    def __rsub__(self, other: SurdLike) -> "Surd":
-        o = Surd._operand(other)
-        return o if o is NotImplemented else o + (-self)
-
-    def __mul__(self, other: SurdLike) -> "Surd":
-        o = Surd._operand(other)
-        if o is NotImplemented:
-            return o
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self._terms:
-            for d2, c2 in o._terms:
-                s, g = squarefree_decompose(d1 * d2)
-                c = c1 * c2 * g
-                out[s] = out.get(s, Fraction(0)) + c
-        return Surd(out)
-
-    __rmul__ = __mul__
+    # -- division ----------------------------------------------------------
 
     def inverse(self) -> "Surd":
         """Multiplicative inverse (self must be nonzero)."""
@@ -214,21 +252,6 @@ class Surd:
         o = Surd._operand(other)
         return o if o is NotImplemented else o * self.inverse()
 
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Surd.rational(other)
-        if not isinstance(other, Surd):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
-
-    def __repr__(self) -> str:
-        return f"Surd({self})"
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -245,121 +268,57 @@ class Surd:
 
 ZERO = Surd()
 
-# Operand types the binary operators accept; any other operand gets
-# NotImplemented, so Python tries the other operand's reflected method.
-_SCALARS = (int, Fraction, Surd)
 
-
-class PolyN:
+class PolyN(_Terms):
     """Polynomial in the symbolic dimension N with Surd coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _UNIT = 0
+    _OPERANDS = (int, Fraction, Surd)
 
     def __init__(self, coeffs: dict[int, SurdLike] | None = None):
-        canon: dict[int, Surd] = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if not isinstance(k, int) or k < 0:
-                    raise ValueError(f"bad exponent {k}")
-                c = Surd._coerce(c)
-                if c:
-                    canon[k] = canon.get(k, ZERO) + c
-                    if not canon[k]:
-                        del canon[k]
-        object.__setattr__(self, "_coeffs", tuple(sorted(canon.items())))
+        super().__init__(coeffs)
+
+    @staticmethod
+    def _canonical(k: int, c: SurdLike) -> tuple[int, Surd]:
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"bad exponent {k}")
+        return k, Surd._coerce(c)
+
+    @staticmethod
+    def _times(j: int, k: int) -> int:
+        return j + k
 
     @staticmethod
     def constant(x: SurdLike) -> "PolyN":
-        return PolyN({0: Surd._coerce(x)})
-
-    @staticmethod
-    def _coerce(x: Union["PolyN", SurdLike]) -> "PolyN":
-        if isinstance(x, PolyN):
-            return x
-        return PolyN.constant(x)
-
-    @staticmethod
-    def _operand(x: object) -> "PolyN":
-        """``x`` as a polynomial, or NotImplemented if it is no scalar or polynomial."""
-        return PolyN._coerce(x) if isinstance(x, (PolyN, *_SCALARS)) else NotImplemented
+        return PolyN({0: x})
 
     def coeffs(self) -> tuple[tuple[int, Surd], ...]:
-        return self._coeffs
+        return self._terms
 
     def coefficient(self, k: int) -> Surd:
-        for kk, c in self._coeffs:
+        for kk, c in self._terms:
             if kk == k:
                 return c
         return ZERO
 
     @property
     def degree(self) -> int:
-        return self._coeffs[-1][0] if self._coeffs else -1
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __add__(self, other: Union["PolyN", SurdLike]) -> "PolyN":
-        o = PolyN._operand(other)
-        if o is NotImplemented:
-            return o
-        out = {k: c for k, c in self._coeffs}
-        for k, c in o._coeffs:
-            out[k] = out.get(k, ZERO) + c
-        return PolyN(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PolyN":
-        return PolyN({k: -c for k, c in self._coeffs})
-
-    def __sub__(self, other: Union["PolyN", SurdLike]) -> "PolyN":
-        o = PolyN._operand(other)
-        return o if o is NotImplemented else self + (-o)
-
-    def __rsub__(self, other: Union["PolyN", SurdLike]) -> "PolyN":
-        o = PolyN._operand(other)
-        return o if o is NotImplemented else o + (-self)
-
-    def __mul__(self, other: Union["PolyN", SurdLike]) -> "PolyN":
-        o = PolyN._operand(other)
-        if o is NotImplemented:
-            return o
-        out: dict[int, Surd] = {}
-        for k1, c1 in self._coeffs:
-            for k2, c2 in o._coeffs:
-                k = k1 + k2
-                out[k] = out.get(k, ZERO) + c1 * c2
-        return PolyN(out)
-
-    __rmul__ = __mul__
+        return self._terms[-1][0] if self._terms else -1
 
     def eval(self, n: RationalLike) -> Surd:
         """Exact value at a concrete dimension N = n."""
         x = _as_fraction(n)
         acc = ZERO
-        for k, c in self._coeffs:
+        for k, c in self._terms:
             acc = acc + c * Surd.rational(x**k)
         return acc
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, Surd)):
-            other = PolyN.constant(other)
-        if not isinstance(other, PolyN):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"PolyN({self})"
-
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self._terms:
             return "0"
         parts = []
-        for k, c in reversed(self._coeffs):
+        for k, c in reversed(self._terms):
             cs = str(c)
             if "+" in cs or "-" in cs[1:]:
                 cs = f"({cs})"
@@ -438,12 +397,7 @@ def surd_to_json(x: SurdLike) -> list:
 
 
 def surd_from_json(obj: Iterable) -> Surd:
-    terms: dict[int, Fraction] = {}
-    for pair in obj:
-        d, c = pair
-        d = int_from_json(d)
-        terms[d] = terms.get(d, Fraction(0)) + rational_from_json(c)
-    return Surd(terms)
+    return Surd._sum((int_from_json(d), rational_from_json(c)) for d, c in obj)
 
 
 def poly_to_json(p: PolyN) -> list:
@@ -451,9 +405,4 @@ def poly_to_json(p: PolyN) -> list:
 
 
 def poly_from_json(obj: Iterable) -> PolyN:
-    coeffs: dict[int, Surd] = {}
-    for pair in obj:
-        k, c = pair
-        k = int_from_json(k)
-        coeffs[k] = coeffs.get(k, ZERO) + surd_from_json(c)
-    return PolyN(coeffs)
+    return PolyN._sum((int_from_json(k), surd_from_json(c)) for k, c in obj)

@@ -102,7 +102,8 @@ def reference_orthonormality(b: BasisMatrix, sample=None, seed=0) -> Verificatio
     for a, c in pairs:
         value = scalar_product(ops[a], ops[c])
         if labels[a] == labels[c]:
-            expected, rhs = trace(b.blocks[labels[a][0]].operators[0][0]), f"dim({names[a]})"
+            blk, i, _ = labels[a]
+            expected, rhs = dimension_formula(b.blocks[blk].tableaux[i].shape), f"dim({names[a]})"
         else:
             expected, rhs = PolyN(), "0"
         if value != expected:
@@ -329,9 +330,23 @@ def test_orthonormality_reads_a_dimension_only_where_a_self_pairing_needs_it():
     bad = _with_operator(b, 1, 0, 0, b.blocks[1].operators[0][0].scale(2))
     report = verify_orthonormality(bad)
     name = bad.describe((1, 0, 0))
-    dim = trace(assemble(3).blocks[0].operators[0][0])
+    dim = dimension_formula(bad.blocks[1].diagram)
     assert [(f.identity, f.witness) for f in report.failures] == [
-        (f"<{name}, {name}> == dim({name})", f"expected {dim * 2}, got {dim * 4}")
+        (f"<{name}, {name}> == dim({name})", f"expected {dim}, got {dim * 4}")
+    ]
+    assert report == reference_orthonormality(bad)
+
+
+def test_orthonormality_expects_the_dimension_of_the_shape_not_of_the_grid():
+    # doubling (3,1)[1,1] leaves every other operator of its block as it was:
+    # their self-pairings still give dim(3,1), and only the doubled one fails
+    b = assemble(4)
+    blk = next(k for k, block in enumerate(b.blocks) if block.diagram.rows == (3, 1))
+    bad = _with_operator(b, blk, 0, 0, b.blocks[blk].operators[0][0].scale(2))
+    report = verify_orthonormality(bad)
+    dim = dimension_formula(b.blocks[blk].diagram)
+    assert [(f.identity, f.witness) for f in report.failures] == [
+        ("<(3,1)[1,1], (3,1)[1,1]> == dim((3,1)[1,1])", f"expected {dim}, got {dim * 4}")
     ]
     assert report == reference_orthonormality(bad)
 
@@ -631,11 +646,13 @@ def _repeated_tableau() -> BasisMatrix:
 
 
 def _tableau_of_the_wrong_degree() -> BasisMatrix:
-    # the (1,1,1,1) block as the degree-3 tableau 12/3 holding the projector
-    # of 12/34: read as a degree-4 tableau its contents would be those of 12/34
+    # the (1,1,1,1) block as a (2,1) block of the degree-3 tableau 12/3 holding
+    # the projector of 12/34: read as a degree-4 tableau its contents would be
+    # those of 12/34
     data = basis_to_json(assemble(4))
     square = next(blk for blk in data["blocks"] if blk["diagram"] == [2, 2])
     assert square["tableaux"][0]["rows"] == [[1, 2], [3, 4]]
+    data["blocks"][-1]["diagram"] = [2, 1]
     data["blocks"][-1]["tableaux"] = [{"shape": [2, 1], "rows": [[1, 2], [3]]}]
     data["blocks"][-1]["operators"] = [[square["operators"][0][0]]]
     return basis_from_json(data)
@@ -1353,6 +1370,15 @@ def test_basis_from_json_rejects_grids_the_suites_cannot_read():
     data = basis_to_json(assemble(3))
     data["blocks"][0]["operators"][0][0] = basis_to_json(assemble(2))["blocks"][0]["operators"][0][0]
     with pytest.raises(ValueError, match=r"block \(3\): operator degree differs from m = 3"):
+        basis_from_json(data)
+
+
+def test_basis_from_json_rejects_a_diagram_that_is_not_its_tableaux_shape():
+    # the suites and names read the diagram, so a wrong one would pass every
+    # suite and name (2,1) operators as (3) ones
+    data = basis_to_json(assemble(3))
+    data["blocks"][1]["diagram"] = [3]
+    with pytest.raises(ValueError, match=r"block \(3\): its tableaux have shape \(2,1\)"):
         basis_from_json(data)
 
 

@@ -12,12 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from sunbasis.algebra import element_from_json
+from sunbasis.algebra import AlgebraElement, element_from_json
 from sunbasis.basis import assemble, basis_from_json
 from sunbasis.cli import (
     _BASIS_MAX_DEGREE,
     _DIMS_MAX_DEGREE,
     _TABLEAUX_MAX_DEGREE,
+    latex_element,
     latex_permutation,
     latex_poly,
     latex_rational,
@@ -573,6 +574,39 @@ def test_latex_scalar_helpers():
     assert latex_poly(PolyN({3: Fraction(1, 3), 1: Fraction(-1, 3)})) == (
         "\\tfrac{1}{3}N^{3} - \\tfrac{1}{3}N"
     )
+
+
+def test_latex_of_zero_unit_and_compound_coefficients():
+    assert latex_surd(Surd()) == "0"
+    assert latex_element(AlgebraElement.zero(3)) == "0"
+    assert latex_poly(PolyN()) == "0"
+    # a unit coefficient is left out, a compound one is bracketed
+    assert latex_surd(Surd({2: 1, 3: -1, 5: Fraction(-2, 3)})) == (
+        "\\sqrt{2} - \\sqrt{3} - \\tfrac{2}{3}\\sqrt{5}"
+    )
+    swap = Permutation((2, 1, 3))
+    a = (
+        AlgebraElement.identity(3)
+        - AlgebraElement.from_permutation(swap)
+        + AlgebraElement.from_permutation(Permutation((2, 3, 1)), 1 + Surd.sqrt(2))
+        + AlgebraElement.from_permutation(Permutation((3, 1, 2)), -Surd.sqrt(3))
+        + AlgebraElement.from_permutation(Permutation((1, 3, 2)), Fraction(1, 2))
+    )
+    assert latex_element(a) == (
+        "\\mathrm{id} + \\tfrac{1}{2}\\,(2\\,3) - (1\\,2)"
+        " + \\bigl(1 + \\sqrt{2}\\bigr)\\,(1\\,2\\,3) - \\sqrt{3}\\,(1\\,3\\,2)"
+    )
+    assert latex_element(-AlgebraElement.from_permutation(swap)) == "-(1\\,2)"
+    assert latex_poly(
+        PolyN({4: 1, 3: -1, 2: 1 + Surd.sqrt(2), 1: Surd.sqrt(3) - 1, 0: Fraction(-1, 2)})
+    ) == (
+        "N^{4} - N^{3} + \\bigl(1 + \\sqrt{2}\\bigr)N^{2}"
+        " + \\bigl(-1 + \\sqrt{3}\\bigr)N - \\tfrac{1}{2}"
+    )
+    assert latex_poly(PolyN({1: 1, 0: 1})) == "N + 1"
+    assert latex_poly(PolyN({1: -1, 0: -1})) == "-N - 1"
+    assert latex_poly(PolyN({0: 1 - Surd.sqrt(2)})) == "\\bigl(1 - \\sqrt{2}\\bigr)"
+    assert latex_poly(PolyN({2: Surd.sqrt(2)})) == "\\sqrt{2}N^{2}"
 
 
 def test_latex_transition_output():

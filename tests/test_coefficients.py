@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -135,6 +137,13 @@ mixed_radicands = st.sampled_from(
     [1, 2, 3, 5, 6, 10, 14, 15, 21, 30, 35, 42, 2**31 - 1, 2 * (2**31 - 1)]
 )
 
+# A first trial division past the bound costs milliseconds.  Every radicand
+# an inverse forms is squarefree over the primes of these radicands, so each
+# product of two of them is decomposed once here: the deadline then times
+# only arithmetic.
+for _exponents in itertools.product(range(3), repeat=5):
+    squarefree_decompose(math.prod(p**e for p, e in zip((2, 3, 5, 7, 2**31 - 1), _exponents)))
+
 
 @given(st.dictionaries(mixed_radicands, rationals, min_size=1, max_size=4).map(Surd))
 def test_field_inverse_over_mixed_radicands(x):
@@ -201,3 +210,92 @@ def test_poly_ring(a, b):
 def test_poly_str():
     p = PolyN({3: Fraction(1, 3), 1: Fraction(-1, 3)})
     assert str(p) == "1/3*N^3 - 1/3*N"
+
+
+# -- every branch of the two rings ------------------------------------------
+
+
+def test_constructors_refuse_bad_keys_and_coefficients():
+    with pytest.raises(TypeError, match="radicands must be ints"):
+        Surd({2.0: 1})
+    with pytest.raises(TypeError, match="expected int or Fraction, got float"):
+        Surd({2: 0.5})
+    with pytest.raises(TypeError, match="expected int or Fraction, got str"):
+        Surd.rational("1/2")
+    with pytest.raises(ValueError, match="bad exponent -1"):
+        PolyN({-1: 1})
+    with pytest.raises(ValueError, match="bad exponent 1.0"):
+        PolyN({1.0: 1})
+    with pytest.raises(TypeError, match="expected int or Fraction, got float"):
+        PolyN({1: 0.5})
+
+
+def test_terms_that_cancel_inside_a_constructor_are_dropped():
+    # sqrt(8) = 2 sqrt(2), so the two terms cancel
+    assert Surd({2: 1, 8: Fraction(-1, 2)}).terms() == ()
+    assert Surd({2: 1, 8: Fraction(-1, 2), 3: 2}).terms() == ((3, Fraction(2)),)
+    assert Surd({5: 0}).terms() == ()
+    assert PolyN({2: Surd(), 1: Surd({2: 1, 8: Fraction(-1, 2)})}).coeffs() == ()
+    # the readers add up a repeated key through the same path
+    assert surd_from_json([[2, "1/1"], [8, "-1/2"]]).terms() == ()
+    assert surd_from_json([[3, "1/2"], [3, "1/2"], [12, "1/4"]]) == Surd({3: Fraction(3, 2)})
+    assert poly_from_json([[1, [[1, "1/1"]]], [1, [[1, "-1/1"]]]]).coeffs() == ()
+    assert poly_from_json([[2, [[1, "1/2"]]], [0, []], [2, [[1, "1/2"]]]]) == PolyN({2: 1})
+
+
+def test_a_scalar_minus_a_ring_element():
+    assert 1 - Surd.sqrt(2) == Surd({1: 1, 2: -1})
+    assert Fraction(1, 2) - Surd.rational(2) == Surd.rational(Fraction(-3, 2))
+    assert 2 - n_poly() == PolyN({0: 2, 1: -1})
+    assert Surd.sqrt(3) - n_poly() == PolyN({0: Surd.sqrt(3), 1: -1})
+
+
+def test_other_operands_get_not_implemented():
+    x, p = Surd.sqrt(2), n_poly()
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__eq__"):
+        assert getattr(x, op)(0.5) is NotImplemented
+        assert getattr(p, op)("N") is NotImplemented
+    assert x.__add__(p) is NotImplemented
+    with pytest.raises(TypeError):
+        x + 0.5
+    with pytest.raises(TypeError):
+        "N" - p
+    with pytest.raises(TypeError):
+        p * 1.5
+    assert x != "sqrt(2)" and p != None  # noqa: E711
+
+
+def test_mixed_equality_hash_repr_and_bool():
+    # a surd or a rational equals the constant polynomial, from either side
+    assert PolyN.constant(Surd.sqrt(2)) == Surd.sqrt(2)
+    assert Surd.sqrt(2) == PolyN.constant(Surd.sqrt(2))
+    assert PolyN({0: 3}) == 3 and PolyN({0: Fraction(1, 2)}) == Fraction(1, 2)
+    assert PolyN({1: 1}) != Surd.rational(1)
+    # equal values hash alike, whatever spelling built them
+    assert hash(Surd.sqrt(8)) == hash(Surd({2: 2}))
+    assert hash(PolyN({1: 1})) == hash(PolyN({1: Surd.rational(1)}))
+    assert len({n_poly(), PolyN({1: 1}), n_poly() + 0}) == 1
+    assert repr(Surd.sqrt(2)) == "Surd(sqrt(2))"
+    assert repr(PolyN({1: 1, 0: -1})) == "PolyN(N - 1)"
+    assert repr(Surd()) == "Surd(0)" and repr(PolyN()) == "PolyN(0)"
+    assert not Surd() and Surd.rational(1)
+    assert not PolyN() and not PolyN({2: 0}) and PolyN({0: 1})
+
+
+def test_coefficient_lookups():
+    p = PolyN({3: Fraction(1, 3), 1: Fraction(-1, 3)})
+    assert p.coefficient(1) == Surd.rational(Fraction(-1, 3))
+    assert p.coefficient(0) == Surd()
+    assert Surd.sqrt(2).coefficient(5) == 0
+    assert Surd.sqrt(2).coefficient(2) == 1
+
+
+def test_poly_str_with_constant_terms():
+    assert str(PolyN({2: 1, 0: Fraction(-1, 2)})) == "N^2 - 1/2"
+    assert str(PolyN({1: -1, 0: 2})) == "-1*N + 2"
+    assert str(PolyN({0: 1})) == "1" and str(PolyN()) == "0"
+    assert str(PolyN({1: 1 + Surd.sqrt(2), 0: Surd.sqrt(3) - 1})) == (
+        "(1 + sqrt(2))*N + (-1 + sqrt(3))"
+    )
+    # a negative unit radical keeps its coefficient in the text format
+    assert str(PolyN({3: 1 - Surd.sqrt(2), 0: Surd.sqrt(5)})) == "(1 - 1*sqrt(2))*N^3 + sqrt(5)"

@@ -70,6 +70,9 @@ def _runs() -> dict[str, list[str]]:
             "represent", "--N", str(n), "--op", f"@{GOLDEN / f'{op}.json'}", "--rank",
         ]
     runs["tableaux_m4"] = ["tableaux", "--m", "4"]
+    # the smallest latex outputs: a bare identity and a unit N
+    runs["projector_m1_t1_latex"] = ["projector", "--m", "1", "--tableau", "1", "--format", "latex"]
+    runs["dims_m2_latex"] = ["dims", "--m", "2", "--format", "latex"]
     # text and latex of every subcommand
     for name, argv in (
         ("tableaux_m4", ["tableaux", "--m", "4"]),
