@@ -33,6 +33,7 @@ import numpy as np
 
 from . import _fast
 from .coefficients import (
+    LATEX,
     PolyN,
     Surd,
     SurdLike,
@@ -41,8 +42,9 @@ from .coefficients import (
     rational_from_json,
     rationals_from_json,
     squarefree_decompose,
+    write_sum,
 )
-from .permutations import Permutation, all_permutations
+from .permutations import Permutation, all_permutations, latex_permutation
 
 _Scalar = Union[int, Fraction, Surd]
 
@@ -250,11 +252,14 @@ class AlgebraElement:
             return "0"
         parts = []
         for p, c in self.items():
-            cs = str(c)
-            if "+" in cs or "-" in cs[1:] or " " in cs:
-                cs = f"({cs})"
+            cs = f"({c})" if len(c.terms()) > 1 else str(c)
             parts.append(f"{cs}*{p}")
         return " + ".join(parts)
+
+
+def latex_element(a: AlgebraElement) -> str:
+    """A signed sum of coefficients times permutations in cycle notation."""
+    return write_sum(((c, latex_permutation(p)) for p, c in a.items()), LATEX, "\\,")
 
 
 @cache

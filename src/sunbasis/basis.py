@@ -670,9 +670,14 @@ def run_suite(
     """
     if suites is None:
         suites = _SUITES if kind == "hermitian" else ("table", "complete", "independence")
+    if not suites:
+        raise ValueError("empty suite selection")
     unknown = [s for s in suites if s not in _SUITES]
     if unknown:
-        raise ValueError(f"unknown suites: {unknown}")
+        raise ValueError(f"unknown suites: {unknown}; choose from {', '.join(_SUITES)}")
+    repeated = [s for i, s in enumerate(suites) if s in suites[:i]]
+    if repeated:
+        raise ValueError(f"repeated suites: {repeated}")
     _check_sample(sample)
     _check_basis(m, kind)
     if sample is None and m >= 5:
@@ -716,7 +721,7 @@ def basis_to_json(b: BasisMatrix) -> dict:
 def basis_from_json(obj: dict) -> BasisMatrix:
     """Parse a basis; malformed input raises ValueError, and so does a block
     whose diagram is not the shape of its tableaux, whose operator grid is not
-    square over its tableaux or that holds an operator of another degree."""
+    square or that holds a tableau or an operator of another degree."""
     from .algebra import element_from_json
 
     if not isinstance(obj, dict) or not {"m", "kind", "blocks"} <= obj.keys():
@@ -740,6 +745,8 @@ def basis_from_json(obj: dict) -> BasisMatrix:
         if shapes:
             rows = ",".join(map(str, min(shapes).rows))
             raise ValueError(f"block ({name}): its tableaux have shape ({rows})")
+        if tableaux and diagram.n != m:  # every tableau has the diagram's shape
+            raise ValueError(f"block ({name}): tableau {tableaux[0]} has {diagram.n} boxes, not {m}")
         if len(grid) != len(tableaux) or any(len(row) != len(tableaux) for row in grid):
             raise ValueError(f"block ({name}): operator grid is not {len(tableaux)}x{len(tableaux)}")
         if any(op.m != m for row in grid for op in row):

@@ -28,21 +28,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .algebra import AlgebraElement, _check_degree, element_from_json, element_to_json
+from .algebra import AlgebraElement, _check_degree, element_from_json, element_to_json, latex_element
 from .basis import _SUITES as SUITE_NAMES, assemble, basis_to_json, run_suite
 from .coefficients import (
-    PolyN,
-    Surd,
+    latex_poly,
+    latex_rational,
+    latex_surd,
     poly_to_json,
     rational_to_json,
     surd_to_json,
 )
 from .matrix_rep import matrix_to_json, rank, represent
-from .permutations import Permutation
 from .projectors import (
     dimension_formula,
     hermitian_mold,
@@ -77,70 +76,6 @@ _BASIS_MAX_DEGREE = 6
 
 class UsageError(Exception):
     """Invalid arguments or inputs; mapped to exit code 2."""
-
-
-# -- LaTeX emission ----------------------------------------------------------
-#
-# Operators print as signed sums of cycle-notation permutations; no diagram
-# drawing.  Coefficients render as (sums of) rational multiples of square
-# roots, polynomials as descending powers of N.
-
-
-def latex_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q < 0 else ""
-    return f"{sign}\\tfrac{{{abs(q.numerator)}}}{{{q.denominator}}}"
-
-
-def latex_surd(x: Surd) -> str:
-    return _join_signed([_latex_term(c, f"\\sqrt{{{d}}}" if d > 1 else "") for d, c in x.terms()])
-
-
-def latex_permutation(p: Permutation) -> str:
-    cycles = p.cycles()
-    if not cycles:
-        return "\\mathrm{id}"
-    return "".join("(" + "\\,".join(map(str, c)) + ")" for c in cycles)
-
-
-def latex_element(a: AlgebraElement) -> str:
-    return _join_signed([_latex_term(c, latex_permutation(p), "\\,") for p, c in a.items()])
-
-
-def latex_poly(poly: PolyN) -> str:
-    return _join_signed([
-        _latex_term(c, f"N^{{{k}}}" if k > 1 else "N" if k else "")
-        for k, c in reversed(poly.coeffs())
-    ])
-
-
-def _latex_term(c: Fraction | Surd, monomial: str, sep: str = "") -> str:
-    """``c`` times ``monomial``: a compound coefficient is bracketed, and a
-    unit one is left out unless the monomial is 1 (the empty string)."""
-    if isinstance(c, Fraction):
-        cs = latex_rational(c)
-    else:
-        cs = latex_surd(c)
-        if len(c.terms()) > 1:
-            cs = f"\\bigl({cs}\\bigr)"
-    if not monomial:
-        return cs
-    if cs in ("1", "-1"):
-        return cs[:-1] + monomial  # the sign alone
-    return f"{cs}{sep}{monomial}"
-
-
-def _join_signed(parts: list[str]) -> str:
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
 
 
 # -- shared input parsing ----------------------------------------------------
@@ -210,22 +145,13 @@ def _required(value: Any, flag: str) -> Any:
 
 
 def _parse_suites(spec: Any) -> tuple[str, ...] | None:
-    """Comma-separated suite names; "all" (or nothing) means every
-    suite applicable to the basis kind."""
+    """Comma-separated suite names, which ``run_suite`` checks; "all" (or
+    nothing) means every suite applicable to the basis kind."""
     if spec is None or spec == "all":
         return None
     if isinstance(spec, (list, tuple)):
-        names = tuple(str(part).strip() for part in spec)
-    else:
-        names = tuple(part.strip() for part in str(spec).split(",") if part.strip())
-    if not names:
-        raise UsageError("empty suite selection")
-    for name in names:
-        if name not in SUITE_NAMES:
-            raise UsageError(
-                f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or 'all'"
-            )
-    return names
+        return tuple(str(part).strip() for part in spec)
+    return tuple(part.strip() for part in str(spec).split(",") if part.strip())
 
 
 def _run_suites(args: argparse.Namespace, m: int, spec: Any) -> tuple[int, list]:

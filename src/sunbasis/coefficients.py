@@ -18,6 +18,13 @@ Q); division rationalizes one radical at a time.
 ``PolyN`` is a polynomial in N with Surd coefficients, used for traces and
 dimension formulas that stay symbolic in the ambient dimension.  Its keys
 are exponents, checked and added: N^j N^k = N^(j+k).
+
+Every exact sum is written by one rule, ``write_sum``: a compound
+coefficient is grouped, a unit one is left out unless the monomial is 1, a
+later negative term is subtracted, and an empty sum is 0.  Its spellings
+``TEXT`` (``str``: ``-N^3 + (1 - sqrt(2))*N``) and ``LATEX`` (``-N^{3} +
+\\bigl(1 - \\sqrt{2}\\bigr)N``) differ only in how they write rationals,
+radicals, powers of N, products and groups.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
 from operator import countOf
-from typing import Iterable, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 RationalLike = Union[int, Fraction]
 SurdLike = Union[int, Fraction, "Surd"]
@@ -150,6 +157,9 @@ class _Terms:
     def __hash__(self) -> int:
         return hash(self._terms)
 
+    def __str__(self) -> str:
+        return self.written(TEXT)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
 
@@ -252,18 +262,9 @@ class Surd(_Terms):
         o = Surd._operand(other)
         return o if o is NotImplemented else o * self.inverse()
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for d, c in self._terms:
-            if d == 1:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(f"sqrt({d})")
-            else:
-                parts.append(f"{c}*sqrt({d})")
-        return " + ".join(parts).replace("+ -", "- ")
+    def written(self, spelling: Spelling) -> str:
+        terms = ((c, spelling.radical.format(d) if d > 1 else "") for d, c in self._terms)
+        return write_sum(terms, spelling, spelling.times)
 
 
 ZERO = Surd()
@@ -314,21 +315,60 @@ class PolyN(_Terms):
             acc = acc + c * Surd.rational(x**k)
         return acc
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for k, c in reversed(self._terms):
-            cs = str(c)
-            if "+" in cs or "-" in cs[1:]:
-                cs = f"({cs})"
-            if k == 0:
-                parts.append(cs)
-            elif k == 1:
-                parts.append(f"{cs}*N" if cs != "1" else "N")
-            else:
-                parts.append(f"{cs}*N^{k}" if cs != "1" else f"N^{k}")
-        return " + ".join(parts).replace("+ -", "- ")
+    def written(self, spelling: Spelling) -> str:
+        power = spelling.power.format
+        terms = ((c, power(k) if k > 1 else "N" if k else "") for k, c in reversed(self._terms))
+        return write_sum(terms, spelling, spelling.times)
+
+
+# -- writing -------------------------------------------------------------
+
+
+class Spelling(NamedTuple):
+    """How one output format writes the pieces of an exact sum."""
+
+    rational: Callable[[Fraction], str]
+    radical: str  # sqrt(d), formatted with d
+    power: str  # N^k for k > 1, formatted with k
+    times: str  # between a coefficient and its monomial
+    group: str  # around a compound coefficient, formatted with it
+
+
+def latex_rational(q: Fraction) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    sign = "-" if q < 0 else ""
+    return f"{sign}\\tfrac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+
+
+TEXT = Spelling(str, "sqrt({})", "N^{}", "*", "({})")
+LATEX = Spelling(latex_rational, "\\sqrt{{{}}}", "N^{{{}}}", "", "\\bigl({}\\bigr)")
+
+
+def write_sum(terms: Iterable[tuple], spelling: Spelling, times: str) -> str:
+    """The (coefficient, monomial) ``terms`` as one sum by the module's rule, a
+    monomial of 1 being empty and ``times`` put between the two."""
+    out = []
+    for c, monomial in terms:
+        if isinstance(c, Fraction):
+            cs = spelling.rational(c)
+        else:
+            cs = c.written(spelling)
+            cs = spelling.group.format(cs) if len(c.terms()) > 1 else cs
+        if monomial:
+            cs = cs[:-1] + monomial if cs in ("1", "-1") else cs + times + monomial
+        if out:
+            cs = f"- {cs[1:]}" if cs.startswith("-") else f"+ {cs}"
+        out.append(cs)
+    return " ".join(out) or "0"
+
+
+def latex_surd(x: Surd) -> str:
+    return x.written(LATEX)
+
+
+def latex_poly(poly: PolyN) -> str:
+    return poly.written(LATEX)
 
 
 # -- JSON wire formats ---------------------------------------------------

@@ -103,11 +103,18 @@ class Permutation:
     def embed(self, m: int) -> "Permutation":
         return embed(self, m)
 
-    def __str__(self) -> str:
+    def written(self, sep: str = " ", identity: str = "id") -> str:
+        """Cycle notation, entries split by ``sep``; ``identity`` for no cycle."""
         cycs = self.cycles()
         if not cycs:
-            return "id"
-        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
+            return identity
+        return "".join("(" + sep.join(map(str, c)) + ")" for c in cycs)
+
+    __str__ = written
+
+
+def latex_permutation(p: Permutation) -> str:
+    return p.written("\\,", "\\mathrm{id}")
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

@@ -680,3 +680,16 @@ def test_positions_derive_compose_inverse_and_embed(m):
     for k in range(1, m + 1):
         padded = [index[p.embed(m)] for p in all_permutations(k)]
         assert _embedding(k, m).tolist() == padded
+
+
+def test_element_text_writes_every_coefficient_and_adds_every_term():
+    # the text format the goldens pin: unlike a Surd or a PolyN, an element
+    # keeps a unit coefficient and joins a negative term with " + "
+    a = (
+        AlgebraElement.identity(3)
+        - AlgebraElement.from_permutation(Permutation((2, 1, 3)))
+        + AlgebraElement.from_permutation(Permutation((2, 3, 1)), 1 + Surd.sqrt(2))
+        + AlgebraElement.from_permutation(Permutation((3, 1, 2)), -Surd.sqrt(Fraction(3, 4)))
+    )
+    assert str(a) == "1*id + -1*(1 2) + (1 + sqrt(2))*(1 2 3) + -1/2*sqrt(3)*(1 3 2)"
+    assert str(AlgebraElement.zero(3)) == "0"

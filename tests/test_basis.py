@@ -648,14 +648,13 @@ def _repeated_tableau() -> BasisMatrix:
 def _tableau_of_the_wrong_degree() -> BasisMatrix:
     # the (1,1,1,1) block as a (2,1) block of the degree-3 tableau 12/3 holding
     # the projector of 12/34: read as a degree-4 tableau its contents would be
-    # those of 12/34
-    data = basis_to_json(assemble(4))
-    square = next(blk for blk in data["blocks"] if blk["diagram"] == [2, 2])
-    assert square["tableaux"][0]["rows"] == [[1, 2], [3, 4]]
-    data["blocks"][-1]["diagram"] = [2, 1]
-    data["blocks"][-1]["tableaux"] = [{"shape": [2, 1], "rows": [[1, 2], [3]]}]
-    data["blocks"][-1]["operators"] = [[square["operators"][0][0]]]
-    return basis_from_json(data)
+    # those of 12/34.  Built directly, since basis_from_json refuses it.
+    b = assemble(4)
+    square = next(blk for blk in b.blocks if blk.diagram.rows == (2, 2))
+    assert square.tableaux[0] == T([1, 2], [3, 4])
+    t = T([1, 2], [3])
+    wrong = BasisBlock(t.shape, (t,), ((square.operators[0][0],),))
+    return BasisMatrix(4, "hermitian", (*b.blocks[:-1], wrong))
 
 
 @pytest.mark.parametrize(
@@ -1313,6 +1312,15 @@ def test_run_suite_unknown_name():
         run_suite(3, "hermitian", ("table", "unitarity"))
 
 
+def test_run_suite_refuses_an_empty_or_repeated_selection(monkeypatch):
+    # an empty selection would pass on no report, a repeated one would run twice
+    monkeypatch.setattr(basis_module, "verify_multiplication_table", None)
+    with pytest.raises(ValueError, match="empty suite selection"):
+        run_suite(3, suites=())
+    with pytest.raises(ValueError, match=r"repeated suites: \['table'\]"):
+        run_suite(3, suites=("table", "complete", "table"))
+
+
 def test_report_json_shape():
     report = verify_multiplication_table(assemble(2, "hermitian"))
     data = report.to_json()
@@ -1370,6 +1378,20 @@ def test_basis_from_json_rejects_grids_the_suites_cannot_read():
     data = basis_to_json(assemble(3))
     data["blocks"][0]["operators"][0][0] = basis_to_json(assemble(2))["blocks"][0]["operators"][0][0]
     with pytest.raises(ValueError, match=r"block \(3\): operator degree differs from m = 3"):
+        basis_from_json(data)
+
+
+def test_basis_from_json_rejects_a_tableau_of_another_degree():
+    # the degree-3 tableau 12/3 as the (2,1) block of a degree-4 grid: its
+    # contents are read as those of 12/34
+    data = basis_to_json(assemble(4))
+    square = next(blk for blk in data["blocks"] if blk["diagram"] == [2, 2])
+    data["blocks"][-1] = {
+        "diagram": [2, 1],
+        "tableaux": [{"shape": [2, 1], "rows": [[1, 2], [3]]}],
+        "operators": [[square["operators"][0][0]]],
+    }
+    with pytest.raises(ValueError, match=r"block \(2,1\): tableau 1,2\|3 has 3 boxes, not 4"):
         basis_from_json(data)
 
 

@@ -19,14 +19,13 @@ from sunbasis.cli import (
     _DIMS_MAX_DEGREE,
     _TABLEAUX_MAX_DEGREE,
     latex_element,
-    latex_permutation,
     latex_poly,
     latex_rational,
     latex_surd,
     main,
 )
 from sunbasis.coefficients import PolyN, Surd, poly_from_json, surd_from_json
-from sunbasis.permutations import Permutation
+from sunbasis.permutations import Permutation, latex_permutation
 from sunbasis.projectors import dimension_formula, hermitian_projector, young_projector
 from sunbasis.tableaux import enumerate_tableaux, tableau_from_json
 from sunbasis.transitions import transition
@@ -337,6 +336,14 @@ def test_verify_unknown_suite():
     rc, _, err = run(["verify", "--m", "3", "--suite", "bogus"])
     assert rc == 2
     assert "bogus" in err
+
+
+@pytest.mark.parametrize("spec", ["table,table", "complete,table,complete", ","])
+def test_verify_refuses_a_repeated_or_empty_suite_selection(spec):
+    for command in (["verify", "--m", "3", "--suite", spec], ["basis", "--m", "3", "--verify", spec]):
+        rc, out, err = run(command)
+        assert (rc, out) == (2, "")
+        assert ("repeated suites" if spec != "," else "empty suite selection") in err
 
 
 def test_verify_failure_exits_one(monkeypatch):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from sunbasis.coefficients import (
     PolyN,
     Surd,
+    latex_poly,
+    latex_surd,
     poly_from_json,
     poly_to_json,
     rational_from_json,
@@ -212,6 +214,28 @@ def test_poly_str():
     assert str(p) == "1/3*N^3 - 1/3*N"
 
 
+def _unsigned(written: str) -> str:
+    """``written`` with every sign taken out: only the signs of a sum carry a '-'."""
+    return written.replace(" - ", " ± ").replace(" + ", " ± ").replace("-", "")
+
+
+@given(st.one_of(surds(), st.dictionaries(st.integers(0, 4), surds(max_terms=2), max_size=3).map(PolyN)))
+def test_negation_changes_only_the_signs_of_the_written_value(x):
+    # text and LaTeX write each term by one rule, so a unit coefficient -1
+    # loses its 1 exactly as a unit coefficient 1 does
+    latex = latex_surd if isinstance(x, Surd) else latex_poly
+    for write in (str, latex):
+        assert _unsigned(write(-x)) == _unsigned(write(x))
+        assert (write(-x) == write(x)) == (not x)
+
+
+def test_a_unit_minus_one_is_its_sign_alone():
+    assert str(-Surd.sqrt(2)) == "-sqrt(2)" and latex_surd(-Surd.sqrt(2)) == "-\\sqrt{2}"
+    assert str(PolyN({3: -1})) == "-N^3" and latex_poly(PolyN({3: -1})) == "-N^{3}"
+    assert str(PolyN({1: -1, 0: 2})) == "-N + 2" and latex_poly(PolyN({1: -1, 0: 2})) == "-N + 2"
+    assert str(Surd.rational(-1)) == "-1" and str(PolyN({0: -1})) == "-1"
+
+
 # -- every branch of the two rings ------------------------------------------
 
 
@@ -292,10 +316,10 @@ def test_coefficient_lookups():
 
 def test_poly_str_with_constant_terms():
     assert str(PolyN({2: 1, 0: Fraction(-1, 2)})) == "N^2 - 1/2"
-    assert str(PolyN({1: -1, 0: 2})) == "-1*N + 2"
+    assert str(PolyN({1: -1, 0: 2})) == "-N + 2"
     assert str(PolyN({0: 1})) == "1" and str(PolyN()) == "0"
     assert str(PolyN({1: 1 + Surd.sqrt(2), 0: Surd.sqrt(3) - 1})) == (
         "(1 + sqrt(2))*N + (-1 + sqrt(3))"
     )
-    # a negative unit radical keeps its coefficient in the text format
-    assert str(PolyN({3: 1 - Surd.sqrt(2), 0: Surd.sqrt(5)})) == "(1 - 1*sqrt(2))*N^3 + sqrt(5)"
+    # a unit coefficient -1 is written as its sign alone, as in LaTeX
+    assert str(PolyN({3: 1 - Surd.sqrt(2), 0: Surd.sqrt(5)})) == "(1 - sqrt(2))*N^3 + sqrt(5)"

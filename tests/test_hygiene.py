@@ -1,6 +1,7 @@
 """Source hygiene that no installed linter checks: every import is used,
 every private function and class and every module-level name is read, and
-only the integer kernel decides a vector's dtype or names the composition table."""
+only the integer kernel decides a vector's dtype or names the composition table,
+and only ``coefficients`` spells an exact value."""
 
 import ast
 from pathlib import Path
@@ -146,3 +147,55 @@ def test_only_the_kernel_names_the_composition_table(path):
         or (isinstance(node, ast.alias) and node.name == "composition_table")
     ]
     assert not found, f"composition table named outside _fast: {', '.join(found)}"
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """The ids of the docstring nodes of the module, its classes and its functions."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+# exact values are written by the one rule of ``coefficients`` in its text and
+# LaTeX spellings: no other module spells a radical or a fraction
+_SPELLINGS = ("sqrt(", "\\sqrt", "\\tfrac")
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "coefficients.py"], ids=lambda p: p.name
+)
+def test_only_the_coefficients_spell_exact_values(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docstrings = _docstrings(tree)
+    found = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in docstrings
+        and any(spelling in node.value for spelling in _SPELLINGS)
+    ]
+    assert not found, f"exact value spelled outside coefficients: {', '.join(found)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_joins_signed_terms_by_rewriting_them(path):
+    # a later negative term is subtracted where the sum is joined, not by
+    # rewriting "+ -" in the joined text
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "replace"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and str(node.args[0].value).startswith("+ -")
+    ]
+    assert not found, f"signed terms joined by a rewrite: {', '.join(found)}"
