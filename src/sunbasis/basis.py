@@ -8,16 +8,17 @@ four properties that make it a basis: matrix-unit multiplication,
 orthonormality of the trace pairing, completeness/nesting of the
 projectors, and linear independence over the permutation expansion.
 
-The multiplication table, orthonormality and linear independence share one
-Jucys–Murphy verdict per ``BasisMatrix`` object, ``_judge``, which forms no
-full product.  It tells, per operator, whether the operator is on the line
-of one matrix unit, and whether its block is proved.  A proved block costs
-the suites nothing; in an unproved one only the pairs that touch an
-operator off its line are formed in full, and the chains of operators on
-their lines are read off one coefficient each.  Operators on their lines
-are independent; a grid with one off its line is ranked exactly with
-``surd_rank``.  So a failing report lists every failed pair or names the
-rank.
+``assemble`` and the suites of the multiplication table, orthonormality
+and linear independence share one Jucys–Murphy verdict per ``BasisMatrix``
+object, ``_judge``, which forms no full product; it is the Hermitian grid's
+one line check (``projectors._normalize`` checks a standalone operator).
+It tells, per operator, whether the operator is on the line of one matrix
+unit, and whether its block is proved.  A proved block costs the suites
+nothing; in an unproved one only the pairs that touch an operator off its
+line are formed in full, and the chains of operators on their lines are
+read off one coefficient each.  Operators on their lines are independent;
+a grid with one off its line is ranked exactly with ``surd_rank``.  So a
+failing report lists every failed pair or names the rank.
 
 Verification reports are structured: every failed identity carries an exact
 witness string, and a report with no failures means every instance of the
@@ -38,7 +39,7 @@ from . import _fast
 from ._linalg import surd_rank
 from .algebra import AlgebraElement, _square_sum, multiply, scalar_product
 from .coefficients import PolyN, int_from_json, ints_from_json, squarefree_decompose
-from .projectors import _in_line, dimension_formula, hermitian_projector, young_projector
+from .projectors import _mold_bar, _unit, dimension_formula, hermitian_projector, young_projector
 from .tableaux import (
     YoungDiagram,
     YoungTableau,
@@ -49,7 +50,7 @@ from .tableaux import (
     tableau_from_json,
     tableaux_of_shape,
 )
-from .transitions import unitary_transition_compact, young_transition
+from .transitions import young_transition
 
 __all__ = [
     "BasisBlock",
@@ -159,9 +160,17 @@ def assemble(m: int, kind: str = "hermitian") -> BasisMatrix:
 
     Blocks follow the reverse-lexicographic diagram order and tableaux the
     canonical row-word order, so identical calls produce identical layouts,
-    and every spelling of one call returns the one cached grid.
+    and every spelling of one call returns the one cached grid.  ``_judge``
+    proves a Hermitian grid once: an operator off its line raises ValueError.
     """
     return _assemble(m, kind)
+
+
+def _entry(kind: str, s: YoungTableau, t: YoungTableau) -> AlgebraElement:
+    """Operator [s][t] of a grid: the projector of s, or the transition from t onto s."""
+    if kind == "young":
+        return (young_projector(s) if s == t else young_transition(s, t)).element
+    return hermitian_projector(s).element if s == t else _unit(_mold_bar(s, t), s)[0]
 
 
 @cache
@@ -170,23 +179,14 @@ def _assemble(m: int, kind: str) -> BasisMatrix:
     blocks = []
     for diagram in partitions(m):
         ts = tableaux_of_shape(diagram)
-        grid = []
-        for ti in ts:
-            row = []
-            for tj in ts:
-                if ti == tj:
-                    proj = young_projector(ti) if kind == "young" else hermitian_projector(ti)
-                    row.append(proj.element)
-                elif kind == "young":
-                    row.append(young_transition(ti, tj).element)
-                else:
-                    row.append(unitary_transition_compact(ti, tj).element)
-            grid.append(tuple(row))
-        blocks.append(BasisBlock(diagram, ts, tuple(grid)))
+        blocks.append(BasisBlock(diagram, ts, tuple(tuple(_entry(kind, s, t) for t in ts) for s in ts)))
     matrix = BasisMatrix(m, kind, tuple(blocks))
     sizes = [b.size for b in matrix.blocks]
     assert all(b.size == b.diagram.tableau_count() for b in matrix.blocks)
     assert sum(s * s for s in sizes) == factorial(m)
+    if kind == "hermitian" and not (on := _judge(matrix)[0]).all():
+        name = matrix.describe(matrix.labels()[int(np.argmin(on))])
+        raise ValueError(f"{name}: product is not in its tableaux' Jucys–Murphy eigenspaces")
     return matrix
 
 
@@ -320,18 +320,17 @@ def _verdict(key: _Identity) -> tuple[np.ndarray, np.ndarray, _Rows | None]:
     b = key.obj
     m, n = b.m, factorial(b.m)
     tableaux = [t for block in b.blocks for t in block.tableaux]
-    ops = [op for block in b.blocks for row in block.operators for op in row]
+    parts = [op._parts for block in b.blocks for row in block.operators for op in row]
     if len(set(tableaux)) != len(tableaux) or any(t.n != m for t in tableaux):
-        return np.zeros(len(ops), dtype=bool), np.zeros(len(ops), dtype=bool), None
+        return np.zeros(len(parts), dtype=bool), np.zeros(len(parts), dtype=bool), None
     # labels: block, row i and column j, the block's first label and O_ST's O_TS
     sizes = np.array([block.size for block in b.blocks], dtype=np.intp)
     block_of, local = _spread(sizes * sizes)
     side = sizes[block_of]
     i, j = np.divmod(local, side)
-    corner = np.arange(len(ops)) - local
+    corner = np.arange(len(parts)) - local
     flip = corner + j * side + i
     # rows: operator, place among its rows, radicand and denominator
-    parts = [op._parts for op in ops]
     count = np.array([len(p) for p in parts], dtype=np.intp)
     owner, place = _spread(count)
     start = np.cumsum(count) - count
@@ -374,19 +373,21 @@ def _verdict(key: _Identity) -> tuple[np.ndarray, np.ndarray, _Rows | None]:
             adjoint[owner[lo + r[~same]]] = False
         lo = hi
     adjoint &= adjoint[flip]
-    first = np.full(len(ops), n)
+    first = np.full(len(parts), n)
     np.minimum.at(first, owner, found)
     lead = np.where(found == first[owner], value, 0)
     lift = np.array([den // q for q in qs], dtype=object)[denom]
     rows = _Rows(m, vecs, start, count, rads, rad, lift, den, first, lead)
-    # the right eigen rows of every operator; those of O_TS are O_ST's left side
+    # the right sides of all rows, and the adjoint rows x†[g] = x[g⁻¹] where x† ≠ O_TS
     offset = (np.cumsum(sizes) - sizes)[block_of]
     content = np.array([_contents(t) for t in tableaux], dtype=np.intp).reshape(-1, m)
+    lone = np.flatnonzero(~adjoint[owner])
+    sides = np.concatenate([(offset + j)[owner], (offset + i)[owner[lone]]])
+    held = _fast.in_eigenspaces(m, vecs + [vecs[r][inverse] for r in lone.tolist()], content[sides])
     right = count > 0
-    right[owner[~_fast.in_eigenspaces(m, vecs, content[(offset + j)[owner]])]] = False
-    on = right & right[flip]
-    for x in np.flatnonzero(~adjoint).tolist():
-        on[x] = _in_line(ops[x], tableaux[offset[x] + i[x]], tableaux[offset[x] + j[x]])
+    right[owner[~held[: len(vecs)]]] = False
+    on = right & np.where(adjoint, right[flip], True)
+    on[owner[lone[~held[len(vecs) :]]]] = False
     proved = np.ones(len(sizes), dtype=bool)
     proved[block_of[~(on & adjoint)]] = False
     # the chains of the blocks that pass (a): O_S1·O_1T = O_ST and O_1T·O_T1 = O_11
@@ -420,11 +421,11 @@ def _judge(b: BasisMatrix) -> tuple[np.ndarray, np.ndarray]:
     denominator, and each operator's first nonzero permutation are index
     arrays, computed once.  One pass over the rows, in chunks of whole
     blocks under ``_fast._GATHER_LIMIT`` entries, checks O_ST† = O_TS and
-    finds the first nonzeros.  The right sides are one
-    ``_fast.in_eigenspaces`` mask over all rows.  The X_k are Hermitian, so
-    where O_ST† = O_TS the right side of O_TS is the left side of O_ST; any
-    other operator runs ``projectors._in_line``.  Only blocks that pass (a)
-    run their chains, all in one ``_chains_hold`` call.
+    finds the first nonzeros.  The sides are one ``_fast.in_eigenspaces``
+    mask over all rows.  The X_k are Hermitian, so where O_ST† = O_TS the
+    right side of O_TS is the left side of O_ST; any other operator's
+    adjoint rows, O_ST†[g] = O_ST[g⁻¹], join the mask with S's contents.
+    Only blocks that pass (a) run their chains, in one ``_chains_hold`` call.
 
     Proof.  The X_k generate the commutative algebra of the primitive
     idempotents E_T of all standard tableaux T, X_k·E_T = E_T·X_k =
@@ -447,8 +448,8 @@ def _judge(b: BasisMatrix) -> tuple[np.ndarray, np.ndarray]:
     block's operators holds.  Keppeler–Sjödahl identify the Hermitian Young
     projectors with the E_T, so every block of the Hermitian grid is proved.
 
-    The three suites share the verdict of the latest basis object, keyed by
-    identity, as hashing a basis hashes every operator vector.
+    ``assemble`` and the three suites share the verdict of the latest basis
+    object, keyed by identity, as hashing a basis hashes every operator vector.
     """
     return _verdict(_Identity(b))[:2]
 
@@ -621,12 +622,12 @@ def verify_linear_independence(b: BasisMatrix) -> VerificationReport:
     """Check that the m! operators span the full group algebra.
 
     Each operator expands to a coefficient row over the m! permutations;
-    the stacked matrix must have full rank over the surd field.  Operators
-    that ``_judge`` puts on their lines are independent, so when all of them
-    are, the rank is their number.  Otherwise the rows are ranked exactly by
-    ``surd_rank``, so a failing report names the actual rank.  Each row is
-    its operator's integer vectors over the operator's own common
-    denominator: scaling a row keeps the rank.
+    the stacked matrix's rank over the surd field must be both its row count
+    and m!.  Operators that ``_judge`` puts on their lines are independent,
+    so when all of them are, the rank is their number.  Otherwise the rows
+    are ranked exactly by ``surd_rank``, so a failing report names the actual
+    rank.  Each row is its operator's integer vectors over the operator's
+    own common denominator: scaling a row keeps the rank.
     """
     on, _ = _judge(b)
     expected = factorial(b.m)
@@ -639,11 +640,12 @@ def verify_linear_independence(b: BasisMatrix) -> VerificationReport:
             scaled = {d: (vec.tolist(), den // denom) for d, (denom, vec) in op._parts.items()}
             rows.append({d: {k: v * s for k, v in enumerate(vec) if v} for d, (vec, s) in scaled.items()})
         rank = surd_rank(rows)
+    ranks = dict.fromkeys((len(on), expected))
     failures = ()
-    if rank != expected:
+    if set(ranks) != {rank}:
         failures = (
             CheckFailure(
-                identity=f"rank of the {len(on)}x{expected} expansion == {expected}",
+                identity=f"rank of the {len(on)}x{expected} expansion == {' == '.join(map(str, ranks))}",
                 witness=f"got rank {rank}",
             ),
         )
@@ -720,8 +722,8 @@ def basis_to_json(b: BasisMatrix) -> dict:
 
 def basis_from_json(obj: dict) -> BasisMatrix:
     """Parse a basis; malformed input raises ValueError, and so does a block
-    whose diagram is not the shape of its tableaux, whose operator grid is not
-    square or that holds a tableau or an operator of another degree."""
+    whose diagram is not its tableaux' shape, has another degree or repeats,
+    or whose operator grid is not square or of another degree."""
     from .algebra import element_from_json
 
     if not isinstance(obj, dict) or not {"m", "kind", "blocks"} <= obj.keys():
@@ -745,8 +747,11 @@ def basis_from_json(obj: dict) -> BasisMatrix:
         if shapes:
             rows = ",".join(map(str, min(shapes).rows))
             raise ValueError(f"block ({name}): its tableaux have shape ({rows})")
-        if tableaux and diagram.n != m:  # every tableau has the diagram's shape
-            raise ValueError(f"block ({name}): tableau {tableaux[0]} has {diagram.n} boxes, not {m}")
+        if diagram.n != m:  # every tableau has the diagram's shape
+            what = f"tableau {tableaux[0]}" if tableaux else "its diagram"
+            raise ValueError(f"block ({name}): {what} has {diagram.n} boxes, not {m}")
+        if any(block.diagram == diagram for block in blocks):
+            raise ValueError(f"block ({name}): an earlier block has its diagram")
         if len(grid) != len(tableaux) or any(len(row) != len(tableaux) for row in grid):
             raise ValueError(f"block ({name}): operator grid is not {len(tableaux)}x{len(tableaux)}")
         if any(op.m != m for row in grid for op in row):

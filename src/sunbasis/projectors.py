@@ -19,9 +19,9 @@ Every construction multiplies by symmetrizer sets one at a time through
 A projector is the transition from its tableau to itself: ``_mold_bar``
 cuts two mold sequences at a full antisymmetrizer set and glues them across
 the relabelling, and it forms the bare product of ``hermitian_mold`` and of
-every compact transition.  ``_normalize`` scales every Hermitian operator,
-both Hermitian projectors and the unitary transitions, by one rule: a
-Jucys–Murphy eigen-check and E_θ[e] = 1/H_λ.
+every compact transition.  ``_unit`` scales every Hermitian operator on
+its Jucys–Murphy line by one rule, E_θ[e] = 1/H_λ.  ``_normalize`` checks
+a standalone operator's line; ``basis.assemble`` checks its grid's once.
 """
 
 from __future__ import annotations
@@ -111,50 +111,44 @@ class Projector:
     sets (all per-set 1/k! weights included, no other constants)."""
 
 
-def _in_line(a: AlgebraElement, theta: YoungTableau, phi: YoungTableau) -> bool:
-    """Whether ``a`` is nonzero and X_k·a = c_θ(k)·a, a·X_k = c_φ(k)·a for
-    k = 2..m, which puts it on the line E_θ·A·E_φ (see ``_normalize``).
+def _unit(bar: AlgebraElement, theta: YoungTableau) -> tuple[AlgebraElement, Fraction]:
+    """Scale ``bar``, on the line E_θ·A·E_φ, so that the result times its own
+    dagger is E_θ; returns it and τ², the square of the scale.
 
-    One ``_fast.in_eigenspaces`` call checks the right sides of a's vectors
-    with φ's contents and of a†'s with θ's; X_k is Hermitian, so the second
-    is a's left side.
+    bar·bar† lies in E_θ·A·E_θ, the line of E_θ: bar·bar† = λ·E_θ.  As
+    E_θ[e] = f_λ/m! = 1/H_λ, H_λ the hook product, λ = H_λ·Σ_g bar[g]², one
+    dot product per radicand pair, and τ² = 1/λ, a positive rational; the
+    positive root is taken.  A Hermitian bar c·E_θ is scaled to E_θ when
+    c > 0, as for the mold's palindrome B·f·B†, f a Hermitian idempotent:
+    c/H_λ = Σ_g (B·f)[g]² > 0.
     """
-    if a.is_zero():
-        return False
-    vecs = [vec for _, vec in a._parts.values()]
-    adjoint = [vec for _, vec in dagger(a)._parts.values()]
-    contents = [_contents(phi)] * len(vecs) + [_contents(theta)] * len(adjoint)
-    return bool(_fast.in_eigenspaces(a.m, vecs + adjoint, contents).all())
+    if bar.is_zero():
+        raise ValueError("product vanished; it lies in no Jucys–Murphy eigenspace")
+    scale_sq = 1 / (theta.shape.hook_length() * _square_sum(bar).as_fraction())
+    if scale_sq <= 0:
+        raise ValueError(f"normalization square must be positive, got {scale_sq}")
+    return bar.scale(Surd.sqrt(scale_sq)), scale_sq
 
 
 def _normalize(
     bar: AlgebraElement, theta: YoungTableau, phi: YoungTableau
 ) -> tuple[AlgebraElement, Fraction]:
-    """Scale ``bar`` so that the result times its own dagger is E_θ.
-
-    ``bar`` is a transition's bare product from ``phi`` to ``theta``, or with
-    θ = φ a Hermitian projector's.  Returns the scaled element and τ², the
-    square of the scale, a positive rational; the positive root is taken.
+    """Check that ``bar``, a transition's bare product from ``phi`` to ``theta``
+    or with θ = φ a Hermitian projector's, lies on the line E_θ·A·E_φ, then
+    scale it by ``_unit``.
 
     Proof.  Content vectors separate standard tableaux, so X_k·a = c_θ(k)·a
     for k = 2..m puts a in E_θ·A, E_θ the Jucys–Murphy idempotent of θ
-    (Okounkov–Vershik).  ``_in_line`` checks that left side, as the right
-    side of bar†, and the right side bar·X_k = c_φ(k)·bar, so bar lies in
-    E_θ·A·E_φ.  Then
-    bar·bar† lies in E_θ·A·E_θ, the line of E_θ: bar·bar† = λ·E_θ.  As
-    E_θ[e] = f_λ/m! = 1/H_λ, H_λ the hook product, λ = H_λ·Σ_g bar[g]², one
-    dot product per radicand pair, and τ² = 1/λ.  A Hermitian bar c·E_θ is
-    scaled to E_θ when c > 0, as for the mold's palindrome B·f·B†, f a
-    Hermitian idempotent: c/H_λ = Σ_g (B·f)[g]² > 0.
+    (Okounkov–Vershik), and a·X_k = c_φ(k)·a puts it in A·E_φ.  One
+    ``_fast.in_eigenspaces`` call checks the right sides on bar's vectors
+    and, X_k being Hermitian, the left sides on bar†'s.
     """
-    if bar.is_zero():
-        raise ValueError("product vanished; it lies in no Jucys–Murphy eigenspace")
-    if not _in_line(bar, theta, phi):
+    vecs = [vec for a in (bar, dagger(bar)) for _, vec in a._parts.values()]
+    contents = [_contents(phi)] * len(bar._parts) + [_contents(theta)] * len(bar._parts)
+    # a zero bar is on no line; ``_unit`` refuses it
+    if vecs and not _fast.in_eigenspaces(bar.m, vecs, contents).all():
         raise ValueError("product is not in its tableaux' Jucys–Murphy eigenspaces")
-    scale_sq = 1 / (theta.shape.hook_length() * _square_sum(bar).as_fraction())
-    if scale_sq <= 0:
-        raise ValueError(f"normalization square must be positive, got {scale_sq}")
-    return bar.scale(Surd.sqrt(scale_sq)), scale_sq
+    return _unit(bar, theta)
 
 
 def alpha_formula(t: YoungTableau) -> Fraction:

@@ -18,12 +18,12 @@ one subspace bijectively onto the other.  Three constructions are provided:
 The scalar ``tau`` is fixed by requiring ``T * dagger(T)`` to equal the
 target projector exactly; its square is always rational here, and the
 positive square root is taken (the remaining blockwise sign freedom is a
-genuine convention).  ``projectors._normalize``, the rule that also
-scales the Hermitian projectors, places the bare product in E_θ·A·E_φ by
-Jucys–Murphy eigen-checks of it and its adjoint; its product with its
-dagger is then a multiple of the target E_θ, whose identity coefficient is
-1/H_λ (H_λ the hook product), so ``tau**-2`` is read off one dot product;
-neither that square nor the target projector is formed.
+genuine convention).  ``projectors._normalize`` places the bare product in
+E_θ·A·E_φ by Jucys–Murphy eigen-checks of it and its adjoint; its product
+with its dagger is then a multiple of the target E_θ, whose identity
+coefficient is 1/H_λ (H_λ the hook product), so ``projectors._unit`` reads
+``tau**-2`` off one dot product.  ``basis.assemble`` scales its grid's
+compact bars by ``_unit`` alone and checks the grid once by its verdict.
 """
 
 from __future__ import annotations

@@ -48,7 +48,13 @@ from sunbasis.projectors import (
     symmetrizer,
     young_projector,
 )
-from sunbasis.tableaux import YoungTableau, _contents, enumerate_tableaux
+from sunbasis.tableaux import (
+    YoungDiagram,
+    YoungTableau,
+    _contents,
+    enumerate_tableaux,
+    tableaux_of_shape,
+)
 from sunbasis.transitions import unitary_transition_compact
 
 
@@ -127,10 +133,11 @@ def reference_independence(b: BasisMatrix) -> VerificationReport:
         rows.append(row)
     rank, expected = surd_rank(rows), math.factorial(b.m)
     failures = ()
-    if rank != expected:
+    if rank != expected or rank != len(rows):
         failures = (
             CheckFailure(
-                identity=f"rank of the {len(rows)}x{expected} expansion == {expected}",
+                identity=f"rank of the {len(rows)}x{expected} expansion == "
+                + " == ".join(map(str, dict.fromkeys((len(rows), expected)))),
                 witness=f"got rank {rank}",
             ),
         )
@@ -195,6 +202,28 @@ def test_block_sizes(m, sizes):
         b = assemble(m, kind)
         assert [blk.size for blk in b.blocks] == sizes
         assert sum(s * s for s in sizes) == math.factorial(m)
+
+
+def test_assemble_refuses_a_grid_with_an_operator_off_its_line(monkeypatch):
+    # t's own bar in place of the transition from t onto s: nonzero and on
+    # the right side of its line, but not on the left
+    _clear_caches()
+    s, t = tableaux_of_shape(YoungDiagram((3, 1)))[:2]
+    bar = basis_module._mold_bar
+    monkeypatch.setattr(
+        basis_module, "_mold_bar", lambda a, b: bar(b, b) if (a, b) == (s, t) else bar(a, b)
+    )
+    message = r"^\(3,1\)\[1,2\]: product is not in its tableaux' Jucys–Murphy eigenspaces$"
+    with pytest.raises(ValueError, match=message):
+        assemble(4)
+    assert basis_module._assemble.cache_info().currsize == 0
+
+
+def test_assembly_builds_no_standalone_transition():
+    # the grid's transitions are scaled bars, proved once by the verdict
+    _clear_caches()
+    assemble(5)
+    assert unitary_transition_compact.cache_info().currsize == 0
 
 
 def test_m3_hermitian_grid_entries():
@@ -323,10 +352,10 @@ def test_orthonormality_witness_gives_expected_and_actual():
 
 def test_orthonormality_reads_a_dimension_only_where_a_self_pairing_needs_it():
     # a block with no tableaux has no first operator; O_11 of the (3) block
-    # after it, doubled, is the one operator that fails against itself
-    data = basis_to_json(assemble(3))
-    data["blocks"].insert(0, {"diagram": [2, 1], "tableaux": [], "operators": []})
-    b = basis_from_json(data)
+    # after it, doubled, is the one operator that fails against itself;
+    # ``basis_from_json`` refuses such a grid, so it is built directly
+    empty = BasisBlock(YoungDiagram((2, 1)), (), ())
+    b = BasisMatrix(3, "hermitian", (empty,) + assemble(3).blocks)
     bad = _with_operator(b, 1, 0, 0, b.blocks[1].operators[0][0].scale(2))
     report = verify_orthonormality(bad)
     name = bad.describe((1, 0, 0))
@@ -1091,10 +1120,16 @@ def test_certificate_skips_rows_that_mix_radicands():
 
 
 def test_more_than_m_factorial_operators_are_ranked_exactly():
+    # a repeated block leaves the rank at m! = 6: the operators span the
+    # algebra, but they are not independent
     b = assemble(3, "hermitian")
-    extra = BasisMatrix(3, "hermitian", b.blocks + b.blocks[:1])
-    assert len(extra.labels()) == 7
-    assert verify_linear_independence(extra).passed
+    for blk, n in [(0, 7), (1, 10)]:
+        extra = BasisMatrix(3, "hermitian", b.blocks + b.blocks[blk : blk + 1])
+        assert len(extra.labels()) == n
+        report = verify_linear_independence(extra)
+        failure = CheckFailure(f"rank of the {n}x6 expansion == {n} == 6", "got rank 6")
+        assert report == VerificationReport("linear_independence", 1, (failure,))
+        assert report == reference_independence(extra)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
@@ -1299,12 +1334,14 @@ def test_clearing_the_caches_makes_the_proof_cold(monkeypatch):
     assert calls == []
     _clear_caches()
     assert basis_module._verdict.cache_info().currsize == 0
+    calls.clear()
     b = assemble(4)
+    # the projectors of assemble(4) check their own bars, then the grid is proved once
+    assert calls[-1] == 24 and calls.count(24) == 1
     calls.clear()
     verify_orthonormality(b)
     verify_linear_independence(b)
-    # the projectors of assemble(4) check their own bars, then the grid is proved once
-    assert calls[-1] == 24 and calls.count(24) == 1
+    assert calls == []
 
 
 def test_run_suite_unknown_name():
@@ -1393,6 +1430,26 @@ def test_basis_from_json_rejects_a_tableau_of_another_degree():
     }
     with pytest.raises(ValueError, match=r"block \(2,1\): tableau 1,2\|3 has 3 boxes, not 4"):
         basis_from_json(data)
+
+
+def test_basis_from_json_rejects_an_empty_block_of_another_degree():
+    # a block with no tableaux holds no operator, and every suite passed on
+    # the grid it was appended to
+    data = basis_to_json(assemble(3))
+    data["blocks"].append({"diagram": [5, 1], "tableaux": [], "operators": []})
+    with pytest.raises(ValueError, match=r"block \(5,1\): its diagram has 6 boxes, not 3"):
+        basis_from_json(data)
+
+
+def test_basis_from_json_rejects_a_repeated_diagram():
+    # an empty (3) block after the full one, and the (2,1) block twice
+    empty = {"diagram": [3], "tableaux": [], "operators": []}
+    for blk in (empty, basis_to_json(assemble(3))["blocks"][1]):
+        data = basis_to_json(assemble(3))
+        data["blocks"].append(blk)
+        name = ",".join(map(str, blk["diagram"]))
+        with pytest.raises(ValueError, match=rf"block \({name}\): an earlier block has its diagram"):
+            basis_from_json(data)
 
 
 def test_basis_from_json_rejects_a_diagram_that_is_not_its_tableaux_shape():

@@ -1,7 +1,8 @@
 """Source hygiene that no installed linter checks: every import is used,
 every private function and class and every module-level name is read, and
 only the integer kernel decides a vector's dtype or names the composition table,
-and only ``coefficients`` spells an exact value."""
+only ``coefficients`` spells an exact value, and the Jucys–Murphy eigen-check
+has one caller per operator and one per grid."""
 
 import ast
 from pathlib import Path
@@ -199,3 +200,17 @@ def test_no_module_joins_signed_terms_by_rewriting_them(path):
         and str(node.args[0].value).startswith("+ -")
     ]
     assert not found, f"signed terms joined by a rewrite: {', '.join(found)}"
+
+
+def test_the_line_is_checked_by_one_standalone_and_one_grid_eigen_check():
+    # an operator is proved on its Jucys–Murphy line by ``_normalize`` when
+    # it is built alone, and by the basis verdict when it is in a grid
+    callers = {
+        f"{path.stem}.{getattr(node, 'name', '<module>')}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call)
+        and "in_eigenspaces" in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+    }
+    assert callers == {"projectors._normalize", "basis._verdict"}
