@@ -7,13 +7,14 @@ radicand, indexed by the lexicographic order of S_m:
 
 This module holds what that form needs beyond plain numpy: ``positions``,
 the place of a permutation in the lexicographic order, from which every
-gather takes its indices, the cycle counts, the exact sum and product of
-two such forms, the product by a symmetrizer set ``times_set``, the
-Jucys–Murphy eigen-check ``in_eigenspaces``, ``stack``, which puts
-stored vectors into one array in their common dtype, and the wire format's
-two bulk steps: ``scatter`` reads terms into a vector, and ``lowest_terms``
-writes its entries out.  Every result is in
-canonical form (see ``reduce``), so equal elements have equal vectors.
+gather takes its indices, the cycle counts, the exact sum of two such forms
+and their product ``convolve``, one row loop through the (m!)² composition
+table that only ``algebra.multiply`` calls, the product by a symmetrizer set
+``times_set``, the Jucys–Murphy eigen-check ``in_eigenspaces``, ``stack``,
+which puts stored vectors into one array in their common dtype, and the wire
+format's two bulk steps: ``scatter`` reads terms into a vector, and
+``lowest_terms`` writes its entries out.  Every result is in canonical form
+(see ``reduce``), so equal elements have equal vectors.
 
 A stored vector is int64 exactly when every entry lies below ``_STORED`` =
 2**24, and an array of Python integers (dtype object) otherwise.  As m ≤ 7
@@ -251,26 +252,23 @@ def add(x: Parts, y: Parts) -> Parts:
 def _product(m: int, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
     """Exact convolution: ``out[k]`` sums ``va[i] * vb[j]`` over ``p_i p_j = p_k``.
 
-    For fixed ``k`` each index of the sparser factor fixes the other, so the
-    sum runs over that factor's nonzeros and gathers the partner entries.
+    One loop: for fixed ``k`` each index ``i`` fixes ``p_j = p_i⁻¹ p_k``, so
+    the sum runs over the left factor's nonzeros and gathers one table row
+    of partners per nonzero.  When the right factor is the sparser, the
+    factors swap by a·b = (b†·a†)†, so the loop runs over its nonzeros.
     """
     table = composition_table(m)
     inv = inverse_table(m)
-    n = table.shape[0]
-    nza, nzb = np.flatnonzero(va), np.flatnonzero(vb)
-    terms = min(len(nza), len(nzb))
-    out = np.zeros(n, dtype=np.result_type(va, vb))
-    step = max(1, _GATHER_LIMIT // n)
-    for lo in range(0, terms, step):
-        if len(nza) <= len(nzb):
-            # p_j = p_i^-1 p_k
-            rows = nza[lo : lo + step]
-            out = out + va[rows] @ vb[table[inv[rows]]]
-        else:
-            # p_i = p_k p_j^-1
-            cols = nzb[lo : lo + step]
-            out = out + va[table[:, inv[cols]]] @ vb[cols]
-    return out
+    flip = np.count_nonzero(vb) < np.count_nonzero(va)
+    if flip:
+        va, vb = vb[inv], va[inv]
+    rows = np.flatnonzero(va)
+    out = np.zeros(len(inv), dtype=np.result_type(va, vb))
+    step = max(1, _GATHER_LIMIT // len(inv))
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo : lo + step]
+        out = out + va[chunk] @ vb[table[inv[chunk]]]
+    return out[inv] if flip else out
 
 
 def convolve(m: int, x: Parts, y: Parts) -> Parts:

@@ -14,10 +14,13 @@ stored entries in int64; only ``scale`` checks, through ``_fast._times``.
 Coefficients, supports and term counts are views derived from the vectors.
 
 The product is the convolution induced by group multiplication (right factor
-acts first, matching ``permutations.compose``), computed by
-``_fast.convolve``.  ``dagger`` maps every permutation to its inverse and is
-an anti-automorphism; ``trace`` weights each permutation by
-N^(cycle count), producing a polynomial in the symbolic dimension N.
+acts first, matching ``permutations.compose``).  ``multiply`` is the one
+caller of ``_fast.convolve``, one row loop through the (m!)² composition
+table, and so the one reader of that table; ``*`` by a ``Permutation``, on
+either side, is one gather of the vectors by ``_translate``.  ``dagger``
+maps every permutation to its inverse and is an anti-automorphism;
+``trace`` weights each permutation by N^(cycle count), producing a
+polynomial in the symbolic dimension N.
 """
 
 from __future__ import annotations
@@ -193,7 +196,9 @@ class AlgebraElement:
                 _fast._accumulate(acc, root, denom * q.denominator, scaled)
         return AlgebraElement._raw(self.m, _fast.canonical(acc))
 
-    def __rmul__(self, c):  # scalar * element
+    def __rmul__(self, c):  # scalar or permutation * element
+        if isinstance(c, Permutation):
+            return _translate(self, c, left=True)
         if isinstance(c, (int, Fraction, Surd)):
             return self.scale(c)
         return NotImplemented
@@ -204,7 +209,7 @@ class AlgebraElement:
         if isinstance(other, AlgebraElement):
             return multiply(self, other)
         if isinstance(other, Permutation):
-            return multiply(self, AlgebraElement.from_permutation(other))
+            return _translate(self, other, left=False)
         if isinstance(other, (int, Fraction, Surd)):
             return self.scale(other)
         return NotImplemented
@@ -282,6 +287,9 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def _translate(a: AlgebraElement, p: Permutation, *, left: bool) -> AlgebraElement:
     """p·a when ``left``, else a·p: one gather of the images, no product."""
+    if a.m != p.degree:
+        first, second = (p.degree, a.m) if left else (a.m, p.degree)
+        raise ValueError(f"degree mismatch: {first} != {second}")
     images, r = _fast.lexicographic(a.m)[0], np.array(p.inverse().images) - 1
     # (p·a)[q] = a[p⁻¹·q] and (a·p)[q] = a[q·p⁻¹]
     where = _fast.positions(a.m, r[images] if left else images[:, r])
@@ -309,8 +317,7 @@ def trace(a: AlgebraElement) -> PolyN:
 
 def scalar_product(a: AlgebraElement, b: AlgebraElement) -> PolyN:
     """<a, b> = trace(dagger(a) * b); symmetric and positive definite for N >= m."""
-    a._require_same_degree(b)
-    return trace(AlgebraElement._raw(a.m, _fast.convolve(a.m, dagger(a)._parts, b._parts)))
+    return trace(multiply(dagger(a), b))
 
 
 def _square_sum(a: AlgebraElement) -> Surd:

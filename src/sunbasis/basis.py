@@ -37,7 +37,10 @@ import numpy as np
 
 from . import _fast
 from ._linalg import surd_rank
-from .algebra import AlgebraElement, _square_sum, multiply, scalar_product
+from .algebra import (
+    AlgebraElement, _check_degree, _square_sum, element_from_json, element_to_json, multiply,
+    scalar_product,
+)
 from .coefficients import PolyN, int_from_json, ints_from_json, squarefree_decompose
 from .projectors import _mold_bar, _unit, dimension_formula, hermitian_projector, young_projector
 from .tableaux import (
@@ -147,8 +150,7 @@ class VerificationReport:
 
 
 def _check_basis(m: int, kind: str) -> None:
-    if m < 1:
-        raise ValueError(f"degree must be at least 1, got {m}")
+    _check_degree(m)
     if kind not in _BASIS_KINDS:
         raise ValueError(f"unknown basis kind: {kind!r}")
     if kind == "young" and m >= 5:
@@ -586,8 +588,7 @@ def verify_completeness_and_nesting(m: int) -> VerificationReport:
     to the identity; and each degree-``m-1`` projector, embedded, equals the
     sum of its descendants' projectors.
     """
-    if m < 1:
-        raise ValueError(f"degree must be at least 1, got {m}")
+    _check_degree(m)
     failures = []
     total = AlgebraElement.zero(m)
     for t in enumerate_tableaux(m):
@@ -702,8 +703,6 @@ def run_suite(
 
 
 def basis_to_json(b: BasisMatrix) -> dict:
-    from .algebra import element_to_json
-
     return {
         "m": b.m,
         "kind": b.kind,
@@ -724,8 +723,6 @@ def basis_from_json(obj: dict) -> BasisMatrix:
     """Parse a basis; malformed input raises ValueError, and so does a block
     whose diagram is not its tableaux' shape, has another degree or repeats,
     or whose operator grid is not square or of another degree."""
-    from .algebra import element_from_json
-
     if not isinstance(obj, dict) or not {"m", "kind", "blocks"} <= obj.keys():
         raise ValueError("basis JSON must have 'm', 'kind' and 'blocks'")
     m, kind = int_from_json(obj["m"]), obj["kind"]

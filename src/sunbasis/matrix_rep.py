@@ -18,8 +18,8 @@ import numpy as np
 
 from . import _fast
 from ._linalg import surd_rank
-from .algebra import AlgebraElement
-from .coefficients import Surd, surd_from_json, surd_to_json
+from .algebra import AlgebraElement, _check_degree
+from .coefficients import Surd, int_from_json, ints_from_json, surd_from_json, surd_to_json
 
 __all__ = [
     "ConcreteMatrix",
@@ -182,8 +182,17 @@ def matrix_to_json(c: ConcreteMatrix) -> dict:
 
 
 def matrix_from_json(obj: dict) -> ConcreteMatrix:
-    return ConcreteMatrix(
-        obj["n"],
-        obj["m"],
-        {(r, c): surd_from_json(v) for r, c, v in obj["entries"]},
-    )
+    """Parse a concrete matrix; malformed input, an entry outside it included, raises ValueError."""
+    if not isinstance(obj, dict) or not {"n", "m", "entries"} <= obj.keys():
+        raise ValueError("matrix JSON must have 'n', 'm' and 'entries'")
+    n, m = int_from_json(obj["n"]), int_from_json(obj["m"])
+    _check_degree(m)
+    try:
+        entries = {ints_from_json((r, c)): surd_from_json(v) for r, c, v in obj["entries"]}
+    except TypeError:
+        raise ValueError("matrix entries must be [row, col, surd] triples") from None
+    mat = ConcreteMatrix(n, m, entries)
+    outside = [pos for pos in entries if not all(0 <= i < mat.size for i in pos)]
+    if outside:
+        raise ValueError(f"matrix entry {outside[0]} outside 0..{mat.size - 1}")
+    return mat

@@ -70,7 +70,9 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
+    def __mul__(self, other):
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
@@ -87,12 +89,8 @@ class Permutation:
         out: list[tuple[int, ...]] = []
         seen: set[int] = set()
         for start in range(1, self.degree + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            j = self(start)
-            while j != start:
+            cyc, j = [], start
+            while j not in seen:
                 cyc.append(j)
                 seen.add(j)
                 j = self(j)
@@ -134,17 +132,7 @@ def inverse(p: Permutation) -> Permutation:
 
 def cycle_count(p: Permutation) -> int:
     """Number of cycles of p, *including* fixed points."""
-    n = 0
-    seen: set[int] = set()
-    for start in range(1, p.degree + 1):
-        if start in seen:
-            continue
-        n += 1
-        j = start
-        while j not in seen:
-            seen.add(j)
-            j = p(j)
-    return n
+    return p.degree - sum(len(c) - 1 for c in p.cycles())
 
 
 def sign(p: Permutation) -> int:

@@ -33,7 +33,7 @@ from math import factorial
 from typing import Literal
 
 from . import _fast
-from .algebra import AlgebraElement, _square_sum, _translate, dagger, trace
+from .algebra import AlgebraElement, _square_sum, dagger, trace
 from .coefficients import PolyN, Surd
 from .tableaux import YoungDiagram, YoungTableau, _contents, tableau_permutation
 
@@ -44,8 +44,8 @@ SetKind = Literal["sym", "anti"]
 class SymmetrizerSet:
     """A product of (anti)symmetrizers over pairwise disjoint index blocks.
 
-    Blocks of size one contribute identity factors but are kept so the
-    originating tableau can be reconstructed from its row/column sets.
+    Blocks of size one contribute identity factors but are kept, so that
+    the blocks of ``rows_of(t)``, and those of ``columns_of(t)``, partition 1..n.
     """
 
     degree: int
@@ -251,8 +251,7 @@ def _mold_bar(theta: YoungTableau, phi: YoungTableau) -> AlgebraElement:
     carried = {tuple(sorted(map(rho, b))) for b in a_phi.blocks if len(b) > 1}
     if carried != {b for b in a_theta.blocks if len(b) > 1}:
         raise ValueError("cut antisymmetrizer sets do not match across the relabelling")
-    prefix = _translate(_mold_prefix(theta), rho, left=False)
-    return _times_sets(prefix, [f for f, _ in after[cut + 1 :]])
+    return _times_sets(_mold_prefix(theta) * rho, [f for f, _ in after[cut + 1 :]])
 
 
 @cache

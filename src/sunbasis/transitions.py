@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .algebra import AlgebraElement, _translate, multiply
+from .algebra import AlgebraElement
 from .projectors import _mold_bar, _normalize, hermitian_projector, young_projector
 from .tableaux import YoungTableau, tableau_permutation
 
@@ -94,7 +94,7 @@ def young_transition(theta: YoungTableau, phi: YoungTableau) -> TransitionOperat
     if theta.n >= 5:
         raise ValueError("Young transition basis undefined beyond m=4")
     rho = tableau_permutation(theta, phi)
-    element = _translate(young_projector(phi).element, rho, left=True)
+    element = rho * young_projector(phi).element
     return TransitionOperator(
         from_tableau=phi,
         to_tableau=theta,
@@ -117,7 +117,7 @@ def unitary_transition_general(theta: YoungTableau, phi: YoungTableau) -> Transi
     p_theta = hermitian_projector(theta).element
     p_phi = hermitian_projector(phi).element
     rho = tableau_permutation(theta, phi)
-    bar = multiply(_translate(p_theta, rho, left=False), p_phi)
+    bar = p_theta * rho * p_phi
     element, tau_squared = _normalize(bar, theta, phi)
     return TransitionOperator(
         from_tableau=phi,

@@ -13,7 +13,6 @@ from sunbasis.algebra import (
     _MAX_DEGREE,
     AlgebraElement,
     _embedding,
-    _translate,
     dagger,
     element_from_json,
     element_to_json,
@@ -31,6 +30,7 @@ from sunbasis.coefficients import (
     surd_from_json,
     surd_to_json,
 )
+from sunbasis.matrix_rep import matrix_from_json
 from sunbasis.permutations import Permutation, all_permutations, compose
 from sunbasis.tableaux import tableau_from_json
 
@@ -99,8 +99,14 @@ def test_single_permutation_product():
 def test_degree_mismatch_errors():
     a = AlgebraElement.identity(3)
     b = AlgebraElement.identity(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^degree mismatch: 3 != 4$"):
         multiply(a, b)
+    # a permutation factor is named in the order the factors are written
+    p = Permutation.identity(4)
+    with pytest.raises(ValueError, match="^degree mismatch: 3 != 4$"):
+        a * p
+    with pytest.raises(ValueError, match="^degree mismatch: 4 != 3$"):
+        p * a
     with pytest.raises(ValueError):
         a + b
     with pytest.raises(ValueError):
@@ -140,6 +146,28 @@ def test_multiply_matches_oracle(data):
     got = multiply(to_element(m, da), to_element(m, db))
     want = to_element(m, oracle_multiply(da, db))
     assert got == want
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_permutation_factor_on_either_side_is_its_product(data):
+    m = data.draw(st.integers(1, 5))
+    a = to_element(m, data.draw(surd_elements(m)))
+    p = Permutation(tuple(data.draw(st.permutations(list(range(1, m + 1))))))
+    single = AlgebraElement.from_permutation(p)
+    assert a * p == multiply(a, single)
+    assert p * a == multiply(single, a)
+
+
+def test_a_permutation_factor_builds_no_composition_table(monkeypatch):
+    calls = []
+    table = _fast.composition_table
+    monkeypatch.setattr(_fast, "composition_table", lambda m: calls.append(m) or table(m))
+    a = AlgebraElement(6, {q: i + 1 for i, q in enumerate(all_permutations(6)[::7])})
+    p = Permutation((2, 3, 1, 5, 6, 4))
+    assert (a * p).coefficient(p) == 1
+    assert (p * a).coefficient(p) == 1
+    assert calls == []
 
 
 @given(st.data())
@@ -396,6 +424,13 @@ def big_elements(m):
     return st.dictionaries(perm, coeff, min_size=1, max_size=4)
 
 
+def dense_big_elements(m):
+    """Two terms or more, each with a part of every radicand 1, 2, 3 and 6."""
+    perm = st.permutations(list(range(1, m + 1))).map(tuple)
+    coeff = st.tuples(*[big_integers()] * 4).map(lambda t: Surd(dict(zip((1, 2, 3, 6), t))))
+    return st.dictionaries(perm, coeff, min_size=2, max_size=6)
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_big_coefficients_match_oracle(data):
@@ -410,6 +445,13 @@ def test_big_coefficients_match_oracle(data):
     factor = data.draw(big_integers())
     assert as_dict(a.scale(factor)) == {p: c * factor for p, c in da.items()}
     assert trace(a) == PolyN(oracle_trace(da))
+    # each radicand's vector of ``dense`` has more nonzeros than a one-term
+    # element's, so the product loops over the left factor's nonzeros in one
+    # order and, under the adjoint, over the right factor's in the other
+    one = dict(list(da.items())[:1])
+    dense = data.draw(dense_big_elements(m))
+    for x, y in ((one, dense), (dense, one)):
+        assert as_dict(multiply(to_element(m, x), to_element(m, y))) == oracle_multiply(x, y)
 
 
 def assert_stored(a: AlgebraElement) -> None:
@@ -435,8 +477,8 @@ def test_every_operation_stores_by_the_bound(data):
         multiply(a, b),
         dagger(a),
         a.embed(m + 1),
-        _translate(a, p, left=True),
-        _translate(a, p, left=False),
+        p * a,
+        a * p,
         element_from_json(element_to_json(a)),
     ):
         assert_stored(result)
@@ -608,6 +650,8 @@ def test_degree_above_the_dense_limit_is_rejected():
         (tableau_from_json, {"rows": [[1.9, 2], [3]]}),
         (tableau_from_json, {"rows": [[1, 2], [3]], "shape": [2.0, 1]}),
         (basis_from_json, {"m": True, "kind": "hermitian", "blocks": []}),
+        # a degree outside the gate of 1..7
+        *((basis_from_json, {"m": m, "kind": "hermitian", "blocks": []}) for m in (0, 8, 100)),
         (basis_from_json, {"kind": "hermitian", "blocks": []}),
         (basis_from_json, {"m": 1, "kind": "hermitian", "blocks": 3}),
         (basis_from_json, {"m": 1, "kind": "hermitian", "blocks": [[1]]}),
@@ -622,6 +666,10 @@ def test_degree_above_the_dense_limit_is_rejected():
                 "blocks": [{"diagram": [1.0], "tableaux": [], "operators": []}],
             },
         ),
+        (matrix_from_json, {}),
+        (matrix_from_json, {"n": 2.0, "m": 2, "entries": []}),
+        # an entry outside the 4 x 4 matrix
+        (matrix_from_json, {"n": 2, "m": 2, "entries": [[9, 9, [[1, "1/1"]]]]}),
     ],
 )
 def test_malformed_json_raises_value_error(parse, obj):
@@ -669,6 +717,7 @@ def test_positions_derive_compose_inverse_and_embed(m):
         table = [[index[compose(p, q)] for q in perms] for p in perms]
         assert np.array_equal(_fast.composition_table(m), table)
     assert _fast.inverse_table(m).tolist() == [index[p.inverse()] for p in perms]
+    assert _fast.cycle_count_vector(m).tolist() == [oracle_cycle_count(p.images) for p in perms]
     moves = _fast._moves(m)
     for i in range(1, m + 1):
         assert moves[i - 1, i - 1].tolist() == list(range(len(perms)))

@@ -255,7 +255,7 @@ def test_young_kind_rejected_beyond_four():
 
 
 def test_assemble_validation():
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="between 1 and 7"):
         assemble(0, "hermitian")
     with pytest.raises(ValueError, match="unknown basis kind"):
         assemble(3, "block")

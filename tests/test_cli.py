@@ -346,6 +346,16 @@ def test_verify_refuses_a_repeated_or_empty_suite_selection(spec):
         assert ("repeated suites" if spec != "," else "empty suite selection") in err
 
 
+def test_verify_refuses_a_degree_above_the_cap_before_enumerating_partitions(monkeypatch):
+    from sunbasis import basis
+
+    def refuse(m):
+        raise AssertionError(f"partitions({m}) enumerated")
+
+    monkeypatch.setattr(basis, "partitions", refuse)
+    assert run(["verify", "--m", "60"]) == (2, "", "error: degree must be between 1 and 7, got 60\n")
+
+
 def test_verify_failure_exits_one(monkeypatch):
     from sunbasis.basis import CheckFailure, VerificationReport
 

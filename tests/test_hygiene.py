@@ -1,8 +1,9 @@
 """Source hygiene that no installed linter checks: every import is used,
 every private function and class and every module-level name is read, and
 only the integer kernel decides a vector's dtype or names the composition table,
-only ``coefficients`` spells an exact value, and the Jucys–Murphy eigen-check
-has one caller per operator and one per grid."""
+only ``coefficients`` spells an exact value, the Jucys–Murphy eigen-check
+has one caller per operator and one per grid, ``multiply`` alone forms a
+dense product and only ``algebra`` gathers by a permutation factor."""
 
 import ast
 from pathlib import Path
@@ -136,17 +137,21 @@ def test_only_the_kernel_decides_dtypes(path):
     assert not found, f"dtype decided outside _fast: {', '.join(found)}"
 
 
+def _named(path: Path, name: str) -> list[str]:
+    """Each line of the module at ``path`` that reads or imports ``name``."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if name in (getattr(node, "id", None), getattr(node, "attr", None))
+        or (isinstance(node, ast.alias) and node.name == name)
+    ]
+
+
 # the (m!)² composition table is laid out inside ``_fast`` alone: every other
 # module gathers through ``_fast.positions``
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "_fast.py"], ids=lambda p: p.name)
 def test_only_the_kernel_names_the_composition_table(path):
-    tree = ast.parse(path.read_text(), filename=str(path))
-    found = [
-        f"{path.name}:{node.lineno}"
-        for node in ast.walk(tree)
-        if "composition_table" in (getattr(node, "id", None), getattr(node, "attr", None))
-        or (isinstance(node, ast.alias) and node.name == "composition_table")
-    ]
+    found = _named(path, "composition_table")
     assert not found, f"composition table named outside _fast: {', '.join(found)}"
 
 
@@ -202,15 +207,32 @@ def test_no_module_joins_signed_terms_by_rewriting_them(path):
     assert not found, f"signed terms joined by a rewrite: {', '.join(found)}"
 
 
-def test_the_line_is_checked_by_one_standalone_and_one_grid_eigen_check():
-    # an operator is proved on its Jucys–Murphy line by ``_normalize`` when
-    # it is built alone, and by the basis verdict when it is in a grid
-    callers = {
+def _callers(name: str) -> set[str]:
+    """The top-level functions and classes of the package that call ``name``."""
+    return {
         f"{path.stem}.{getattr(node, 'name', '<module>')}"
         for path in SOURCES
         for node in ast.parse(path.read_text(), filename=str(path)).body
         for sub in ast.walk(node)
         if isinstance(sub, ast.Call)
-        and "in_eigenspaces" in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
+        and name in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))
     }
-    assert callers == {"projectors._normalize", "basis._verdict"}
+
+
+def test_the_line_is_checked_by_one_standalone_and_one_grid_eigen_check():
+    # an operator is proved on its Jucys–Murphy line by ``_normalize`` when
+    # it is built alone, and by the basis verdict when it is in a grid
+    assert _callers("in_eigenspaces") == {"projectors._normalize", "basis._verdict"}
+
+
+def test_multiply_is_the_one_caller_of_the_dense_product():
+    # a product of two elements goes through ``multiply``; a permutation
+    # factor is a gather, and a pairing is the trace of a product
+    assert _callers("convolve") == {"algebra.multiply"}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "algebra.py"], ids=lambda p: p.name)
+def test_only_algebra_reads_the_permutation_gather(path):
+    # every other module multiplies by a permutation with ``*``
+    found = _named(path, "_translate")
+    assert not found, f"_translate read outside algebra: {', '.join(found)}"
