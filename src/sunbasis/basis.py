@@ -8,10 +8,11 @@ four properties that make it a basis: matrix-unit multiplication,
 orthonormality of the trace pairing, completeness/nesting of the
 projectors, and linear independence over the permutation expansion.
 
-``assemble`` and the suites of the multiplication table, orthonormality
-and linear independence share one Jucys–Murphy verdict per ``BasisMatrix``
-object, ``_judge``, which forms no full product; it is the Hermitian grid's
-one line check (``projectors._normalize`` checks a standalone operator).
+Each ``BasisMatrix`` object holds its own Jucys–Murphy verdict, ``_verdict``,
+formed on first use, which ``assemble`` and the suites of the multiplication
+table, orthonormality and linear independence read; a new grid object is
+proved afresh.  The verdict forms no full product; it is the Hermitian
+grid's one line check (``projectors._normalize`` checks a standalone operator).
 It tells, per operator, whether the operator is on the line of one matrix
 unit, and whether its block is proved.  A proved block costs the suites
 nothing; in an unproved one only the pairs that touch an operator off its
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property
 from itertools import groupby
 from math import factorial, lcm
 
@@ -91,13 +92,18 @@ class BasisBlock:
         return len(self.tableaux)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BasisMatrix:
     """The full block matrix of projectors and transitions at degree ``m``."""
 
     m: int
     kind: str
     blocks: tuple[BasisBlock, ...]
+
+    @cached_property
+    def _proof(self) -> tuple[np.ndarray, np.ndarray, _Rows | None]:
+        """The grid's ``_verdict``, formed once and freed with the grid."""
+        return _verdict(self)
 
     def labels(self) -> list[tuple[int, int, int]]:
         """Global operator order: (block position, row, column), rows first."""
@@ -162,8 +168,8 @@ def assemble(m: int, kind: str = "hermitian") -> BasisMatrix:
 
     Blocks follow the reverse-lexicographic diagram order and tableaux the
     canonical row-word order, so identical calls produce identical layouts,
-    and every spelling of one call returns the one cached grid.  ``_judge``
-    proves a Hermitian grid once: an operator off its line raises ValueError.
+    and every spelling of one call returns the one cached grid.  A Hermitian
+    grid is proved by its verdict: an operator off its line raises ValueError.
     """
     return _assemble(m, kind)
 
@@ -186,7 +192,7 @@ def _assemble(m: int, kind: str) -> BasisMatrix:
     sizes = [b.size for b in matrix.blocks]
     assert all(b.size == b.diagram.tableau_count() for b in matrix.blocks)
     assert sum(s * s for s in sizes) == factorial(m)
-    if kind == "hermitian" and not (on := _judge(matrix)[0]).all():
+    if kind == "hermitian" and not (on := matrix._proof[0]).all():
         name = matrix.describe(matrix.labels()[int(np.argmin(on))])
         raise ValueError(f"{name}: product is not in its tableaux' Jucys–Murphy eigenspaces")
     return matrix
@@ -301,25 +307,55 @@ def _chains_hold(rows: _Rows, a: np.ndarray, c: np.ndarray, z: np.ndarray) -> np
     return holds
 
 
-class _Identity:
-    """A key that is equal only to itself: it hashes the object's id and holds
-    the object, so that the id is not reused while the key is cached."""
+def _verdict(b: BasisMatrix) -> tuple[np.ndarray, np.ndarray, _Rows | None]:
+    """Per operator of ``b`` in label order: whether it is on its line, and
+    whether its block is proved; and the rows its chains read (``_Rows``),
+    None when the tableaux are not distinct and of degree m.  A grid forms
+    it once, as ``BasisMatrix._proof``.
 
-    __slots__ = ("obj",)
+    Write O_ST for ``operators[i][j]`` of a block, S = ``tableaux[i]``,
+    T = ``tableaux[j]``, 1 for its first tableau, X_k = Σ_{i<k} (i k) and
+    c_T(k) for the content (column − row) of k in T.  Nothing is on its
+    line unless the tableaux of ``b`` are pairwise distinct and of degree m.
+    Then O_ST is on its line when it is nonzero, X_k·O_ST = c_S(k)·O_ST and
+    O_ST·X_k = c_T(k)·O_ST for k = 2..m.  A block is proved when (a) its
+    operators are on their lines and O_ST† = O_TS, and (b)
+    (O_S1·O_1T)[g] = O_ST[g] and (O_1T·O_T1)[g] = O_11[g], g the first
+    permutation where the right-hand side is nonzero (``_chains_hold``).
 
-    def __init__(self, obj: object):
-        self.obj = obj
+    The verdict is one array program over the stored vectors as rows, one
+    per (operator, radicand) pair (``_Rows``).  The labels' blocks, rows,
+    columns and adjoint partners, each row's operator, radicand and
+    denominator, and each operator's first nonzero permutation are index
+    arrays, computed once.  One pass over the rows, in chunks of whole
+    blocks under ``_fast._GATHER_LIMIT`` entries, checks O_ST† = O_TS and
+    finds the first nonzeros.  The sides are one ``_fast.in_eigenspaces``
+    mask over all rows.  The X_k are Hermitian, so where O_ST† = O_TS the
+    right side of O_TS is the left side of O_ST; any other operator's
+    adjoint rows, O_ST†[g] = O_ST[g⁻¹], join the mask with S's contents.
+    Only blocks that pass (a) run their chains, in one ``_chains_hold`` call.
 
-    def __hash__(self) -> int:
-        return id(self.obj)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Identity) and other.obj is self.obj
-
-
-@lru_cache(maxsize=1)
-def _verdict(key: _Identity) -> tuple[np.ndarray, np.ndarray, _Rows | None]:
-    b = key.obj
+    Proof.  The X_k generate the commutative algebra of the primitive
+    idempotents E_T of all standard tableaux T, X_k·E_T = E_T·X_k =
+    c_T(k)·E_T, and content vectors separate standard tableaux
+    (Okounkov–Vershik).  So X_k·a = c_S(k)·a for all k gives
+    (c_U(k) − c_S(k))·E_U·a = 0, hence a = E_S·a, and the right side gives
+    a = a·E_T: an operator on its line lies in E_S·A·E_T, the line of the
+    seminormal unit E_ST when S, T have one shape and 0 otherwise, so
+    O_ST = c_ST·E_ST with c_ST ≠ 0.  Hence two operators on their lines
+    multiply to 0 unless they chain as O_ST·O_TV, as E_ST·E_UV = δ_TU·E_SV,
+    and pair to 0 unless they are one operator: O_ST† lies in E_T·A·E_S,
+    so tr(O_ST†·O_UV) = 0 for S ≠ U, and tr(E_T·a·E_V) = tr(E_V·E_T·a) = 0
+    for T ≠ V.  Operators on their lines, as nonzero elements of distinct
+    summands of A = ⊕ E_S·A·E_T, are independent.  In a block that passes
+    (a), E_ST[g] ≠ 0 where O_ST[g] ≠ 0, so (b) reads c_S1·c_1T = c_ST and
+    c_1T·c_T1 = c_11, and S = T = 1 gives c_11 = 1, so c_ST·c_TV =
+    c_S1·(c_1T·c_T1)·c_1V = c_SV: O_ST·O_TV = O_SV.  As O_ST† = O_TS, the
+    cyclic trace gives ⟨O_ST, O_ST⟩ = tr(O_TS·O_ST) = tr(O_TT) =
+    tr(O_T1·O_1T) = tr(O_11).  So every product and pairing of a proved
+    block's operators holds.  Keppeler–Sjödahl identify the Hermitian Young
+    projectors with the E_T, so every block of the Hermitian grid is proved.
+    """
     m, n = b.m, factorial(b.m)
     tableaux = [t for block in b.blocks for t in block.tableaux]
     parts = [op._parts for block in b.blocks for row in block.operators for op in row]
@@ -403,59 +439,6 @@ def _verdict(key: _Identity) -> tuple[np.ndarray, np.ndarray, _Rows | None]:
     return on, proved[block_of], rows
 
 
-def _judge(b: BasisMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Per operator of ``b`` in label order: whether it is on its line, and
-    whether its block is proved.
-
-    Write O_ST for ``operators[i][j]`` of a block, S = ``tableaux[i]``,
-    T = ``tableaux[j]``, 1 for its first tableau, X_k = Σ_{i<k} (i k) and
-    c_T(k) for the content (column − row) of k in T.  Nothing is on its
-    line unless the tableaux of ``b`` are pairwise distinct and of degree m.
-    Then O_ST is on its line when it is nonzero, X_k·O_ST = c_S(k)·O_ST and
-    O_ST·X_k = c_T(k)·O_ST for k = 2..m.  A block is proved when (a) its
-    operators are on their lines and O_ST† = O_TS, and (b)
-    (O_S1·O_1T)[g] = O_ST[g] and (O_1T·O_T1)[g] = O_11[g], g the first
-    permutation where the right-hand side is nonzero (``_chains_hold``).
-
-    The verdict is one array program over the stored vectors as rows, one
-    per (operator, radicand) pair (``_Rows``).  The labels' blocks, rows,
-    columns and adjoint partners, each row's operator, radicand and
-    denominator, and each operator's first nonzero permutation are index
-    arrays, computed once.  One pass over the rows, in chunks of whole
-    blocks under ``_fast._GATHER_LIMIT`` entries, checks O_ST† = O_TS and
-    finds the first nonzeros.  The sides are one ``_fast.in_eigenspaces``
-    mask over all rows.  The X_k are Hermitian, so where O_ST† = O_TS the
-    right side of O_TS is the left side of O_ST; any other operator's
-    adjoint rows, O_ST†[g] = O_ST[g⁻¹], join the mask with S's contents.
-    Only blocks that pass (a) run their chains, in one ``_chains_hold`` call.
-
-    Proof.  The X_k generate the commutative algebra of the primitive
-    idempotents E_T of all standard tableaux T, X_k·E_T = E_T·X_k =
-    c_T(k)·E_T, and content vectors separate standard tableaux
-    (Okounkov–Vershik).  So X_k·a = c_S(k)·a for all k gives
-    (c_U(k) − c_S(k))·E_U·a = 0, hence a = E_S·a, and the right side gives
-    a = a·E_T: an operator on its line lies in E_S·A·E_T, the line of the
-    seminormal unit E_ST when S, T have one shape and 0 otherwise, so
-    O_ST = c_ST·E_ST with c_ST ≠ 0.  Hence two operators on their lines
-    multiply to 0 unless they chain as O_ST·O_TV, as E_ST·E_UV = δ_TU·E_SV,
-    and pair to 0 unless they are one operator: O_ST† lies in E_T·A·E_S,
-    so tr(O_ST†·O_UV) = 0 for S ≠ U, and tr(E_T·a·E_V) = tr(E_V·E_T·a) = 0
-    for T ≠ V.  Operators on their lines, as nonzero elements of distinct
-    summands of A = ⊕ E_S·A·E_T, are independent.  In a block that passes
-    (a), E_ST[g] ≠ 0 where O_ST[g] ≠ 0, so (b) reads c_S1·c_1T = c_ST and
-    c_1T·c_T1 = c_11, and S = T = 1 gives c_11 = 1, so c_ST·c_TV =
-    c_S1·(c_1T·c_T1)·c_1V = c_SV: O_ST·O_TV = O_SV.  As O_ST† = O_TS, the
-    cyclic trace gives ⟨O_ST, O_ST⟩ = tr(O_TS·O_ST) = tr(O_TT) =
-    tr(O_T1·O_1T) = tr(O_11).  So every product and pairing of a proved
-    block's operators holds.  Keppeler–Sjödahl identify the Hermitian Young
-    projectors with the E_T, so every block of the Hermitian grid is proved.
-
-    ``assemble`` and the three suites share the verdict of the latest basis
-    object, keyed by identity, as hashing a basis hashes every operator vector.
-    """
-    return _verdict(_Identity(b))[:2]
-
-
 def verify_multiplication_table(
     b: BasisMatrix, *, jobs: int | None = None
 ) -> VerificationReport:
@@ -465,7 +448,7 @@ def verify_multiplication_table(
     tableau both — and then equals the outer-endpoint operator; everything
     else must vanish: O_ij·O_kl = δ_jk·O_il, with O_ij^λ·O_kl^μ = 0 for λ ≠ μ.
 
-    Every pair within a block that ``_judge`` proves holds, and so does every
+    Every pair within a block that the verdict proves holds, and so does every
     pair of operators on their lines that does not chain.  A chain of an
     unproved block whose operators are on their lines holds iff one
     coefficient does (``_chains_hold``).  Every other pair is multiplied:
@@ -474,7 +457,7 @@ def verify_multiplication_table(
     expected and the actual coefficient.
     ``jobs`` is accepted for compatibility and ignored.
     """
-    on, proved, rows = _verdict(_Identity(b))
+    on, proved, rows = b._proof
     if proved.all():
         return VerificationReport("multiplication_table", len(on) ** 2)
     labels = b.labels()
@@ -507,14 +490,18 @@ def verify_multiplication_table(
         for x, y, holds in zip(a.tolist(), c.tolist(), _chains_hold(rows, a, c, z)):
             if not holds:
                 check(x, y)
-    off = [x for x, ok in enumerate(on) if not ok]
-    suspects = {pair for x in off for y in range(len(ops)) for pair in ((x, y), (y, x))}
+    suspects = _touching(on)
     suspects.update(pair for pair, z in target.items() if not on[z])
     for a, c in suspects:
         check(a, c)
     return VerificationReport(
         "multiplication_table", len(labels) ** 2, tuple(failures[k] for k in sorted(failures))
     )
+
+
+def _touching(on: np.ndarray) -> set[tuple[int, int]]:
+    """The ordered pairs of labels that touch an operator off its line."""
+    return {pair for x in np.flatnonzero(~on).tolist() for y in range(len(on)) for pair in ((x, y), (y, x))}
 
 
 def _check_sample(sample: int | None) -> None:
@@ -534,7 +521,7 @@ def verify_orthonormality(
     Distinct operators must pair to zero; an operator against itself gives
     ``dimension_formula`` of its row tableau's shape.  With ``sample`` the
     report covers that many pairs drawn uniformly with ``seed`` instead of
-    all of them.  Pairs within a block that ``_judge`` proves hold, and so
+    all of them.  Pairs within a block that the verdict proves hold, and so
     do two distinct operators on their lines.  An operator on its line in an
     unproved block pairs with itself to dim(λ)·H_λ·Σ_g O[g]², λ the shape of
     its tableaux, so only the pairs with an operator off its line are formed,
@@ -543,7 +530,7 @@ def verify_orthonormality(
     if b.kind != "hermitian":
         raise ValueError("orthonormality holds only for the hermitian basis kind")
     _check_sample(sample)
-    on, proved = _judge(b)
+    on, proved, _ = b._proof
     n = len(on)
     checked = n * n if sample is None else sample
     if proved.all():
@@ -552,9 +539,7 @@ def verify_orthonormality(
     names = [b.describe(label) for label in labels]
     ops = [b.operator(label) for label in labels]
     if sample is None:
-        off = [x for x, ok in enumerate(on) if not ok]
-        touched = {pair for x in off for y in range(n) for pair in ((x, y), (y, x))}
-        pairs = sorted(touched | {(x, x) for x in range(n) if not proved[x]})
+        pairs = sorted(_touching(on) | {(x, x) for x in range(n) if not proved[x]})
     else:
         rng = random.Random(seed)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(sample)]
@@ -624,13 +609,13 @@ def verify_linear_independence(b: BasisMatrix) -> VerificationReport:
 
     Each operator expands to a coefficient row over the m! permutations;
     the stacked matrix's rank over the surd field must be both its row count
-    and m!.  Operators that ``_judge`` puts on their lines are independent,
+    and m!.  Operators that the verdict puts on their lines are independent,
     so when all of them are, the rank is their number.  Otherwise the rows
     are ranked exactly by ``surd_rank``, so a failing report names the actual
     rank.  Each row is its operator's integer vectors over the operator's
     own common denominator: scaling a row keeps the rank.
     """
-    on, _ = _judge(b)
+    on = b._proof[0]
     expected = factorial(b.m)
     if on.all():
         rank = len(on)

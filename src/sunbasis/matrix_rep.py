@@ -34,7 +34,8 @@ __all__ = [
 class ConcreteMatrix:
     """Sparse square matrix over the surd field, indexed 0..n**m - 1.
 
-    Entries map (row, column) to a nonzero Surd; absent pairs are zero.
+    Entries map (row, column) to a nonzero Surd; absent pairs are zero, and
+    an entry outside the matrix raises ValueError.
     """
 
     n: int
@@ -44,7 +45,13 @@ class ConcreteMatrix:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError("both dimensions must be positive")
-        cleaned = {pos: v for pos, v in self.entries.items() if v}
+        size, cleaned = self.size, {}
+        for pos, v in self.entries.items():
+            r, c = pos
+            if not (0 <= r < size and 0 <= c < size):
+                raise ValueError(f"matrix entry {pos} outside 0..{size - 1}")
+            if v:
+                cleaned[pos] = v
         object.__setattr__(self, "entries", cleaned)
 
     @property
@@ -191,8 +198,4 @@ def matrix_from_json(obj: dict) -> ConcreteMatrix:
         entries = {ints_from_json((r, c)): surd_from_json(v) for r, c, v in obj["entries"]}
     except TypeError:
         raise ValueError("matrix entries must be [row, col, surd] triples") from None
-    mat = ConcreteMatrix(n, m, entries)
-    outside = [pos for pos in entries if not all(0 <= i < mat.size for i in pos)]
-    if outside:
-        raise ValueError(f"matrix entry {outside[0]} outside 0..{mat.size - 1}")
-    return mat
+    return ConcreteMatrix(n, m, entries)

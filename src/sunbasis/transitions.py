@@ -44,9 +44,6 @@ __all__ = [
     "transition",
 ]
 
-_KINDS = frozenset({"young", "general", "compact"})
-
-
 @dataclass(frozen=True, slots=True)
 class TransitionOperator:
     """An algebra element carrying one projector's image onto an equivalent one.
@@ -66,7 +63,7 @@ class TransitionOperator:
     tau_squared: Fraction
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _METHODS:
             raise ValueError(f"unknown transition kind: {self.kind!r}")
         if self.from_tableau.shape != self.to_tableau.shape:
             raise ValueError("transition endpoints must have equal shapes")
@@ -149,10 +146,14 @@ def unitary_transition_compact(theta: YoungTableau, phi: YoungTableau) -> Transi
 
 def transition(theta: YoungTableau, phi: YoungTableau, method: str = "compact") -> TransitionOperator:
     """Build the transition from ``phi``'s image onto ``theta``'s by the named method."""
-    if method == "young":
-        return young_transition(theta, phi)
-    if method == "general":
-        return unitary_transition_general(theta, phi)
-    if method == "compact":
-        return unitary_transition_compact(theta, phi)
-    raise ValueError(f"unknown transition method: {method!r}")
+    if method not in _METHODS:
+        raise ValueError(f"unknown transition method: {method!r}")
+    return _METHODS[method](theta, phi)
+
+
+# each transition method by name, which is also its operator's ``kind``
+_METHODS = {
+    "young": young_transition,
+    "general": unitary_transition_general,
+    "compact": unitary_transition_compact,
+}

@@ -1,8 +1,10 @@
+import gc
 import importlib
 import json
 import math
 import pkgutil
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -172,8 +174,8 @@ def _relabelled(b: BasisMatrix, seed: int) -> BasisMatrix:
 
 
 def _unproved(b: BasisMatrix) -> set[int]:
-    """The blocks of ``b`` that ``_judge`` does not prove."""
-    _, proved = basis_module._judge(b)
+    """The blocks of ``b`` that its verdict does not prove."""
+    _, proved, _ = b._proof
     return {blk for (blk, _, _), ok in zip(b.labels(), proved) if not ok}
 
 
@@ -627,7 +629,7 @@ def test_rescaled_units_are_left_to_the_kernels(planted, seed):
         b = _relabelled(b, seed)
     blk = next(k for k, block in enumerate(b.blocks) if block.diagram.rows == (3, 1))
     bad = RESCALED[planted](b, blk)
-    assert basis_module._judge(bad)[0].all()
+    assert bad._proof[0].all()
     assert _unproved(bad) == {blk}
     assert verify_multiplication_table(bad).passed == (planted == SIMILAR)
     _assert_matches_reference(bad)
@@ -700,7 +702,7 @@ def test_malformed_bases_are_judged_by_their_tableaux(malformed, genuine):
     # its line; the five genuine units of a grid without its last block are
     # proved, and only independence, which counts them, fails
     bad = malformed()
-    on, proved = basis_module._judge(bad)
+    on, proved, _ = bad._proof
     assert on.tolist() == proved.tolist() == [genuine] * len(bad.labels())
     assert verify_linear_independence(bad).passed is False
     _assert_matches_reference(bad)
@@ -716,7 +718,7 @@ def test_eigen_checks_cover_every_degree_and_row_chunk(monkeypatch, m):
     b = assemble(m)
     assert not _unproved(b)
     bad = _with_operator(b, 0, 0, 0, b.blocks[-1].operators[0][0])
-    assert basis_module._judge(bad)[0].tolist() == [False] + [True] * (len(b.labels()) - 1)
+    assert bad._proof[0].tolist() == [False] + [True] * (len(b.labels()) - 1)
     assert _unproved(bad) == {0}
     _assert_matches_reference(bad)
 
@@ -737,7 +739,7 @@ def test_eigen_checks_hold_across_chunk_boundaries(monkeypatch, rows):
     blk = len(b.blocks) - 1
     bad = _with_operator(b, blk, 0, 0, b.blocks[0].operators[0][0])
     assert b.labels()[-1] == (blk, 0, 0)
-    assert basis_module._judge(bad)[0].tolist() == [True] * (len(b.labels()) - 1) + [False]
+    assert bad._proof[0].tolist() == [True] * (len(b.labels()) - 1) + [False]
     assert _unproved(bad) == {blk}
     assert not verify_multiplication_table(bad).passed
     assert [_normalize(bar, s, t) for bar, (s, t) in zip(bars, pairs)] == whole
@@ -751,7 +753,7 @@ def test_chain_products_refuse_a_doubled_operator_in_the_last_chunk(monkeypatch)
     # line and the grid stays closed under the adjoint, so the eigen-checks
     # pass it and only the row-wise sums of the last chunk see it.
     m = 5
-    b = assemble(m)
+    b = replace(assemble(m))  # a new grid object, proved once below, as is bad
     labels = b.labels()
     chains = len(labels) + sum(block.size for block in b.blocks)
     per_chunk = 50
@@ -770,7 +772,7 @@ def test_chain_products_refuse_a_doubled_operator_in_the_last_chunk(monkeypatch)
 
     monkeypatch.setattr(_fast, "in_eigenspaces", spy)
     assert not _unproved(b)
-    assert basis_module._judge(bad)[0].all()
+    assert bad._proof[0].all()
     assert _unproved(bad) == {blk}
     assert [mask.all() for mask in eigen_checks] == [True, True]
 
@@ -1137,7 +1139,7 @@ def test_independence_of_operators_on_their_lines_needs_no_rank(monkeypatch, m):
     # the doubled transition leaves its block unproved but keeps every
     # operator on its line, a nonzero element of its own E_S·A·E_T
     bad = _corrupted(assemble(m))
-    assert basis_module._judge(bad)[0].all() and _unproved(bad)
+    assert bad._proof[0].all() and _unproved(bad)
     calls = _calls(monkeypatch, "surd_rank")
     report = verify_linear_independence(bad)
     assert calls == []
@@ -1161,7 +1163,7 @@ def test_independence_ranks_a_grid_with_an_operator_off_its_line(monkeypatch):
 def test_the_table_suite_chains_only_the_unproved_block(monkeypatch, m):
     bad = _corrupted(assemble(m))
     (blk,) = _unproved(bad)
-    basis_module._judge(bad)  # the verdict's own chains, for the proved blocks
+    bad._proof  # the verdict's own chains, for the proved blocks
     calls = _calls(monkeypatch, "_chains_hold")
     assert not verify_multiplication_table(bad).passed
     labels = bad.labels()
@@ -1295,11 +1297,16 @@ def _count_eigen_checks(monkeypatch) -> list[int]:
 
 
 def test_run_suite_proves_the_cached_basis_once(monkeypatch):
-    run_suite(5)  # every projector and the basis cached
-    basis_module._verdict.cache_clear()
+    run_suite(5)  # every projector cached
+    proved = assemble(5)
+    basis_module._assemble.cache_clear()  # the next grid is a new, cold object
     calls = _count_eigen_checks(monkeypatch)
     reports = run_suite(5)
     assert [r.passed for r in reports] == [True] * 4
+    assert assemble(5) is not proved
+    assert calls == [120]
+    assert [r.passed for r in run_suite(5)] == [True] * 4
+    assert verify_multiplication_table(proved).passed
     assert calls == [120]
 
 
@@ -1333,15 +1340,36 @@ def test_clearing_the_caches_makes_the_proof_cold(monkeypatch):
     verify_orthonormality(b)
     assert calls == []
     _clear_caches()
-    assert basis_module._verdict.cache_info().currsize == 0
     calls.clear()
-    b = assemble(4)
+    old, b = b, assemble(4)
+    assert b is not old
     # the projectors of assemble(4) check their own bars, then the grid is proved once
     assert calls[-1] == 24 and calls.count(24) == 1
     calls.clear()
     verify_orthonormality(b)
     verify_linear_independence(b)
+    verify_linear_independence(old)  # the old grid still holds its own proof
     assert calls == []
+
+
+def test_alternating_grids_are_each_proved_once(monkeypatch):
+    assemble(5)  # every projector cached
+    basis_module._assemble.cache_clear()
+    calls = _count_eigen_checks(monkeypatch)
+    b = assemble(5)
+    copy = basis_from_json(basis_to_json(b))
+    for suite in (verify_multiplication_table, verify_orthonormality, verify_linear_independence):
+        assert suite(b).passed and suite(copy).passed
+    assert calls == [120, 120]
+
+
+def test_a_dropped_grid_frees_its_proof():
+    b = basis_from_json(basis_to_json(assemble(4)))
+    assert verify_multiplication_table(b).passed
+    vec = weakref.ref(next(iter(b.blocks[0].operators[0][0]._parts.values()))[1])
+    del b
+    gc.collect()
+    assert vec() is None
 
 
 def test_run_suite_unknown_name():
@@ -1499,7 +1527,7 @@ def _assert_certificate_dtype_follows_its_bound(monkeypatch):
         eigen_checks.clear()
         with monkeypatch.context() as patch:
             patch.setattr(_fast, "stack", lambda vecs: _record_dtype(dtypes, stack(vecs)))
-            assert basis_module._judge(bad)[0].all()
+            assert bad._proof[0].all()
         # the int64 side stacks only int64, the other side Python ints too
         assert (dtypes == {np.dtype(np.int64)}) is (dtype is np.int64)
         assert np.dtype(dtype) in dtypes
@@ -1544,4 +1572,4 @@ def test_certificate_keeps_int64_when_only_the_denominator_crosses():
         assert {v.dtype for _, op in scaled.flat() for _, v in op._parts.values()} == {
             np.dtype(np.int64)
         }
-        assert basis_module._judge(scaled)[1].tolist() == [scale == 1] * 6
+        assert scaled._proof[1].tolist() == [scale == 1] * 6

@@ -225,6 +225,13 @@ def test_the_line_is_checked_by_one_standalone_and_one_grid_eigen_check():
     assert _callers("in_eigenspaces") == {"projectors._normalize", "basis._verdict"}
 
 
+def test_a_grid_forms_its_verdict_through_its_one_accessor():
+    # a grid holds its own Jucys–Murphy proof: ``BasisMatrix._proof`` is the
+    # one place that calls the verdict, and every reader goes through it
+    assert _callers("_verdict") == {"basis.BasisMatrix"}
+    assert len([line for path in SOURCES for line in _named(path, "_verdict")]) == 1
+
+
 def test_multiply_is_the_one_caller_of_the_dense_product():
     # a product of two elements goes through ``multiply``; a permutation
     # factor is a gather, and a pairing is the trace of a product

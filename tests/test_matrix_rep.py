@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,20 @@ def test_matrix_json_round_trip():
         assert data["entries"] == [
             [r, c, surd_to_json(v)] for (r, c), v in sorted(mat.entries.items())
         ]
+
+
+def test_an_entry_outside_the_matrix_is_refused():
+    # n^m = 4: rows and columns run 0..3, and a zero entry is placed too
+    one = Surd.rational(1)
+    with pytest.raises(ValueError, match=r"^matrix entry \(9, 9\) outside 0\.\.3$"):
+        ConcreteMatrix(2, 2, {(9, 9): one, (-1, 0): Surd.rational(2)})
+    for pos in [(-1, 0), (0, 4), (4, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"matrix entry {pos} outside 0..3")):
+            ConcreteMatrix(2, 2, {(0, 0): one, pos: Surd()})
+    mat = ConcreteMatrix(2, 2, {(0, 3): one, (3, 0): one})
+    with pytest.raises(ValueError, match="outside 0..0"):
+        ConcreteMatrix(1, 2, mat.entries)
+    assert rank(mat) == 2
 
 
 def test_zero_entries_are_stripped():
