@@ -1,87 +1,38 @@
 """Exact projector and transition-operator bases for the algebra of SU(N)
 invariants on m-fold tensor-power spaces, with the dimension N kept symbolic.
+
+Every name of ``__all__`` is imported on first access (PEP 562), so
+``import sunbasis`` is cheap and imports no numpy.  Numpy starts with the
+first name read from ``algebra``, ``projectors``, ``transitions`` or
+``basis``, through ``_fast``, the one module that imports it.
 """
 
 import importlib
-import os
-import sys
 
-# Every kernel of the package is exact integer or object arithmetic and no
-# float BLAS routine runs, so numpy starts without OpenBLAS's thread pool,
-# about 70 ms of every process, unless a thread count is already chosen.  The
-# variable is removed again, so child processes see the caller's environment.
-_THREAD_COUNTS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-if "numpy" not in sys.modules and not any(name in os.environ for name in _THREAD_COUNTS):
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        importlib.import_module("numpy")
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+# where ``__getattr__`` looks for a name of ``__all__``; those without numpy come first
+_MODULES = (
+    "permutations",
+    "coefficients",
+    "tableaux",
+    "matrix_rep",
+    "algebra",
+    "projectors",
+    "transitions",
+    "basis",
+)
 
-from .permutations import Permutation, all_permutations, compose, cycle_count, embed, inverse, sign
-from .coefficients import PolyN, Surd
-from .algebra import (
-    AlgebraElement,
-    dagger,
-    element_from_json,
-    element_to_json,
-    multiply,
-    proportionality,
-    scalar_product,
-    trace,
-)
-from .tableaux import (
-    YoungDiagram,
-    YoungTableau,
-    enumerate_tableaux,
-    partitions,
-    tableau_from_json,
-    tableau_permutation,
-    tableau_to_json,
-    tableaux_of_shape,
-)
-from .projectors import (
-    Projector,
-    SymmetrizerSet,
-    columns_of,
-    dimension_formula,
-    dimension_poly,
-    hermitian_mold,
-    hermitian_projector,
-    hermitian_staircase,
-    mold_factors,
-    rows_of,
-    symmetrizer,
-    young_projector,
-)
-from .transitions import (
-    TransitionOperator,
-    transition,
-    unitary_transition_compact,
-    unitary_transition_general,
-    young_transition,
-)
-from .basis import (
-    BasisBlock,
-    BasisMatrix,
-    CheckFailure,
-    VerificationReport,
-    assemble,
-    basis_from_json,
-    basis_to_json,
-    run_suite,
-    verify_completeness_and_nesting,
-    verify_linear_independence,
-    verify_multiplication_table,
-    verify_orthonormality,
-)
-from .matrix_rep import (
-    ConcreteMatrix,
-    matrix_from_json,
-    matrix_to_json,
-    rank,
-    represent,
-)
+
+def __getattr__(name: str):
+    """Import the module that binds ``name`` and keep the name here, so that
+    it is looked up once, as an eager import would have bound it."""
+    if name in __all__:
+        for module in _MODULES:
+            namespace = vars(importlib.import_module(f"{__name__}.{module}"))
+            if name in namespace:
+                globals()[name] = namespace[name]
+                return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlgebraElement",

@@ -5,7 +5,13 @@ radicand, indexed by the lexicographic order of S_m:
 
     element  =  sum over radicands d of  sqrt(d)/denom_d * vector_d
 
-This module holds what that form needs beyond plain numpy: ``positions``,
+This module is the one that imports numpy, and every other module takes it
+from here.  No kernel calls a float BLAS routine, so numpy starts without
+OpenBLAS's thread pool, about 70 ms of every process that imports it,
+unless a thread count is already chosen; the variable is removed again, so
+child processes see the caller's environment.
+
+It holds what the vector form needs beyond plain numpy: ``positions``,
 the place of a permutation in the lexicographic order, from which every
 gather takes its indices, the cycle counts, the exact sum of two such forms
 and their product ``convolve``, one row loop through the (m!)² composition
@@ -27,9 +33,20 @@ product of a vector with an unbounded integer.
 
 from __future__ import annotations
 
+import importlib
+import os
+import sys
 from functools import cache
 from itertools import chain, permutations
 from math import factorial, gcd, lcm
+
+_THREAD_COUNTS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(name in os.environ for name in _THREAD_COUNTS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        importlib.import_module("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 import numpy as np
 
@@ -44,12 +61,6 @@ _STORED = 2**24
 _INT64_GUARD = 2**62
 # entries of one gathered block in a product, to bound its memory at m = 7
 _GATHER_LIMIT = 2**20
-
-
-@cache
-def permutation_index(m: int) -> dict[tuple[int, ...], int]:
-    """Map each degree-``m`` permutation's one-line images to its position."""
-    return {p.images: i for i, p in enumerate(all_permutations(m))}
 
 
 @cache

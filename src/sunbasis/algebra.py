@@ -9,9 +9,10 @@ vector per squarefree radicand d, indexed by the lexicographic order of S_m:
 In canonical form every vector is nonzero, its denominator shares no factor
 with all of its entries, and it is int64 exactly when every entry lies below
 2**24 (Python integers otherwise), so equal elements have equal vectors.
-With m ≤ ``_MAX_DEGREE`` = 7 that bound keeps every sum of m! products of
-stored entries in int64; only ``scale`` checks, through ``_fast._times``.
-Coefficients, supports and term counts are views derived from the vectors.
+With m ≤ ``permutations._MAX_DEGREE`` = 7 that bound keeps every sum of m!
+products of stored entries in int64; only ``scale`` checks, through
+``_fast._times``.  Coefficients, supports, term counts and the term table
+that ``matrix_rep.represent`` reads are views derived from the vectors.
 
 The product is the convolution induced by group multiplication (right factor
 acts first, matching ``permutations.compose``).  ``multiply`` is the one
@@ -27,63 +28,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import chain
-from math import factorial, lcm
-from operator import countOf
+from math import factorial
 from typing import Iterator, Optional, Union
 
-import numpy as np
-
 from . import _fast
-from .coefficients import (
-    LATEX,
-    PolyN,
-    Surd,
-    SurdLike,
-    int_from_json,
-    ints_from_json,
-    rational_from_json,
-    rationals_from_json,
-    squarefree_decompose,
-    write_sum,
+from ._fast import np
+from .coefficients import LATEX, PolyN, Surd, SurdLike, squarefree_decompose, write_sum
+from .permutations import (
+    Permutation,
+    Terms,
+    _check_degree,
+    all_permutations,
+    latex_permutation,
+    permutation_index,
+    radicand_parts,
+    terms_from_json,
 )
-from .permutations import Permutation, all_permutations, latex_permutation
 
 _Scalar = Union[int, Fraction, Surd]
-
-# A dense vector has m! entries and a product needs an (m!)^2 table.
-_MAX_DEGREE = 7
-
-
-def _check_degree(m: int) -> None:
-    if not 1 <= m <= _MAX_DEGREE:
-        raise ValueError(f"degree must be between 1 and {_MAX_DEGREE}, got {m}")
-
-
-def _parts_from_terms(
-    m: int,
-    where: np.ndarray,
-    radicands: list[int],
-    which: np.ndarray,
-    nums: list[int],
-    dens: list[int],
-) -> _fast.Parts:
-    """Canonical vectors of the terms nums[i]/dens[i]·√radicands[k] at the
-    positions where[k], with i = which[k]: per radicand, one lcm of its
-    terms' denominators and one scatter of their numerators over it."""
-    size = factorial(m)
-    acc: dict = {}
-    distinct = dict.fromkeys(radicands)
-    keys = np.array(radicands, dtype=object) if len(distinct) > 1 else None
-    for d in distinct:
-        at = slice(None) if keys is None else keys == d
-        used = which[at]
-        root, whole = squarefree_decompose(d)
-        present = np.flatnonzero(np.bincount(used, minlength=len(dens)))
-        denom = lcm(*(dens[i] for i in present))
-        scaled = _fast.vector([n * whole * (denom // q) for n, q in zip(nums, dens)])
-        _fast._accumulate(acc, root, denom, _fast.scatter(size, where[at], scaled[used]))
-    return _fast.canonical(acc)
 
 
 class AlgebraElement:
@@ -93,21 +55,14 @@ class AlgebraElement:
 
     def __init__(self, m: int, terms: dict[Permutation, SurdLike] | None = None):
         _check_degree(m)
-        where, radicands, nums, dens = [], [], [], []
-        if terms:
-            index = _fast.permutation_index(m)
-            for p, c in terms.items():
-                if p.degree != m:
-                    raise ValueError(f"term degree {p.degree} != element degree {m}")
-                pos = index[p.images]
-                for d, q in Surd._coerce(c).terms():
-                    where.append(pos)
-                    radicands.append(d)
-                    nums.append(q.numerator)
-                    dens.append(q.denominator)
-        parts = _parts_from_terms(
-            m, np.array(where, dtype=np.intp), radicands, np.arange(len(nums)), nums, dens
-        )
+        index, positions, values = permutation_index(m), [], []
+        for p, c in (terms or {}).items():
+            if p.degree != m:
+                raise ValueError(f"term degree {p.degree} != element degree {m}")
+            for d, q in Surd._coerce(c).terms():
+                positions.append(index[p.images])
+                values.append((d, q.numerator, q.denominator))
+        parts = _parts_of(Terms(m, positions, radicand_parts(values, range(len(values)))))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_parts", parts)
 
@@ -148,7 +103,7 @@ class AlgebraElement:
         )
 
     def coefficient(self, p: Permutation) -> Surd:
-        pos = _fast.permutation_index(self.m).get(p.images)
+        pos = permutation_index(self.m).get(p.images)
         return Surd() if pos is None else self._coefficient_at(pos)
 
     def support(self) -> tuple[Permutation, ...]:
@@ -161,6 +116,13 @@ class AlgebraElement:
 
     def term_count(self) -> int:
         return len(self._positions())
+
+    def term_table(self) -> Terms:
+        """The support and, per radicand, its numerators: what
+        ``matrix_rep.represent`` reads."""
+        support = self._positions()
+        parts = {d: (denom, vec[support].tolist()) for d, (denom, vec) in self._parts.items()}
+        return Terms(self.m, support.tolist(), parts)
 
     def is_zero(self) -> bool:
         return not self._parts
@@ -267,6 +229,16 @@ def latex_element(a: AlgebraElement) -> str:
     return write_sum(((c, latex_permutation(p)) for p, c in a.items()), LATEX, "\\,")
 
 
+def _parts_of(t: Terms) -> _fast.Parts:
+    """Canonical vectors of a term table: one scatter of its numerators per radicand."""
+    where = np.array(t.positions, dtype=np.intp)
+    acc = {
+        d: (denom, _fast.scatter(factorial(t.m), where, _fast.vector(nums)))
+        for d, (denom, nums) in t.parts.items()
+    }
+    return _fast.canonical(acc)
+
+
 @cache
 def _identity(m: int) -> AlgebraElement:
     return AlgebraElement(m, {Permutation.identity(m): Surd.rational(1)})
@@ -350,7 +322,8 @@ def proportionality(a: AlgebraElement, b: AlgebraElement) -> Optional[Surd]:
 # with terms sorted by one-line form; bit-exact round trip.  Both directions
 # pass over the stored vectors in bulk and make no Permutation, Surd or
 # Fraction per term; only a rational spelt other than the canonical "p/q"
-# is read through a Fraction.
+# is read through a Fraction.  ``permutations.terms_from_json`` reads the
+# wire form into plain integers without numpy.
 
 
 def element_to_json(a: AlgebraElement) -> dict:
@@ -374,44 +347,8 @@ def element_to_json(a: AlgebraElement) -> dict:
 
 
 def element_from_json(obj: dict) -> AlgebraElement:
-    """Parse the wire format straight into vectors; malformed input raises ValueError.
-
-    The terms' positions, radicands and coefficient texts are gathered in
-    bulk, and ``rationals_from_json`` reads each distinct text once: the
-    canonical ``p/q`` all at once, any other spelling as ``Fraction`` does.
-    """
-    if not isinstance(obj, dict) or "m" not in obj or "terms" not in obj:
-        raise ValueError("operator JSON must have 'm' and 'terms'")
-    m = int_from_json(obj["m"])
-    _check_degree(m)
-    terms = obj["terms"]
-    if not isinstance(terms, list):
-        raise ValueError(f"operator 'terms' must be a list, got {terms!r}")
-    index = _fast.permutation_index(m)
-    try:
-        perms = [tuple(t["perm"]) for t in terms]
-        coeffs = [t["coeff"] for t in terms]
-        counts = list(map(len, coeffs))
-        pairs = list(chain.from_iterable(coeffs))
-        radicands = [d for d, _ in pairs]
-        texts = [c for _, c in pairs]
-    except (KeyError, TypeError):
-        raise ValueError(
-            "operator terms must be {'perm': [ints], 'coeff': [[d, 'p/q'], ...]} objects"
-        ) from None
-    positions = list(map(index.get, perms))
-    if None in positions or countOf(map(type, chain.from_iterable(perms)), int) != m * len(perms):
-        for t in terms:  # say what is wrong
-            images = ints_from_json(t["perm"])
-            if index.get(images) is None:
-                raise ValueError(f"term degree {Permutation(images).degree} != element degree {m}")
-    if countOf(map(type, radicands), int) != len(radicands):
-        int_from_json(next(d for d in radicands if type(d) is not int))
-    if countOf(map(type, texts), str) != len(texts):
-        rational_from_json(next(c for c in texts if type(c) is not str))
-    codes = dict.fromkeys(texts)  # each distinct text, then its index
-    nums, dens = rationals_from_json(list(codes))
-    codes.update(zip(codes, range(len(codes))))
-    which = np.fromiter(map(codes.__getitem__, texts), dtype=np.intp, count=len(texts))
-    where = np.repeat(np.array(positions, dtype=np.intp), counts)
-    return AlgebraElement._raw(m, _parts_from_terms(m, where, radicands, which, nums, dens))
+    """Parse the wire format straight into vectors; malformed input raises
+    ValueError.  ``terms_from_json`` reads the terms, and ``_parts_of``
+    scatters them."""
+    t = terms_from_json(obj)
+    return AlgebraElement._raw(t.m, _parts_of(t))

@@ -34,21 +34,21 @@ from functools import cache, cached_property
 from itertools import groupby
 from math import factorial, lcm
 
-import numpy as np
-
 from . import _fast
+from ._fast import np
 from ._linalg import surd_rank
 from .algebra import (
-    AlgebraElement, _check_degree, _square_sum, element_from_json, element_to_json, multiply,
-    scalar_product,
+    AlgebraElement, _square_sum, element_from_json, element_to_json, multiply, scalar_product,
 )
 from .coefficients import PolyN, int_from_json, ints_from_json, squarefree_decompose
-from .projectors import _mold_bar, _unit, dimension_formula, hermitian_projector, young_projector
+from .permutations import _check_degree
+from .projectors import _mold_bar, _unit, hermitian_projector, young_projector
 from .tableaux import (
     YoungDiagram,
     YoungTableau,
     enumerate_tableaux,
     _contents,
+    dimension_formula,
     partitions,
     tableau_to_json,
     tableau_from_json,

@@ -21,6 +21,11 @@ options.  A handler computes its result once and returns ``(exit code,
 payload)``: the payload is a JSON object for ``--format json`` and a list
 of output lines for text or latex.  Only ``main`` renders the payload and
 writes it.
+
+At module level this imports only modules without numpy.  The handlers
+that build group-algebra vectors (projector, transition, basis and verify)
+import ``algebra``, ``projectors``, ``transitions`` and ``basis`` when they
+run, so tableaux, dims and represent never start numpy.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .algebra import AlgebraElement, _check_degree, element_from_json, element_to_json, latex_element
-from .basis import _SUITES as SUITE_NAMES, assemble, basis_to_json, run_suite
 from .coefficients import (
     latex_poly,
     latex_rational,
@@ -42,22 +45,17 @@ from .coefficients import (
     surd_to_json,
 )
 from .matrix_rep import matrix_to_json, rank, represent
-from .projectors import (
-    dimension_formula,
-    hermitian_mold,
-    hermitian_staircase,
-    young_projector,
-)
+from .permutations import Terms, _check_degree, terms_from_json
 from .tableaux import (
     YoungDiagram,
     YoungTableau,
+    dimension_formula,
     enumerate_tableaux,
     partitions,
     tableau_from_json,
     tableau_to_json,
     tableaux_of_shape,
 )
-from .transitions import transition
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -156,6 +154,8 @@ def _parse_suites(spec: Any) -> tuple[str, ...] | None:
 
 def _run_suites(args: argparse.Namespace, m: int, spec: Any) -> tuple[int, list]:
     """Run the selected suites; the exit code carries the verdict."""
+    from .basis import run_suite
+
     reports = run_suite(m, args.kind, _parse_suites(spec), sample=args.sample, seed=args.seed)
     return (EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION), reports
 
@@ -214,15 +214,19 @@ def _cmd_tableaux(args: argparse.Namespace) -> tuple[int, Payload]:
     return EXIT_OK, lines
 
 
+# each projector kind, by the name of its builder in ``projectors``
 _PROJECTOR_BUILDERS = {
-    "young": young_projector,
-    "staircase": hermitian_staircase,
-    "mold": hermitian_mold,
-    "hermitian": hermitian_mold,
+    "young": "young_projector",
+    "staircase": "hermitian_staircase",
+    "mold": "hermitian_mold",
+    "hermitian": "hermitian_mold",
 }
 
 
 def _cmd_projector(args: argparse.Namespace) -> tuple[int, Payload]:
+    from . import projectors
+    from .algebra import element_to_json, latex_element
+
     m = _required(args.m, "--m")
     if args.kind not in _PROJECTOR_BUILDERS:
         raise UsageError(
@@ -230,7 +234,7 @@ def _cmd_projector(args: argparse.Namespace) -> tuple[int, Payload]:
             f"{', '.join(sorted(_PROJECTOR_BUILDERS))}"
         )
     t = _parse_tableau_spec(_required(args.tableau, "--tableau"), m)
-    proj = _PROJECTOR_BUILDERS[args.kind](t)
+    proj = getattr(projectors, _PROJECTOR_BUILDERS[args.kind])(t)
     dim = dimension_formula(t.shape)
 
     if args.format == "json":
@@ -258,6 +262,9 @@ def _cmd_projector(args: argparse.Namespace) -> tuple[int, Payload]:
 
 
 def _cmd_transition(args: argparse.Namespace) -> tuple[int, Payload]:
+    from .algebra import element_to_json, latex_element
+    from .transitions import transition
+
     m = _required(args.m, "--m")
     source = _parse_tableau_spec(_required(args.src, "--from"), m)
     target = _parse_tableau_spec(_required(args.dst, "--to"), m)
@@ -288,6 +295,9 @@ def _cmd_transition(args: argparse.Namespace) -> tuple[int, Payload]:
 
 
 def _cmd_basis(args: argparse.Namespace) -> tuple[int, Payload]:
+    from .algebra import latex_element
+    from .basis import assemble, basis_to_json
+
     m = _required(args.m, "--m")
     if m > _BASIS_MAX_DEGREE:
         raise UsageError(f"basis takes --m up to {_BASIS_MAX_DEGREE}, got {m}")
@@ -317,8 +327,9 @@ def _cmd_basis(args: argparse.Namespace) -> tuple[int, Payload]:
     return code, lines + _reports_text(reports or [])
 
 
-def _read_operator(spec: Any) -> AlgebraElement:
-    """An operator from inline JSON, an already-parsed config value, or @file."""
+def _read_operator(spec: Any) -> Terms:
+    """An operator's term table from inline JSON, an already-parsed config
+    value, or @file."""
     if isinstance(spec, str) and spec.startswith("@"):
         try:
             spec = Path(spec[1:]).read_text()
@@ -328,7 +339,7 @@ def _read_operator(spec: Any) -> AlgebraElement:
         obj = json.loads(spec) if isinstance(spec, str) else spec
         if isinstance(obj, dict) and "element" in obj and "terms" not in obj:
             obj = obj["element"]
-        return element_from_json(obj)
+        return terms_from_json(obj)
     except ValueError as exc:
         raise UsageError(f"bad operator JSON: {exc}") from None
 
@@ -337,10 +348,10 @@ def _cmd_represent(args: argparse.Namespace) -> tuple[int, Payload]:
     n = int(_required(args.n_dim, "--N"))
     if args.op is None:
         raise UsageError("--op is required (inline JSON or @file)")
-    a = _read_operator(args.op)
-    if args.m is not None and int(args.m) != a.m:
-        raise UsageError(f"operator acts on {a.m} factors, but --m {args.m} was given")
-    mat = represent(a, n, cap=args.cap)
+    op = _read_operator(args.op)
+    if args.m is not None and int(args.m) != op.m:
+        raise UsageError(f"operator acts on {op.m} factors, but --m {args.m} was given")
+    mat = represent(op, n, cap=args.cap)
     mat_rank = rank(mat) if args.rank else None
 
     if args.format == "json":
@@ -431,7 +442,9 @@ _SAMPLING = [
     ("--seed", dict(_INT, default=0, help="sampling seed")),
     ("--jobs", dict(_INT, help="accepted and ignored")),
 ]
-_SUITES_HELP = f"all, or comma-separated from {', '.join(SUITE_NAMES)}"
+# ``basis._SUITES``, named here so that building the parser imports no numpy
+_SUITE_NAMES = ("table", "ortho", "complete", "independence")
+_SUITES_HELP = f"all, or comma-separated from {', '.join(_SUITE_NAMES)}"
 
 # name -> (help, handler, [(flag, add_argument keywords)]), after the common options
 COMMANDS = {

@@ -7,19 +7,27 @@ entries.  This makes statements that are invisible at the symbolic level
 checkable: operators whose tableau has a column longer than ``n`` vanish
 outright, and the rank of a surviving projector equals its dimension
 polynomial evaluated at ``n``.
+
+The matrix is built from a ``permutations.Terms`` table, in pure Python: an
+element gives its table by ``term_table``, and ``sunbasis represent`` reads
+one from the operator's JSON by ``terms_from_json``, so the command never
+imports numpy.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import _fast
 from ._linalg import surd_rank
-from .algebra import AlgebraElement, _check_degree
 from .coefficients import Surd, int_from_json, ints_from_json, surd_from_json, surd_to_json
+from .permutations import Terms, _check_degree, all_permutations
+
+if TYPE_CHECKING:
+    from .algebra import AlgebraElement
 
 __all__ = [
     "ConcreteMatrix",
@@ -115,44 +123,56 @@ class ConcreteMatrix:
             raise ValueError("matrices act on different tensor spaces")
 
 
-def represent(a: AlgebraElement, n: int, *, cap: int = 10_000) -> ConcreteMatrix:
-    """Exact matrix of an element on the degree-``m`` power of an ``n``-space.
+def represent(a: AlgebraElement | Terms, n: int, *, cap: int = 10_000) -> ConcreteMatrix:
+    """Exact matrix of an element, or of a term table, on the degree-``m``
+    power of an ``n``-space.
 
     A permutation moves the tensor factor at slot ``k`` to the slot the
     permutation sends ``k`` to; equivalently, column ``t`` holds a single 1
     in the row whose index tuple reads ``t`` through the inverse
-    permutation.  Elements extend linearly: each cell sums its terms'
-    numerators in one array pass, and each distinct sum is one ``Surd``.
+    permutation.  So digit ``t_j`` of the column adds ``t_j·n^(m − p(j))``
+    to the row, and a term's cells are built up one digit at a time.  Terms
+    with equal numerators are counted together, each cell sums its counts
+    times their numerators, and each distinct sum is one ``Surd``.
     """
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
-    size = n**a.m
+    table = a if isinstance(a, Terms) else a.term_table()
+    m = table.m
+    size = n**m
     if size > cap:
         raise ValueError(
             f"matrix would have {size} rows, above the cap of {cap}; "
             f"pass cap={size} or more to allow it"
         )
-    m = a.m
-    if a.is_zero():
-        return ConcreteMatrix(n, m)
-    powers = n ** np.arange(m - 1, -1, -1)
-    cols = np.arange(size)
-    digits = cols[:, None] // powers % n  # column t's index tuple
-    support = a._positions()
-    # the zero-based images of each support permutation's inverse
-    inverses = _fast.lexicographic(m)[0][_fast.inverse_table(m)[support]]
-    rows = np.concatenate([digits[:, inv] @ powers for inv in inverses])
-    cells, where = np.unique(rows * size + np.tile(cols, len(support)), return_inverse=True)
-    # per radicand, each cell's numerator: the sum of its terms' entries
-    scales, sums = [], []
-    for d, (denom, vec) in a._parts.items():
-        total = np.zeros(len(cells), dtype=vec.dtype)
-        np.add.at(total, where, np.repeat(vec[support], size))
-        scales.append((d, denom))
-        sums.append(total.tolist())
-    surds: dict[tuple, Surd] = {}  # one per distinct tuple of numerators
+    place = [n**k for k in range(m - 1, -1, -1)]  # of digit j in an index
+    perms = all_permutations(m)
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for pos, key in zip(table.positions, zip(*(nums for _, nums in table.parts.values()))):
+        if any(key):
+            groups.setdefault(key, []).append(perms[pos].images)
+    # per radicand, each cell's numerator, the cell being row·size + column
+    sums: list[dict[int, int]] = [{} for _ in table.parts]
+    for key, images in groups.items():
+        counts: Counter = Counter()
+        for image in images:
+            cells = [0]
+            for j, p in enumerate(image):
+                step = place[p - 1] * size + place[j]
+                cells = [t + c for t in range(0, n * step, step) for c in cells]
+            counts.update(cells)
+        for total, x in zip(sums, key):
+            if x and total:
+                get = total.get
+                for cell, c in counts.items():
+                    total[cell] = get(cell, 0) + c * x
+            elif x:
+                total.update(zip(counts, map(x.__mul__, counts.values())))
+    scales = [(d, denom) for d, (denom, _) in table.parts.items()]
+    surds: dict[tuple[int, ...], Surd] = {}  # one per distinct tuple of numerators
     entries = {}
-    for cell, key in zip(cells.tolist(), zip(*sums)):
+    cells = list(set().union(*sums))
+    for cell, key in zip(cells, zip(*(map(total.get, cells, repeat(0)) for total in sums))):
         if any(key):
             if key not in surds:
                 surds[key] = Surd({d: Fraction(x, denom) for (d, denom), x in zip(scales, key)})
@@ -179,12 +199,15 @@ def rank(c: ConcreteMatrix) -> int:
 
 
 def matrix_to_json(c: ConcreteMatrix) -> dict:
-    wire = {v: surd_to_json(v) for v in set(c.entries.values())}
+    """The wire form; each distinct entry object is written once, found by
+    identity, as ``represent`` shares one ``Surd`` per distinct value."""
+    distinct = {id(v): v for v in c.entries.values()}
+    wire = {k: surd_to_json(v) for k, v in distinct.items()}
     return {
         "n": c.n,
         "m": c.m,
         "size": c.size,
-        "entries": [[r, col, wire[v]] for (r, col), v in sorted(c.entries.items())],
+        "entries": [[r, col, wire[id(v)]] for (r, col), v in sorted(c.entries.items())],
     }
 
 

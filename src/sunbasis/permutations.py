@@ -8,6 +8,12 @@ factor acts first::
 
 so e.g. ``transposition(3, 1, 2) * transposition(3, 1, 3)`` is the 3-cycle
 mapping 1 -> 3, 3 -> 2, 2 -> 1.
+
+A formal sum of permutations is read from its JSON wire form here too, by
+``terms_from_json``, into a ``Terms`` table of plain integers: the group
+algebra's vectors are one numpy scatter of that table away, and a concrete
+matrix is built from the table itself, so neither reading the wire form
+nor ``sunbasis represent`` needs numpy.
 """
 
 from __future__ import annotations
@@ -15,6 +21,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
+from math import lcm
+from operator import countOf
+from typing import Iterable, NamedTuple
+
+from .coefficients import (
+    int_from_json,
+    ints_from_json,
+    rational_from_json,
+    rationals_from_json,
+    squarefree_decompose,
+)
+
+# A dense vector has m! entries and a product needs an (m!)^2 table.
+_MAX_DEGREE = 7
+
+
+def _check_degree(m: int) -> None:
+    if not 1 <= m <= _MAX_DEGREE:
+        raise ValueError(f"degree must be between 1 and {_MAX_DEGREE}, got {m}")
 
 
 @dataclass(frozen=True, order=True)
@@ -151,3 +176,92 @@ def embed(p: Permutation, m: int) -> Permutation:
 def all_permutations(m: int) -> tuple[Permutation, ...]:
     """All of S_m in lexicographic one-line order."""
     return tuple(Permutation(t) for t in itertools.permutations(range(1, m + 1)))
+
+
+@cache
+def permutation_index(m: int) -> dict[tuple[int, ...], int]:
+    """Map each degree-``m`` permutation's one-line images to its position."""
+    return {p.images: i for i, p in enumerate(all_permutations(m))}
+
+
+# -- JSON wire format -----------------------------------------------------
+#
+# operator -> {"m": int, "terms": [{"perm": [one-line ints], "coeff": surd}]}
+# A permutation may repeat and a coefficient need not be canonical: a
+# radicand is any positive integer and a rational any text ``Fraction`` reads.
+
+
+class Terms(NamedTuple):
+    """A sum of degree-``m`` permutations as plain integers, not canonical.
+
+    Term k is the permutation at ``positions[k]`` in ``all_permutations(m)``
+    times Σ_d √d·nums[k]/denom over the items d: (denom, nums) of
+    ``parts``, one per squarefree radicand, ascending.  A position may
+    repeat and a numerator may be 0.
+    """
+
+    m: int
+    positions: list[int]
+    parts: dict[int, tuple[int, list[int]]]
+
+
+def radicand_parts(
+    values: list[tuple[int, int, int]], which: Iterable[int]
+) -> dict[int, tuple[int, list[int]]]:
+    """The ``parts`` of terms whose coefficients are num/den·√d for the
+    values (d, num, den) at ``which``: per squarefree root of d, one lcm of
+    its values' denominators and each term's numerator over it."""
+    roots = [squarefree_decompose(d) for d, _, _ in values]
+    parts = {}
+    for r in sorted({s for s, _ in roots}):
+        denom = lcm(*(q for (s, _), (_, _, q) in zip(roots, values) if s == r))
+        scaled = [x * g * (denom // q) if s == r else 0 for (s, g), (_, x, q) in zip(roots, values)]
+        parts[r] = (denom, list(map(scaled.__getitem__, which)))
+    return parts
+
+
+def terms_from_json(obj: dict) -> Terms:
+    """Read the wire format into a ``Terms`` table; malformed input raises ValueError.
+
+    The terms' positions, radicands and coefficient texts are gathered in bulk,
+    and each distinct (radicand, text) pair is read once: ``rationals_from_json``
+    reads the canonical ``p/q`` all at once, any other spelling as ``Fraction``
+    does.  Every term is one table row per pair of its coefficient.
+    """
+    if not isinstance(obj, dict) or "m" not in obj or "terms" not in obj:
+        raise ValueError("operator JSON must have 'm' and 'terms'")
+    m = int_from_json(obj["m"])
+    _check_degree(m)
+    terms = obj["terms"]
+    if not isinstance(terms, list):
+        raise ValueError(f"operator 'terms' must be a list, got {terms!r}")
+    index = permutation_index(m)
+    try:
+        perms = [tuple(t["perm"]) for t in terms]
+        coeffs = [t["coeff"] for t in terms]
+        counts = list(map(len, coeffs))
+        pairs = list(itertools.chain.from_iterable(coeffs))
+        radicands = [d for d, _ in pairs]
+        texts = [c for _, c in pairs]
+    except (KeyError, TypeError):
+        raise ValueError(
+            "operator terms must be {'perm': [ints], 'coeff': [[d, 'p/q'], ...]} objects"
+        ) from None
+    positions = list(map(index.get, perms))
+    entries = itertools.chain.from_iterable(perms)
+    if None in positions or countOf(map(type, entries), int) != m * len(perms):
+        for t in terms:  # say what is wrong
+            images = ints_from_json(t["perm"])
+            if index.get(images) is None:
+                raise ValueError(f"term degree {Permutation(images).degree} != element degree {m}")
+    if countOf(map(type, radicands), int) != len(radicands):
+        int_from_json(next(d for d in radicands if type(d) is not int))
+    if countOf(map(type, texts), str) != len(texts):
+        rational_from_json(next(c for c in texts if type(c) is not str))
+    codes = dict.fromkeys(zip(radicands, texts))  # each distinct pair, then its index
+    nums, dens = rationals_from_json([c for _, c in codes])
+    values = [(d, x, q) for (d, _), x, q in zip(codes, nums, dens)]
+    codes.update(zip(codes, range(len(codes))))
+    which = list(map(codes.__getitem__, zip(radicands, texts)))
+    rows = itertools.chain.from_iterable(map(itertools.repeat, positions, counts))  # one per pair
+    return Terms(m, list(rows), radicand_parts(values, which))

@@ -35,7 +35,7 @@ from typing import Literal
 from . import _fast
 from .algebra import AlgebraElement, _square_sum, dagger, trace
 from .coefficients import PolyN, Surd
-from .tableaux import YoungDiagram, YoungTableau, _contents, tableau_permutation
+from .tableaux import YoungTableau, _contents, tableau_permutation
 
 SetKind = Literal["sym", "anti"]
 
@@ -269,18 +269,3 @@ hermitian_projector = hermitian_mold
 def dimension_poly(p: Projector) -> PolyN:
     """Dimension of the projector's invariant image as a polynomial in N."""
     return trace(p.element)
-
-
-def dimension_formula(shape: YoungDiagram) -> PolyN:
-    """Image dimension as a polynomial in N, from the shape alone.
-
-    Product over boxes of (N + column - row), divided by the shape's hook
-    length.  Agrees with ``dimension_poly`` of any projector of that shape
-    but needs no group-algebra products, so it stays cheap at high degree;
-    the product has integer coefficients, divided once.
-    """
-    coeffs = [1]  # of N^0, N^1, ...: (N + c)·Σ a_k N^k = Σ (a_{k-1} + c·a_k) N^k
-    for i, r in enumerate(shape.rows):
-        for j in range(r):
-            coeffs = [a + (j - i) * b for a, b in zip([0] + coeffs, coeffs + [0])]
-    return PolyN({k: Fraction(a, shape.hook_length()) for k, a in enumerate(coeffs)})

@@ -19,10 +19,11 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial
 
-from .coefficients import ints_from_json
+from .coefficients import PolyN, ints_from_json
 from .permutations import Permutation
 
 
@@ -69,6 +70,21 @@ class YoungDiagram:
     def tableau_count(self) -> int:
         """Number of standard fillings, n! / hook_length."""
         return factorial(self.n) // self.hook_length()
+
+
+def dimension_formula(shape: YoungDiagram) -> PolyN:
+    """Image dimension as a polynomial in N, from the shape alone.
+
+    Product over boxes of (N + column - row), divided by the shape's hook
+    length.  Agrees with ``projectors.dimension_poly`` of any projector of
+    that shape but needs no group-algebra products, so it stays cheap at
+    high degree; the product has integer coefficients, divided once.
+    """
+    coeffs = [1]  # of N^0, N^1, ...: (N + c)·Σ a_k N^k = Σ (a_{k-1} + c·a_k) N^k
+    for i, r in enumerate(shape.rows):
+        for j in range(r):
+            coeffs = [a + (j - i) * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return PolyN({k: Fraction(a, shape.hook_length()) for k, a in enumerate(coeffs)})
 
 
 def partitions(n: int) -> tuple[YoungDiagram, ...]:

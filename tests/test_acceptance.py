@@ -38,7 +38,6 @@ from sunbasis.coefficients import PolyN, Surd
 from sunbasis.matrix_rep import rank, represent
 from sunbasis.permutations import Permutation
 from sunbasis.projectors import (
-    dimension_formula,
     dimension_poly,
     hermitian_mold,
     hermitian_projector,
@@ -48,6 +47,7 @@ from sunbasis.projectors import (
 )
 from sunbasis.tableaux import (
     YoungTableau,
+    dimension_formula,
     enumerate_tableaux,
     partitions,
     tableau_permutation,
@@ -373,7 +373,7 @@ def test_criterion_10_headless_suite(monkeypatch):
             )
         ]
 
-    monkeypatch.setattr("sunbasis.cli.run_suite", fake_run_suite)
+    monkeypatch.setattr("sunbasis.basis.run_suite", fake_run_suite)
     rc, _ = run_cli(["verify", "--m", "3", "--suite", "all"])
     assert rc == 1
     monkeypatch.undo()

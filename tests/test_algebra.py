@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sunbasis import _fast
 from sunbasis.algebra import (
-    _MAX_DEGREE,
     AlgebraElement,
     _embedding,
     dagger,
@@ -31,7 +30,7 @@ from sunbasis.coefficients import (
     surd_to_json,
 )
 from sunbasis.matrix_rep import matrix_from_json
-from sunbasis.permutations import Permutation, all_permutations, compose
+from sunbasis.permutations import _MAX_DEGREE, Permutation, all_permutations, compose
 from sunbasis.tableaux import tableau_from_json
 
 

@@ -45,7 +45,6 @@ from sunbasis.permutations import all_permutations
 from sunbasis.projectors import (
     SymmetrizerSet,
     _normalize,
-    dimension_formula,
     hermitian_projector,
     symmetrizer,
     young_projector,
@@ -54,6 +53,7 @@ from sunbasis.tableaux import (
     YoungDiagram,
     YoungTableau,
     _contents,
+    dimension_formula,
     enumerate_tableaux,
     tableaux_of_shape,
 )

@@ -11,23 +11,27 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sunbasis.algebra import AlgebraElement, element_from_json
+from sunbasis.algebra import AlgebraElement, element_from_json, latex_element
 from sunbasis.basis import assemble, basis_from_json
 from sunbasis.cli import (
     _BASIS_MAX_DEGREE,
     _DIMS_MAX_DEGREE,
+    _SUITE_NAMES,
     _TABLEAUX_MAX_DEGREE,
-    latex_element,
+    FORMATS,
     latex_poly,
     latex_rational,
     latex_surd,
     main,
 )
 from sunbasis.coefficients import PolyN, Surd, poly_from_json, surd_from_json
-from sunbasis.permutations import Permutation, latex_permutation
-from sunbasis.projectors import dimension_formula, hermitian_projector, young_projector
-from sunbasis.tableaux import enumerate_tableaux, tableau_from_json
+from sunbasis.matrix_rep import matrix_to_json, rank, represent
+from sunbasis.permutations import Permutation, all_permutations, latex_permutation
+from sunbasis.projectors import hermitian_projector, young_projector
+from sunbasis.tableaux import dimension_formula, enumerate_tableaux, tableau_from_json
 from sunbasis.transitions import transition
 
 
@@ -315,6 +319,53 @@ def test_represent_refuses_a_radicand_too_large_to_factor():
     assert "squarefree part of 4951760154835678088235319297" in err
 
 
+@st.composite
+def loose_operators(draw):
+    """An operator and a dimension n, n^m ≤ 81, in wire form but not canonical:
+    perms may repeat, a coefficient may be 0, rationals are not reduced and
+    radicands are not squarefree; sometimes wrapped as {"element": ...}."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, {1: 9, 2: 9, 3: 4, 4: 3}[m]))
+    perms = [list(p.images) for p in all_permutations(m)]
+    texts = st.tuples(st.integers(-6, 6), st.integers(1, 6)).map(
+        lambda pq: f"{pq[0]}/{pq[1]}" if pq[1] > 1 or pq[0] % 2 else str(pq[0])
+    )
+    pairs = st.lists(st.tuples(st.sampled_from([1, 2, 3, 4, 8, 12]), texts).map(list), max_size=3)
+    term = st.fixed_dictionaries({"perm": st.sampled_from(perms), "coeff": pairs})
+    terms = draw(st.lists(term, max_size=6))
+    return {"m": m, "terms": terms}, n, draw(st.booleans())
+
+
+def _rendered(mat, n: int, fmt: str) -> str:
+    """The matrix and its rank as ``represent --rank`` writes them."""
+    entries, r = sorted(mat.entries.items()), rank(mat)
+    if fmt == "json":
+        return json.dumps(dict(matrix_to_json(mat), rank=r), indent=2, sort_keys=True) + "\n"
+    if fmt == "latex":
+        lines = [f"% concrete matrix, N={n}, m={mat.m}, size {mat.size}"]
+        lines += [f"M_{{{i},{j}}} = {latex_surd(v)}" for (i, j), v in entries]
+        lines.append(f"\\operatorname{{rank}} M = {r}")
+    else:
+        lines = [f"matrix N={n} m={mat.m} size={mat.size} nonzeros={len(entries)}"]
+        lines += [f"  ({i},{j}) = {v}" for (i, j), v in entries]
+        lines.append(f"rank: {r}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(loose_operators())
+def test_represent_reads_a_loose_operator_as_the_library_does(case):
+    # the CLI builds the matrix from the operator's terms as written; the
+    # library from the canonical vectors that element_from_json makes of them
+    obj, n, wrapped = case
+    mat = represent(element_from_json(obj), n)
+    op = json.dumps({"element": obj} if wrapped else obj)
+    for fmt in FORMATS:
+        rc, out, err = run(["represent", "--N", str(n), "--op", op, "--rank", "--format", fmt])
+        assert (rc, err) == (0, "")
+        assert out == _rendered(mat, n, fmt)
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -368,7 +419,7 @@ def test_verify_failure_exits_one(monkeypatch):
             )
         ]
 
-    monkeypatch.setattr("sunbasis.cli.run_suite", fake_run_suite)
+    monkeypatch.setattr("sunbasis.basis.run_suite", fake_run_suite)
     rc, out, _ = run(["verify", "--m", "3", "--suite", "table"])
     assert rc == 1
     assert json.loads(out)["passed"] is False
@@ -700,12 +751,12 @@ def test_verify_m7_passes_all_four_suites():
 _THREAD_COUNTS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _threads_after_import(module: str, **preset: str) -> str:
-    """The thread count of a fresh process after ``import module``, and the
+def _threads_after(statement: str, **preset: str) -> str:
+    """The thread count of a fresh process after ``statement``, and the
     OpenBLAS thread count its environment then holds."""
     env = {k: v for k, v in os.environ.items() if k not in _THREAD_COUNTS}
     probe = (
-        f"import os; import {module}; "
+        f"import os; {statement}; "
         "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
     )
     result = subprocess.run(
@@ -715,16 +766,89 @@ def _threads_after_import(module: str, **preset: str) -> str:
     return result.stdout.strip()
 
 
+# every way the package first imports numpy: each module that imports it, and a lazy name
+_NUMPY_STARTS = [
+    "import sunbasis._fast",
+    "import sunbasis.algebra",
+    "import sunbasis.basis",
+    "import sunbasis.projectors",
+    "import sunbasis.transitions",
+    "import sunbasis; sunbasis.AlgebraElement",
+]
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc")
 def test_import_starts_numpy_without_a_blas_thread_pool():
     # no kernel calls a float BLAS routine, so the package starts numpy with
     # one thread and leaves the environment of child processes as it was
-    assert _threads_after_import("sunbasis") == "1 None"
+    assert _threads_after("import sunbasis") == "1 None"
+    for statement in _NUMPY_STARTS:
+        assert _threads_after(statement) == "1 None", statement
     # a thread count the caller chose is kept, as with numpy alone
+    first_use = _NUMPY_STARTS[-1]
     for name in _THREAD_COUNTS:
         preset = {name: "2"}
-        assert _threads_after_import("sunbasis", **preset) == _threads_after_import("numpy", **preset)
-    assert _threads_after_import("sunbasis", OPENBLAS_NUM_THREADS="2").endswith(" 2")
+        assert _threads_after(first_use, **preset) == _threads_after("import numpy", **preset)
+    assert _threads_after(first_use, OPENBLAS_NUM_THREADS="2").endswith(" 2")
+
+
+def _cli_in_fresh_process(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter; stderr ends with the exit code and
+    whether numpy was imported."""
+    probe = (
+        "import sys; from sunbasis.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'numpy' in sys.modules, file=sys.stderr)"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=120
+    )
+
+
+def test_the_suite_help_names_every_suite():
+    from sunbasis import basis
+
+    assert _SUITE_NAMES == basis._SUITES
+
+
+def test_every_package_name_is_its_defining_module_binding():
+    # ``sunbasis.<name>`` is found lazily, numpy-free modules first; each
+    # name must still be the object its own module binds
+    import importlib
+
+    import sunbasis
+
+    for name in sunbasis.__all__:
+        obj = getattr(sunbasis, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        sunbasis.nothing
+
+
+def test_only_the_vector_commands_import_numpy():
+    # tableaux, dims and represent read and write plain integers and surds
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, sunbasis; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.stdout == "False\n", result.stderr
+    op = {
+        "m": 3,
+        "terms": [
+            {"perm": [1, 2, 3], "coeff": [[1, "1/1"]]},
+            {"perm": [2, 1, 3], "coeff": [[2, "-1/2"]]},
+        ],
+    }
+    for argv in (
+        ["represent", "--N", "2", "--op", json.dumps(op), "--rank"],
+        ["dims", "--m", "3"],
+        ["tableaux", "--m", "3"],
+    ):
+        result = _cli_in_fresh_process(*argv)
+        assert result.stderr.splitlines()[-1] == "0 False", (argv, result.stderr)
+    # verification builds the grid's vectors, so it starts numpy and still passes
+    result = _cli_in_fresh_process("verify", "--m", "3")
+    assert result.stderr.splitlines()[-1] == "0 True", result.stderr
+    assert json.loads(result.stdout)["passed"] is True
 
 
 def test_subprocess_byte_identical_runs():

@@ -243,3 +243,16 @@ def test_only_algebra_reads_the_permutation_gather(path):
     # every other module multiplies by a permutation with ``*``
     found = _named(path, "_translate")
     assert not found, f"_translate read outside algebra: {', '.join(found)}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "_fast.py"], ids=lambda p: p.name)
+def test_numpy_is_imported_by_the_kernel_alone(path):
+    # ``_fast`` imports numpy behind its one-thread guard, and every other
+    # module takes ``np`` from there, so no import path skips the guard
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "numpy")
+    ]
+    assert not found, f"numpy imported outside _fast: {', '.join(found)}"

@@ -15,13 +15,8 @@ from sunbasis.matrix_rep import (
     represent,
 )
 from sunbasis.permutations import Permutation, all_permutations
-from sunbasis.projectors import (
-    dimension_formula,
-    dimension_poly,
-    hermitian_projector,
-    symmetrizer,
-)
-from sunbasis.tableaux import YoungTableau, enumerate_tableaux
+from sunbasis.projectors import dimension_poly, hermitian_projector, symmetrizer
+from sunbasis.tableaux import YoungTableau, dimension_formula, enumerate_tableaux
 from sunbasis.transitions import unitary_transition_compact
 from sunbasis._linalg import surd_rank
 
@@ -228,7 +223,7 @@ def entrywise(a: AlgebraElement, n: int) -> dict:
     return {cell: v for cell, v in entries.items() if v}
 
 
-@pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (5, 3)])
 def test_represent_matches_the_entrywise_sum(m, n):
     rng = random.Random(10 * m + n)
     for surd in (False, True):
